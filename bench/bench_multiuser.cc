@@ -86,12 +86,12 @@ timedRun(const std::function<std::unique_ptr<Workload>()> &factory,
     config.users = users;
     config.useHix = use_hix;
 
-    config.parallelRecording = false;
+    config.recordThreads = 1;
     bench::HostTimer serial_timer;
     auto serial = runWorkload(config);
     run.serialMs = serial_timer.ms();
 
-    config.parallelRecording = true;
+    config.recordThreads = 0;
     bench::HostTimer parallel_timer;
     run.outcome = runWorkload(config);
     run.parallelMs = parallel_timer.ms();
@@ -344,7 +344,6 @@ runVoltaRows(bench::BenchJson &json)
                 config.machine.timing.gpuConcurrentContexts = width;
                 config.machine.timing.gpuDmaChannels = width;
                 config.machine.timing.gpuEnclaveLanes = width;
-                config.parallelRecording = true;
 
                 auto two_phase = runWorkload(config);
 

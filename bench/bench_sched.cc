@@ -1,9 +1,9 @@
 /**
  * @file
  * Timing-scheduler benchmark: replays large op-DAG traces through the
- * O(n log n) production engine, the O(n^2)-ish reference engine, and
- * the parallel engine, reporting simulated makespan (which must match
- * bit for bit across all engines) and host wall-clock per engine.
+ * O(n log n) production engine and the O(n^2)-ish reference engine,
+ * reporting simulated makespan (which must match bit for bit across
+ * both engines) and host wall-clock per engine.
  *
  * Shapes:
  *  - synthetic multi-user pipeline chains (the 1M-op headline preset:
@@ -13,25 +13,17 @@
  *  - real recorded Rodinia traces, 16 users merged across apps via
  *    Trace::append.
  *
- * The headline trace additionally sweeps scheduleParallel() across
- * --threads=1,2,4,8,auto; fast vs parallel-8 is measured interleaved
- * (alternating runs, min of 9) so the sched_speedup metric survives
- * noisy single-core CI hosts.
- *
  * Writes BENCH_sched.json (see bench_json.h). `--preset=small` keeps
  * the synthetic trace CI-sized but still emits the full 1M-op
- * parallel row (one run, no reference race) so CI can pin its
+ * engine=fast row (one run, no reference race) so CI can pin its
  * makespan; the default full preset runs the 1M-op acceptance
- * configuration end to end. `--threads=N` restricts the sweep to one
- * thread count.
+ * configuration end to end.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -142,41 +134,25 @@ identicalResults(const sim::ScheduleResult &a,
     return true;
 }
 
-unsigned
-effectiveWorkers(unsigned threads)
-{
-    if (threads != 0)
-        return threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-}
-
-std::string
-threadsLabel(unsigned threads)
-{
-    return threads == 0 ? std::string("auto")
-                        : std::to_string(threads);
-}
-
 struct EngineTimes
 {
     double fastMs = 0.0;
     double refMs = 0.0;
-    double parMs = 0.0;  // threads=8, single run
     Tick makespan = 0;
     bool identical = false;
 };
 
-/** Time all three engines on one trace; fast engine takes best of 3,
- *  parallel runs once at 8 threads. */
+/** Time both engines on one trace; the fast engine takes the best of
+ *  @p fast_reps runs. */
 EngineTimes
-raceEngines(const sim::Trace &trace, const sim::SchedulerConfig &cfg)
+raceEngines(const sim::Trace &trace, const sim::SchedulerConfig &cfg,
+            int fast_reps = 3)
 {
     EngineTimes times;
 
     double best = -1.0;
     sim::ScheduleResult fast;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < fast_reps; ++rep) {
         bench::HostTimer timer;
         fast = sim::schedule(trace, cfg);
         const double ms = timer.ms();
@@ -189,37 +165,32 @@ raceEngines(const sim::Trace &trace, const sim::SchedulerConfig &cfg)
     const sim::ScheduleResult ref = sim::scheduleReference(trace, cfg);
     times.refMs = timer.ms();
 
-    bench::HostTimer par_timer;
-    const sim::ScheduleResult par =
-        sim::scheduleParallel(trace, cfg, 8);
-    times.parMs = par_timer.ms();
-
     times.makespan = fast.makespan;
-    times.identical =
-        identicalResults(fast, ref) && identicalResults(fast, par);
+    times.identical = identicalResults(fast, ref);
     return times;
 }
 
 int
-runBench(bool small_preset, int threads_arg)
+runBench(bool small_preset)
 {
     bench::BenchJson json("sched");
     bool all_identical = true;
 
     std::printf("Scheduler engine race (host wall-clock)\n\n");
-    std::printf("%-52s %9s %12s %12s %12s %9s\n", "trace", "ops",
-                "fast (ms)", "reference", "par8 (ms)", "speedup");
+    std::printf("%-52s %9s %12s %12s %9s\n", "trace", "ops",
+                "fast (ms)", "reference", "speedup");
 
     auto report = [&](const std::string &name,
                       const sim::Trace &trace,
-                      const sim::SchedulerConfig &cfg) {
-        const EngineTimes times = raceEngines(trace, cfg);
+                      const sim::SchedulerConfig &cfg,
+                      int fast_reps = 3) {
+        const EngineTimes times = raceEngines(trace, cfg, fast_reps);
         all_identical = all_identical && times.identical;
         const double speedup =
             times.fastMs > 0.0 ? times.refMs / times.fastMs : 0.0;
-        std::printf("%-52s %9zu %12.1f %12.1f %12.1f %8.1fx%s\n",
+        std::printf("%-52s %9zu %12.1f %12.1f %8.1fx%s\n",
                     name.c_str(), trace.size(), times.fastMs,
-                    times.refMs, times.parMs, speedup,
+                    times.refMs, speedup,
                     times.identical ? "" : "  MISMATCH");
         json.add(name + " engine=fast", times.makespan, times.fastMs)
             .metric("ops", static_cast<double>(trace.size()))
@@ -227,129 +198,41 @@ runBench(bool small_preset, int threads_arg)
         json.add(name + " engine=reference", times.makespan,
                  times.refMs)
             .metric("ops", static_cast<double>(trace.size()));
-        json.add(name + " engine=parallel threads=8", times.makespan,
-                 times.parMs)
-            .metric("ops", static_cast<double>(trace.size()))
-            .metric("sched_workers", 8.0);
         return speedup;
     };
 
     sim::SchedulerConfig cfg;
     cfg.gpuCtxSwitchTicks = 50;
 
-    // Headline synthetic preset (acceptance: >= 10x vs reference and
-    // >= 2.5x parallel-vs-fast at 1M ops).
+    // Headline synthetic preset (acceptance: >= 10x vs reference at
+    // 1M ops); the fast engine takes the best of 9 runs so the ratio
+    // survives noisy shared hosts.
     const std::size_t headline_ops =
         small_preset ? 60'000 : 1'000'000;
     const int lanes = small_preset ? 32 : 128;
-    const std::string headline_name =
-        "synthetic_pipeline users=16 lanes=" + std::to_string(lanes);
     const sim::Trace headline =
         makeSyntheticPipeline(16, lanes, headline_ops);
-
-    // Interleave fast and parallel-8 (min of 9 each) so the
-    // sched_speedup ratio is taken from the same noise regime; the
-    // shared CI-class host needs the extra reps for the min to reach
-    // each engine's floor.
-    double fast_ms = -1.0, par8_ms = -1.0;
-    sim::ScheduleResult fast, par8;
-    for (int rep = 0; rep < 9; ++rep) {
-        {
-            bench::HostTimer timer;
-            fast = sim::schedule(headline, cfg);
-            const double ms = timer.ms();
-            if (fast_ms < 0.0 || ms < fast_ms)
-                fast_ms = ms;
-        }
-        {
-            bench::HostTimer timer;
-            par8 = sim::scheduleParallel(headline, cfg, 8);
-            const double ms = timer.ms();
-            if (par8_ms < 0.0 || ms < par8_ms)
-                par8_ms = ms;
-        }
-    }
-    bench::HostTimer ref_timer;
-    const sim::ScheduleResult ref =
-        sim::scheduleReference(headline, cfg);
-    const double ref_ms = ref_timer.ms();
-
-    const bool headline_identical =
-        identicalResults(fast, ref) && identicalResults(fast, par8);
-    all_identical = all_identical && headline_identical;
     const double headline_speedup =
-        fast_ms > 0.0 ? ref_ms / fast_ms : 0.0;
-    const double sched_speedup =
-        par8_ms > 0.0 ? fast_ms / par8_ms : 0.0;
-    std::printf("%-52s %9zu %12.1f %12.1f %12.1f %8.1fx%s\n",
-                headline_name.c_str(), headline.size(), fast_ms,
-                ref_ms, par8_ms, headline_speedup,
-                headline_identical ? "" : "  MISMATCH");
-    json.add(headline_name + " engine=fast", fast.makespan, fast_ms)
-        .metric("ops", static_cast<double>(headline.size()))
-        .metric("speedup_vs_reference", headline_speedup)
-        .metric("host_ms_parallel", par8_ms)
-        .metric("sched_speedup", sched_speedup)
-        .metric("sched_workers", 8.0);
-    json.add(headline_name + " engine=reference", fast.makespan,
-             ref_ms)
-        .metric("ops", static_cast<double>(headline.size()));
-
-    // Thread sweep over the headline trace.
-    const std::vector<unsigned> sweep =
-        threads_arg >= 0
-            ? std::vector<unsigned>{
-                  static_cast<unsigned>(threads_arg)}
-            : std::vector<unsigned>{1, 2, 4, 8, 0};
-    for (unsigned t : sweep) {
-        double best = -1.0;
-        sim::ScheduleResult par;
-        if (t == 8) {
-            best = par8_ms;  // reuse the interleaved measurement
-            par = par8;
-        } else {
-            for (int rep = 0; rep < 3; ++rep) {
-                bench::HostTimer timer;
-                par = sim::scheduleParallel(headline, cfg, t);
-                const double ms = timer.ms();
-                if (best < 0.0 || ms < best)
-                    best = ms;
-            }
-        }
-        const bool same = identicalResults(fast, par);
-        all_identical = all_identical && same;
-        std::printf("  parallel threads=%-4s %40s %12.1f ms%s\n",
-                    threadsLabel(t).c_str(), "", best,
-                    same ? "" : "  MISMATCH");
-        json.add(headline_name +
-                     " engine=parallel threads=" + threadsLabel(t),
-                 par.makespan, best)
-            .metric("ops", static_cast<double>(headline.size()))
-            .metric("sched_workers",
-                    static_cast<double>(effectiveWorkers(t)));
-    }
+        report("synthetic_pipeline users=16 lanes=" +
+                   std::to_string(lanes),
+               headline, cfg, 9);
 
     if (small_preset) {
-        // CI pin: the full 1M-op trace through the parallel engine
-        // only (the reference race would dominate CI time). Its
-        // makespan must equal the recorded full-preset value.
+        // CI pin: the full 1M-op trace through the fast engine only
+        // (the reference race would dominate CI time). Its makespan
+        // must equal the recorded full-preset value.
         const sim::Trace full =
             makeSyntheticPipeline(16, 128, 1'000'000);
         bench::HostTimer timer;
-        const sim::ScheduleResult par =
-            sim::scheduleParallel(full, cfg, 8);
+        const sim::ScheduleResult fast = sim::schedule(full, cfg);
         const double ms = timer.ms();
-        std::printf("%-52s %9zu %12s %12s %12.1f\n",
+        std::printf("%-52s %9zu %12.1f %12s\n",
                     "synthetic_pipeline users=16 lanes=128 (pin)",
-                    full.size(), "-", "-", ms);
-        json.add("synthetic_pipeline users=16 lanes=128 "
-                 "engine=parallel threads=8",
-                 par.makespan, ms)
-            .metric("ops", static_cast<double>(full.size()))
-            .metric("sched_workers", 8.0);
-    }
-
-    if (!small_preset) {
+                    full.size(), ms, "-");
+        json.add("synthetic_pipeline users=16 lanes=128 engine=fast",
+                 fast.makespan, ms)
+            .metric("ops", static_cast<double>(full.size()));
+    } else {
         const sim::Trace narrow =
             makeSyntheticPipeline(4, 4, 250'000);
         report("synthetic_pipeline users=4 lanes=4", narrow, cfg);
@@ -368,9 +251,6 @@ runBench(bool small_preset, int threads_arg)
     std::printf("\nheadline speedup: %.1fx (target >= 10x at 1M "
                 "ops)\n",
                 headline_speedup);
-    std::printf("parallel speedup at 8 threads: %.2fx (target >= "
-                "2.5x at 1M ops)\n",
-                sched_speedup);
     json.write();
 
     if (!all_identical) {
@@ -387,21 +267,16 @@ int
 main(int argc, char **argv)
 {
     bool small_preset = false;
-    int threads_arg = -1;  // -1 = full sweep
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--preset=small") == 0 ||
             std::strcmp(arg, "small") == 0) {
             small_preset = true;
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            threads_arg = std::atoi(arg + 10);
         } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--preset=small] [--threads=N]\n",
-                argv[0]);
+            std::fprintf(stderr, "usage: %s [--preset=small]\n",
+                         argv[0]);
             return 2;
         }
     }
-    return runBench(small_preset, threads_arg);
+    return runBench(small_preset);
 }

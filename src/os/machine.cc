@@ -85,8 +85,7 @@ Machine::scheduleTrace() const
 {
     sim::SchedulerConfig cfg;
     cfg.gpuCtxSwitchTicks = config_.timing.gpuCtxSwitch;
-    cfg.threads = config_.schedulerThreads;
-    return sim::scheduleWith(config_.schedulerEngine, trace_, cfg);
+    return sim::schedule(trace_, cfg);
 }
 
 void

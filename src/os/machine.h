@@ -50,12 +50,6 @@ struct MachineConfig
     /** TLB engine (Reference = linear golden oracle, for tests). */
     mem::TlbEngine tlbEngine = mem::TlbEngine::Fast;
     std::size_t tlbCapacity = 256;
-    /** Scheduling engine used by scheduleTrace() (all bit-identical;
-     *  Parallel spreads the run across schedulerThreads host
-     *  threads). */
-    sim::SchedulerEngine schedulerEngine = sim::SchedulerEngine::Fast;
-    /** Worker threads for the Parallel engine (0 = hardware count). */
-    unsigned schedulerThreads = 0;
 };
 
 /**

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <functional>
 #include <queue>
 #include <span>
@@ -477,45 +476,23 @@ schedule(const Trace &trace, const SchedulerConfig &config)
 }
 
 // ---------------------------------------------------------------------------
-// scheduleParallel: component / window worker pool over a cache-lean
-// core.
+// Lean core for the streaming front-end.
 //
-// The engine is built from three bit-identical pieces:
-//
-//  1. A cache-lean serial core. All per-op state lives in one 24-byte
-//     record (HotOp); the per-resource candidate is a cache that a
-//     single arrival merges into in O(1) (it is exactly the
-//     candLess-min refresh() would compute), and a full refresh only
-//     runs after a commit on that resource, because lastCtx/freeAt —
-//     the only inputs that can invalidate other entries' candidates —
-//     change only then. The op's start time is written back into the
-//     dead ready slot at commit; finish = start + dur is recomputed in
-//     the final unzip, so the commit loop touches no side arrays.
-//
-//  2. Component fan-out. Resources linked by a dependency edge are
-//     unioned; ops on resources in different components never
-//     interact (per-resource state is only mutated by that resource's
-//     commits, and cross-resource influence travels only along
-//     dependency edges), so each component is an independent
-//     scheduling problem. Components run on a worker pool, largest
-//     first, writing disjoint slices of the shared start/finish
-//     arrays; per-component stats merge in component-id order.
-//
-//  3. A window-synchronized engine for a single shared component. Let
-//     L be the minimum duration over ops that have a dependent on
-//     another resource. Within a window [T0, T0 + L), every commit
-//     starts at or after T0, so any cross-resource arrival it
-//     produces lands at or after T0 + L — the *next* window. Each
-//     resource can therefore commit everything with effective time
-//     below T0 + L without consulting the others; cross arrivals are
-//     exchanged through per-thread-pair outboxes at a barrier, applied
-//     by the owning thread (max-ready and pending-decrement are
-//     commutative, and the pending counter reaches zero only on the
-//     final edge, so the push sees the fully-resolved ready time), and
-//     the next T0 is the reduced minimum candidate. Serial tie-breaks
-//     never reach across a window boundary (strictly smaller eff
-//     always wins), so per-resource commit sequences — and hence every
-//     output field — are bit-identical to schedule().
+// StreamingScheduler scores each shard's private components at intake
+// and the cross-shard groups at the final join with a cache-lean
+// re-implementation of schedule()'s commit loop. All per-op state
+// lives in one 24-byte record (HotOp); the per-resource candidate is
+// a cache that a single arrival merges into in O(1) (it is exactly
+// the candLess-min refresh() would compute), and a full refresh only
+// runs after a commit on that resource, because lastCtx/freeAt — the
+// only inputs that can invalidate other entries' candidates — change
+// only then. The op's start time is written back into the dead ready
+// slot at commit; finish = start + dur is recomputed when the result
+// is unzipped. A resource-connected component never interacts with
+// another (per-resource state is only mutated by that resource's
+// commits, and cross-resource influence travels only along dependency
+// edges), so the join's independent groups run on a worker pool and
+// every output field stays bit-identical to schedule().
 //
 // Traces whose shape exceeds the packed-field limits of HotOp (2^32
 // durations, 2^16 deps per op, 2^16 resources or GPU contexts) fall
@@ -847,27 +824,18 @@ popCand(SchedState &s, std::uint32_t ridx, const Cand &c)
 }
 
 /**
- * One pass over the trace computing everything every parallel path
- * needs: dense resource/context indices, per-resource busy totals,
- * the cross-resource lookahead (min duration over ops with a
- * dependent on another resource), resource-connected components, and
- * the lean-core eligibility gates.
+ * One pass over the merged trace for the streaming join: dense
+ * resource and context indices plus the lean-core eligibility gates.
  */
 struct Prepared
 {
     bool leanOk = true;
     std::uint32_t nres = 0;
     std::uint32_t nctx = 0;
-    Tick crossLookahead = MaxTick;  // MaxTick: no cross edges at all
-    Tick maxResBusy = 0;
-    std::uint32_t compCount = 0;
-    std::size_t edges = 0;
     std::vector<ResourceId> resources;      // dense id -> ResourceId
     std::vector<std::uint8_t> gpuRes;       // dense id -> is GpuCompute
     std::vector<std::uint32_t> resOf;       // op -> dense resource
     std::vector<std::uint16_t> ctxOf;       // op -> dense ctx (0 = none)
-    std::vector<std::uint32_t> compOfRes;   // dense resource -> component
-    std::vector<std::uint32_t> depStart;    // dependents CSR offsets (n+1)
 };
 
 /**
@@ -940,30 +908,16 @@ packRes(ResourceId r)
 }
 
 Prepared
-prepare(const Trace &trace, std::vector<HotOp> *hot)
+prepare(const Trace &trace)
 {
     const auto &ops = trace.ops();
-    const std::size_t n = ops.size();
     Prepared p;
-    p.resOf.resize(n);
-    p.ctxOf.resize(n);
-    p.depStart.assign(n + 1, 0);
-    if (hot)
-        hot->assign(n + 1, HotOp{});  // whole-trace records, same pass
+    p.resOf.resize(ops.size());
+    p.ctxOf.resize(ops.size());
 
     FlatIndex res_index;
     FlatIndex ctx_index;
     ctx_index.indexOf(NoGpuContext);  // dense ctx 0 == none
-    std::vector<std::uint32_t> parent;  // union-find over resources
-    std::vector<Tick> res_busy;
-
-    auto find = [&](std::uint32_t x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];  // path halving
-            x = parent[x];
-        }
-        return x;
-    };
 
     ResourceId rk{};
     std::uint32_t rv = ~0u;
@@ -976,8 +930,6 @@ prepare(const Trace &trace, std::vector<HotOp> *hot)
                 p.resources.push_back(op.resource);
                 p.gpuRes.push_back(op.resource.unit ==
                                    ResUnit::GpuCompute);
-                parent.push_back(rv);
-                res_busy.push_back(0);
             }
             rk = op.resource;
         }
@@ -992,86 +944,10 @@ prepare(const Trace &trace, std::vector<HotOp> *hot)
             return p;
         }
         p.ctxOf[op.id] = static_cast<std::uint16_t>(xv);
-        res_busy[rv] += op.duration;
-        p.edges += op.depCount;
-        if (hot) {
-            HotOp &h = (*hot)[op.id];
-            h.res = static_cast<std::uint16_t>(rv);
-            h.ctx = static_cast<std::uint16_t>(xv);
-            h.dur = static_cast<std::uint32_t>(op.duration);
-            h.kind = static_cast<std::uint8_t>(op.kind);
-            h.pending = static_cast<std::uint16_t>(op.depCount);
-        }
-        const std::uint32_t a = find(rv);
-        if (hot) {
-            // Producer res and dur share one HotOp cache line (filled
-            // earlier in this pass — deps point backwards), where
-            // resOf[d] + ops[d].duration would touch two.
-            const HotOp *hs = hot->data();
-            for (OpId d : trace.deps(op)) {
-                ++p.depStart[d + 1];
-                const HotOp &hd = hs[d];
-                if (hd.res == rv)
-                    continue;
-                if (hd.dur < p.crossLookahead)
-                    p.crossLookahead = hd.dur;
-                const std::uint32_t b = find(hd.res);
-                if (b != a)
-                    parent[b] = a;  // a stays a root
-            }
-        } else {
-            for (OpId d : trace.deps(op)) {
-                ++p.depStart[d + 1];
-                const std::uint32_t rb = p.resOf[d];
-                if (rb == rv)
-                    continue;
-                const Tick ddur = ops[d].duration;
-                if (ddur < p.crossLookahead)
-                    p.crossLookahead = ddur;
-                const std::uint32_t b = find(rb);
-                if (b != a)
-                    parent[b] = a;  // a stays a root
-            }
-        }
     }
-
     p.nres = static_cast<std::uint32_t>(p.resources.size());
     p.nctx = static_cast<std::uint32_t>(ctx_index.size());
-    for (Tick b : res_busy)
-        if (b > p.maxResBusy)
-            p.maxResBusy = b;
-    for (std::size_t i = 0; i < n; ++i)
-        p.depStart[i + 1] += p.depStart[i];
-
-    // Dense component ids in first-appearance op order (matches
-    // Trace::components()).
-    std::vector<std::uint32_t> dense(p.nres, ~0u);
-    for (const Op &op : ops) {
-        const std::uint32_t root = find(p.resOf[op.id]);
-        if (dense[root] == ~0u)
-            dense[root] = p.compCount++;
-    }
-    p.compOfRes.resize(p.nres);
-    for (std::uint32_t r = 0; r < p.nres; ++r)
-        p.compOfRes[r] = dense[find(r)];
     return p;
-}
-
-/** Finish the whole-trace hot array prepare() started (depOff
- *  offsets, including the sentinel in the extra record) and fill the
- *  dependents CSR. Consumes prep.depStart as the scatter cursor (the
- *  offsets live on in hot[].depOff). */
-void
-finishHotWhole(const Trace &trace, Prepared &prep,
-               std::vector<HotOp> &hot, std::vector<OpId> &dependents)
-{
-    const std::size_t n = trace.size();
-    for (std::size_t i = 0; i <= n; ++i)
-        hot[i].depOff = prep.depStart[i];
-    dependents.resize(prep.edges);
-    for (const Op &op : trace.ops())
-        for (OpId d : trace.deps(op))
-            dependents[prep.depStart[d]++] = op.id;
 }
 
 /**
@@ -1231,47 +1107,6 @@ runLeanLoop(std::vector<HotOp> &hot, const std::vector<OpId> &dependents,
     }
 }
 
-/** Whole-trace serial lean path (also the threads==1 path). */
-ScheduleResult
-runLeanWhole(const Trace &trace, const SchedulerConfig &config,
-             Prepared &prep, std::vector<HotOp> &hot)
-{
-    const std::size_t n = trace.size();
-    ScheduleResult res;
-
-    std::vector<OpId> dependents;
-    finishHotWhole(trace, prep, hot, dependents);
-
-    LeanOut out;
-    runLeanLoop(hot, dependents, prep.gpuRes, prep.nctx,
-                config.gpuCtxSwitchTicks, out);
-    if (out.scheduled != n)
-        hix_panic("scheduler: dependency cycle, scheduled ",
-                  out.scheduled, " of ", n, " ops");
-
-    res.gpuCtxSwitches = out.ctxSwitches;
-    // push_back, not assign-then-overwrite: at 1M ops the redundant
-    // zero pass is measurable.
-    res.start.reserve(n);
-    res.finish.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        res.start.push_back(hot[i].ready);
-        res.finish.push_back(hot[i].ready + hot[i].dur);
-    }
-    for (std::uint32_t r = 0; r < prep.nres; ++r) {
-        ResourceUsage &use = res.usage[prep.resources[r]];
-        use.busy = out.busy[r];
-        use.lastFree = out.lastFree[r];
-        use.ops = out.opCount[r];
-        if (out.lastFree[r] > res.makespan)
-            res.makespan = out.lastFree[r];
-    }
-    for (std::size_t k = 0; k < OpKindCount; ++k)
-        if (out.kindSeen[k])
-            res.kindBusy[static_cast<OpKind>(k)] = out.kindBusy[k];
-    return res;
-}
-
 /**
  * Schedule each member list on a worker pool, largest list first.
  * Every list must be an ascending, dependency- and resource-closed
@@ -1346,286 +1181,6 @@ runCompLists(const Trace &trace, const SchedulerConfig &config,
         t.join();
 }
 
-/** Fan resource-connected components out across a worker pool. */
-ScheduleResult
-runComponents(const Trace &trace, const SchedulerConfig &config,
-              const Prepared &prep, unsigned threads)
-{
-    const std::size_t n = trace.size();
-    const std::uint32_t nc = prep.compCount;
-
-    std::vector<std::uint32_t> sizes(nc, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        ++sizes[prep.compOfRes[prep.resOf[i]]];
-    std::vector<std::vector<OpId>> members(nc);
-    for (std::uint32_t c = 0; c < nc; ++c)
-        members[c].reserve(sizes[c]);
-    for (std::size_t i = 0; i < n; ++i)
-        members[prep.compOfRes[prep.resOf[i]]].push_back(
-            static_cast<OpId>(i));
-
-    ScheduleResult res;
-    res.start.assign(n, 0);
-    res.finish.assign(n, 0);
-
-    std::vector<LeanOut> outs(nc);
-    std::vector<std::vector<std::uint32_t>> comp_resources(nc);
-    runCompLists(trace, config, prep, threads, members, res, outs,
-                 comp_resources);
-
-    // Deterministic merge in component-id order.
-    std::size_t scheduled = 0;
-    for (const LeanOut &o : outs)
-        scheduled += o.scheduled;
-    if (scheduled != n)
-        hix_panic("scheduler: dependency cycle, scheduled ", scheduled,
-                  " of ", n, " ops");
-    Tick kind_busy[OpKindCount] = {};
-    bool kind_seen[OpKindCount] = {};
-    for (std::uint32_t c = 0; c < nc; ++c) {
-        const LeanOut &o = outs[c];
-        res.gpuCtxSwitches += o.ctxSwitches;
-        for (std::size_t lr = 0; lr < comp_resources[c].size(); ++lr) {
-            ResourceUsage &use =
-                res.usage[prep.resources[comp_resources[c][lr]]];
-            use.busy = o.busy[lr];
-            use.lastFree = o.lastFree[lr];
-            use.ops = o.opCount[lr];
-            if (o.lastFree[lr] > res.makespan)
-                res.makespan = o.lastFree[lr];
-        }
-        for (std::size_t k = 0; k < OpKindCount; ++k) {
-            kind_busy[k] += o.kindBusy[k];
-            kind_seen[k] = kind_seen[k] || o.kindSeen[k];
-        }
-    }
-    for (std::size_t k = 0; k < OpKindCount; ++k)
-        if (kind_seen[k])
-            res.kindBusy[static_cast<OpKind>(k)] = kind_busy[k];
-    return res;
-}
-
-/** Window-synchronized multi-thread engine for one shared
- *  component. */
-ScheduleResult
-runWindowed(const Trace &trace, const SchedulerConfig &config,
-            Prepared &prep, unsigned threads,
-            std::vector<HotOp> &hot)
-{
-    const std::size_t n = trace.size();
-    const Tick window_len = prep.crossLookahead;  // >= 1 by the gate
-    const unsigned T = std::min<unsigned>(threads, prep.nres);
-    const Tick switch_cost = config.gpuCtxSwitchTicks;
-
-    std::vector<OpId> dependents;
-    finishHotWhole(trace, prep, hot, dependents);
-
-    SchedState s;
-    s.hot = hot.data();
-    s.rs.resize(prep.nres);
-    s.cand.resize(prep.nres);
-    for (std::uint32_t r = 0; r < prep.nres; ++r) {
-        s.rs[r].isGpu = prep.gpuRes[r] != 0;
-        if (s.rs[r].isGpu)
-            s.rs[r].byCtx.resize(prep.nctx);
-    }
-
-    // Static resource ownership; all per-resource state (queues,
-    // candidate, hot records of ops on that resource, accounting) is
-    // touched only by the owner thread.
-    std::vector<std::vector<std::uint32_t>> owned(T);
-    for (std::uint32_t r = 0; r < prep.nres; ++r)
-        owned[r % T].push_back(r);
-
-    std::vector<Tick> busy(prep.nres, 0), last_free(prep.nres, 0);
-    std::vector<std::uint64_t> op_count(prep.nres, 0),
-        switches(prep.nres, 0);
-    std::vector<Tick> kind_busy(std::size_t(prep.nres) * OpKindCount, 0);
-    std::vector<std::uint8_t> kind_seen(
-        std::size_t(prep.nres) * OpKindCount, 0);
-
-    // Seed sources and the first window start single-threaded.
-    {
-        std::vector<FutEnt> seed_tie;
-        for (std::size_t i = 0; i < n; ++i)
-            if (hot[i].pending == 0)
-                pushArrival(s, hot[i].res, static_cast<OpId>(i),
-                            hot[i].ready);
-        for (std::uint32_t r = 0; r < prep.nres; ++r)
-            refreshRes(s, r, seed_tie);
-    }
-    Tick window_start = MaxTick;
-    for (std::uint32_t r = 0; r < prep.nres; ++r)
-        if (s.cand[r].eff < window_start)
-            window_start = s.cand[r].eff;
-    bool stop = false, cycle = false;
-    std::size_t total_scheduled = 0;
-    if (window_start == MaxTick) {
-        stop = true;
-        cycle = n != 0;
-    }
-
-    struct alignas(64) Slot
-    {
-        Tick localMin = MaxTick;
-        std::size_t scheduled = 0;  // cumulative
-    };
-    std::vector<Slot> slots(T);
-    // outbox[src * T + dst]: cross-resource arrivals produced by
-    // thread src for resources owned by dst this window. Written only
-    // by src in the commit phase, drained only by dst in the apply
-    // phase; the two phases are barrier-separated.
-    std::vector<std::vector<std::pair<OpId, Tick>>> outbox(
-        std::size_t(T) * T);
-
-    auto onWindowDone = [&]() noexcept {
-        total_scheduled = 0;
-        Tick t0 = MaxTick;
-        for (const Slot &sl : slots) {
-            total_scheduled += sl.scheduled;
-            if (sl.localMin < t0)
-                t0 = sl.localMin;
-        }
-        if (total_scheduled == n)
-            stop = true;
-        else if (t0 == MaxTick) {
-            stop = true;  // candidates exhausted with ops left
-            cycle = true;
-        } else
-            window_start = t0;
-    };
-    // Two barriers, not one: a std::barrier runs its completion at
-    // EVERY phase, and the mid-window sync (outboxes written -> safe
-    // to drain) must not run the reduction while localMin values are
-    // still stale from the previous window.
-    std::barrier<> bar_mid(T);
-    std::barrier bar(T, onWindowDone);
-
-    auto workerFn = [&](unsigned me) {
-        std::vector<FutEnt> tie_buf;
-        const auto &mine = owned[me];
-        Slot &slot = slots[me];
-        while (!stop) {
-            const Tick wend = window_start + window_len;
-            for (std::uint32_t ridx : mine) {
-                while (s.cand[ridx].id != InvalidOpId &&
-                       s.cand[ridx].eff < wend) {
-                    const Cand c = s.cand[ridx];
-                    const OpId id = c.id;
-                    Res &r = s.rs[ridx];
-                    HotOp &h = hot[id];
-                    popCand(s, ridx, c);
-
-                    Tick start = std::max(h.ready, r.freeAt);
-                    if (r.isGpu && h.ctx != 0) {
-                        if (r.lastCtx != 0 && r.lastCtx != h.ctx) {
-                            start += switch_cost;
-                            ++switches[ridx];
-                        }
-                        r.lastCtx = h.ctx;
-                    }
-                    const Tick finish = start + h.dur;
-                    r.freeAt = finish;
-                    busy[ridx] += h.dur;
-                    if (finish > last_free[ridx])
-                        last_free[ridx] = finish;
-                    ++op_count[ridx];
-                    kind_busy[std::size_t(ridx) * OpKindCount +
-                              h.kind] += h.dur;
-                    kind_seen[std::size_t(ridx) * OpKindCount +
-                              h.kind] = 1;
-                    ++slot.scheduled;
-
-                    const std::uint32_t dep_end = (&h)[1].depOff;
-                    for (std::uint32_t e = h.depOff; e < dep_end;
-                         ++e) {
-                        const OpId dep = dependents[e];
-                        const std::uint32_t tr = hot[dep].res;
-                        if (tr == ridx) {
-                            // Same resource: apply in-order now.
-                            HotOp &hd = hot[dep];
-                            if (finish > hd.ready)
-                                hd.ready = finish;
-                            if (--hd.pending == 0)
-                                pushArrival(s, tr, dep, hd.ready);
-                        } else {
-                            // Cross resource: finish >= wend (the op
-                            // has a cross dependent, so dur >=
-                            // window_len); hand to the owner.
-                            outbox[std::size_t(me) * T + tr % T]
-                                .emplace_back(dep, finish);
-                        }
-                    }
-                    h.ready = start;
-                    refreshRes(s, ridx, tie_buf);
-                }
-            }
-            bar_mid.arrive_and_wait();  // all outboxes complete
-            for (unsigned src = 0; src < T; ++src) {
-                auto &in = outbox[std::size_t(src) * T + me];
-                for (const auto &[dep, fin] : in) {
-                    HotOp &hd = hot[dep];
-                    if (fin > hd.ready)
-                        hd.ready = fin;
-                    if (--hd.pending == 0)
-                        pushArrival(s, hd.res, dep, hd.ready);
-                }
-                in.clear();
-            }
-            Tick lmin = MaxTick;
-            for (std::uint32_t ridx : mine)
-                if (s.cand[ridx].eff < lmin)
-                    lmin = s.cand[ridx].eff;
-            slot.localMin = lmin;
-            bar.arrive_and_wait();  // reduce: next T0, or stop
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(T - 1);
-    for (unsigned w = 1; w < T; ++w)
-        pool.emplace_back(workerFn, w);
-    workerFn(0);
-    for (std::thread &t : pool)
-        t.join();
-
-    if (cycle) {
-        std::size_t done = 0;
-        for (const Slot &sl : slots)
-            done += sl.scheduled;
-        hix_panic("scheduler: dependency cycle, scheduled ", done,
-                  " of ", n, " ops");
-    }
-
-    ScheduleResult res;
-    res.start.reserve(n);
-    res.finish.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        res.start.push_back(hot[i].ready);
-        res.finish.push_back(hot[i].ready + hot[i].dur);
-    }
-    Tick kb[OpKindCount] = {};
-    bool ks[OpKindCount] = {};
-    for (std::uint32_t r = 0; r < prep.nres; ++r) {
-        ResourceUsage &use = res.usage[prep.resources[r]];
-        use.busy = busy[r];
-        use.lastFree = last_free[r];
-        use.ops = op_count[r];
-        if (last_free[r] > res.makespan)
-            res.makespan = last_free[r];
-        res.gpuCtxSwitches += switches[r];
-        for (std::size_t k = 0; k < OpKindCount; ++k) {
-            kb[k] += kind_busy[std::size_t(r) * OpKindCount + k];
-            ks[k] = ks[k] ||
-                    kind_seen[std::size_t(r) * OpKindCount + k] != 0;
-        }
-    }
-    for (std::size_t k = 0; k < OpKindCount; ++k)
-        if (ks[k])
-            res.kindBusy[static_cast<OpKind>(k)] = kb[k];
-    return res;
-}
-
 unsigned
 resolveThreads(unsigned requested)
 {
@@ -1635,74 +1190,26 @@ resolveThreads(unsigned requested)
     return hw != 0 ? hw : 1;
 }
 
-bool
-windowEligible(const Prepared &prep, std::size_t n, unsigned threads)
-{
-    if (threads < 2 || prep.nres < 2)
-        return false;
-    const Tick lookahead = prep.crossLookahead;
-    // lookahead == 0: a zero-duration op feeds another resource, so a
-    // window could observe a same-tick cross arrival — unsound.
-    // lookahead == MaxTick: no cross edges (then compCount > 1 and the
-    // component path applies anyway).
-    if (lookahead == 0 || lookahead == MaxTick)
-        return false;
-    // ~maxResBusy / lookahead windows, two pool-wide barriers each;
-    // only profitable when each window carries a fat batch of ops.
-    return prep.maxResBusy / lookahead <= n / 64;
-}
-
 }  // namespace par
-
-ScheduleResult
-scheduleParallel(const Trace &trace, const SchedulerConfig &config,
-                 unsigned threads)
-{
-    const std::size_t n = trace.size();
-    if (n == 0)
-        return schedule(trace, config);
-    const unsigned t = par::resolveThreads(threads);
-    std::vector<par::HotOp> hot;
-    par::Prepared prep = par::prepare(trace, &hot);
-    if (!prep.leanOk)
-        return schedule(trace, config);
-    if (t > 1 && prep.compCount > 1)
-        return par::runComponents(trace, config, prep, t);
-    if (par::windowEligible(prep, n, t))
-        return par::runWindowed(trace, config, prep, t, hot);
-    return par::runLeanWhole(trace, config, prep, hot);
-}
-
-ScheduleResult
-scheduleParallel(const Trace &trace, const SchedulerConfig &config)
-{
-    return scheduleParallel(trace, config, config.threads);
-}
 
 ScheduleResult
 scheduleWith(SchedulerEngine engine, const Trace &trace,
              const SchedulerConfig &config)
 {
-    switch (engine) {
-      case SchedulerEngine::Reference:
+    if (engine == SchedulerEngine::Reference)
         return scheduleReference(trace, config);
-      case SchedulerEngine::Parallel:
-        return scheduleParallel(trace, config);
-      case SchedulerEngine::Fast:
-        break;
-    }
     return schedule(trace, config);
 }
 
 // ---------------------------------------------------------------------------
 // StreamingScheduler: shard intake + merge-once join.
 //
-// Correctness rests on two facts the existing engines already pin:
+// Correctness rests on two facts:
 //
 //  1. Scheduling a resource-connected component in isolation is
 //     bit-identical to the whole-trace schedule restricted to that
-//     component (runComponents' premise, enforced by the
-//     SchedulerParallel golden wall). A shard component whose
+//     component (the Streaming walls compare every result field
+//     against schedule() on the merged trace). A shard component whose
 //     resources appear in no other shard is a component of the final
 //     merged trace, so its intake-time schedule — computed on the
 //     shard trace with component-local op ids (ascending in merged-id
@@ -1861,7 +1368,7 @@ StreamingScheduler::StreamingScheduler(const SchedulerConfig &config,
     : impl_(std::make_unique<Impl>())
 {
     impl_->config = config;
-    impl_->threads = threads != 0 ? threads : config.threads;
+    impl_->threads = threads;
     impl_->ctxSeen.insert(NoGpuContext);  // prepare() seeds dense 0
 }
 
@@ -1963,14 +1470,13 @@ StreamingScheduler::finish()
     }
     if (!any_valid) {
         // Nothing survived — one cross-shard group (the Fermi preset:
-        // all users share the DMA engines and compute context). The
-        // whole merged trace takes the parallel engine's normal
-        // dispatch, windowed path included.
+        // all users share the DMA engines and compute context), so
+        // the whole merged trace is one problem for schedule().
         im.stats.joinOps = n;
-        return scheduleParallel(im.merged, im.config, im.threads);
+        return schedule(im.merged, im.config);
     }
 
-    par::Prepared prep = par::prepare(im.merged, nullptr);
+    par::Prepared prep = par::prepare(im.merged);
     if (!prep.leanOk)
         return schedule(im.merged, im.config);  // gates re-trip: safe
 

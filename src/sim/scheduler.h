@@ -13,7 +13,7 @@
  * engine keeps serving the resident context while it has pending
  * work — the Fermi policy the paper describes.
  *
- * Three engines compute the same schedule:
+ * Two engines compute the same schedule:
  *
  *  - schedule() is the production O(n log n) engine: per-resource
  *    pending queues feed a global priority queue holding one
@@ -22,13 +22,10 @@
  *  - scheduleReference() is the original O(n · ready) scan, kept as
  *    the executable specification; the golden-equivalence tests
  *    assert the two produce bit-identical results.
- *  - scheduleParallel() partitions the trace by resource-connected
- *    component and schedules components on a worker pool; a single
- *    shared component runs either the window-synchronized
- *    multi-thread engine (when the trace's cross-resource lookahead
- *    makes windows cheap) or a cache-lean serial core. All paths are
- *    bit-identical to schedule() (see DESIGN.md "Parallel timing
- *    engine").
+ *
+ * StreamingScheduler is the streaming pipeline's front-end: it scores
+ * shards as they arrive and joins them once, with a result
+ * bit-identical to schedule() on the merged trace.
  */
 
 #ifndef HIX_SIM_SCHEDULER_H_
@@ -52,21 +49,13 @@ struct SchedulerConfig
 {
     /** GPU context-switch cost on the compute engine, in ticks. */
     Tick gpuCtxSwitchTicks = 0;
-    /**
-     * Worker threads for scheduleParallel(): 0 (the default) sizes
-     * the pool to the hardware thread count. The thread count never
-     * changes the result — every path is bit-identical to
-     * schedule() — only host wall-clock.
-     */
-    unsigned threads = 0;
 };
 
-/** Which scheduling engine scores a run (all bit-identical). */
+/** Which scheduling engine scores a run (both bit-identical). */
 enum class SchedulerEngine : std::uint8_t
 {
-    Fast,       //!< schedule(): serial O(n log n) production engine
+    Fast,       //!< schedule(): O(n log n) production engine
     Reference,  //!< scheduleReference(): executable specification
-    Parallel,   //!< scheduleParallel(): component/window worker pool
 };
 
 /** Per-resource utilisation summary. */
@@ -115,36 +104,13 @@ ScheduleResult schedule(const Trace &trace,
 /**
  * The original quadratic engine, kept as the executable
  * specification of the scheduling policy. schedule() must produce a
- * bit-identical ScheduleResult; tests/sim/scheduler_golden_test.cc
+ * bit-identical ScheduleResult; tests/workloads/scheduler_golden_test.cc
  * enforces this on recorded workload traces.
  */
 ScheduleResult scheduleReference(const Trace &trace,
                                  const SchedulerConfig &config = {});
 
-/**
- * Parallel engine: bit-identical to schedule() at every thread
- * count.
- *
- * Resource-connected components (Trace::components()) are
- * independent sub-problems and fan out across a bounded worker pool,
- * largest component first. A trace that is one shared component runs
- * the window-synchronized multi-thread engine when its cross-resource
- * dependency lookahead makes synchronization windows cheap enough to
- * pay for their barriers, and a cache-lean serial core otherwise
- * (that core is also what each component worker runs). Traces whose
- * shape exceeds the lean core's packed-field limits fall back to
- * schedule() — still bit-identical, never wrong.
- */
-ScheduleResult scheduleParallel(const Trace &trace,
-                                const SchedulerConfig &config = {});
-
-/** scheduleParallel() with an explicit worker count (overrides
- *  SchedulerConfig::threads; 0 = hardware concurrency). */
-ScheduleResult scheduleParallel(const Trace &trace,
-                                const SchedulerConfig &config,
-                                unsigned threads);
-
-/** Dispatch on a SchedulerEngine knob (runner / machine configs). */
+/** Dispatch on a SchedulerEngine knob (RunConfig::schedulerEngine). */
 ScheduleResult scheduleWith(SchedulerEngine engine, const Trace &trace,
                             const SchedulerConfig &config = {});
 
@@ -159,36 +125,36 @@ struct StreamingStats
 };
 
 /**
- * Streaming front-end to scheduleParallel(): accepts completed
- * per-user shards incrementally while later shards are still being
- * recorded, and produces a ScheduleResult bit-identical to scheduling
- * the merged trace with any of the three engines.
+ * Streaming scheduler: accepts completed per-user shards
+ * incrementally while later shards are still being recorded, and
+ * produces a ScheduleResult bit-identical to schedule() on the merged
+ * trace.
  *
  * addShard() must be called in merge order (user-index order for the
  * multi-user runner) because merged op ids are append-order dependent;
  * the runner's consumer holds out-of-order shard completions in a
  * reorder buffer. Each call appends the shard into the merged trace
  * and eagerly schedules every shard component whose resources have not
- * been seen in an earlier shard on the cache-lean serial core — those
+ * been seen in an earlier shard on a cache-lean serial core — those
  * are exactly the components that cannot be perturbed by *earlier*
  * work. A later shard that touches one of the component's resources
  * invalidates the speculative result.
  *
  * finish() pays the cross-shard merge exactly once: components whose
  * resource set stayed private to one shard keep their intake results
- * verbatim; everything else — the groups connected across shards by a
- * shared resource (on the Fermi preset the DMA engines and the single
- * compute engine tie all users together) — is (re)scheduled via the
- * parallel engine's component fan-out, and per-component stats merge
- * exactly as scheduleParallel() merges them. The streaming golden wall
+ * verbatim; the groups connected across shards by a shared resource
+ * are (re)scheduled on a worker pool, one group per task. When no
+ * intake result survives (on the Fermi preset the DMA engines and the
+ * single compute engine tie all users together) the whole merged trace
+ * goes to schedule(). The streaming golden wall
  * (tests/workloads/streaming_record_schedule_test.cc) enforces
  * bit-identity on every ScheduleResult field at every thread count.
  */
 class StreamingScheduler
 {
   public:
-    /** @p threads overrides config.threads for the join (0 = hardware
-     *  concurrency), matching scheduleParallel()'s two-arg form. */
+    /** @p threads sizes the join's worker pool (0 = hardware
+     *  concurrency). */
     explicit StreamingScheduler(const SchedulerConfig &config = {},
                                 unsigned threads = 0);
     ~StreamingScheduler();

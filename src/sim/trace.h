@@ -248,10 +248,10 @@ class Trace
      * closure. Ops in different components never interact under the
      * greedy list scheduler — they share no resource and no
      * dependency path — so each component is an independent
-     * scheduling sub-problem (scheduleParallel() fans components out
-     * across worker threads). Per-user shards merged via append()
-     * land in disjoint components exactly when their resource sets
-     * are disjoint.
+     * scheduling sub-problem (the streaming scheduler schedules a
+     * shard's private components at intake). Per-user shards merged
+     * via append() land in disjoint components exactly when their
+     * resource sets are disjoint.
      */
     struct Components
     {

@@ -35,6 +35,15 @@ namespace
  */
 constexpr GpuContextId ShardMgmtCtx = 0x10000;
 
+/**
+ * Most sessions one run accepts. Session i records on UserCpu i, a
+ * 16-bit resource index, and a device-0 HIX session's context is
+ * 1 + ordinal, which must stay below ShardMgmtCtx: a 65,536th session
+ * would silently share session 0's CPU and collide with the
+ * management context.
+ */
+constexpr std::size_t MaxSessions = ShardMgmtCtx - 1;
+
 /** Canonical merged context ids (see DESIGN.md "Parallel functional
  * execution"): baseline pre-Volta MPS merges every user into GPU
  * context 1; HIX gives the GPU enclave's management work context 0
@@ -284,11 +293,10 @@ class ShardQueue
     std::uint32_t high_ = 0;
 };
 
-/** Recording worker-pool width for @p config (shared by the
- *  two-phase and streaming paths so their shard assignment — and
- *  hence host behavior under forced thread counts — matches). */
+/** Recording worker-pool width (RunConfig::recordThreads) for
+ *  @p sessions sessions; 1 means the calling thread records. */
 int
-recordWorkers(const RunConfig &config)
+recordWorkers(int record_threads, int sessions)
 {
     // Size the worker pool to the host unless the caller forces a
     // width: more recording threads than hardware threads is pure
@@ -298,21 +306,11 @@ recordWorkers(const RunConfig &config)
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;
-    int workers = config.recordThreads > 0
-                      ? config.recordThreads
-                      : static_cast<int>(
-                            std::min<unsigned>(config.users, hw));
-    if (workers > config.users)
-        workers = config.users;
-    return workers;
-}
-
-/** True when recording loops on the calling thread (no pool). */
-bool
-serialRecording(const RunConfig &config, int workers)
-{
-    return !config.parallelRecording || config.users == 1 ||
-           (workers == 1 && config.recordThreads == 0);
+    const int workers =
+        record_threads > 0
+            ? record_threads
+            : static_cast<int>(std::min<unsigned>(sessions, hw));
+    return std::min(workers, sessions);
 }
 
 /**
@@ -497,16 +495,16 @@ recordShard(const RunConfig &config, Workload &job,
 }
 
 /**
- * Merge shards in user-index order, score, and package. When
- * @p session_ranges is non-null it receives each shard's [begin,
- * end) op-id range in the merged trace, in shard order — the pool
- * path derives per-session finish times from these.
+ * Merge shards in session-index order, score, and package.
+ * @p session_ranges receives each shard's [begin, end) op-id range in
+ * the merged trace, in shard order — the pool derives per-session
+ * finish times from these.
  */
 Result<RunOutcome>
 collectOutcome(std::vector<Result<Shard>> &shards,
                const RunConfig &config,
                std::vector<std::pair<std::size_t, std::size_t>>
-                   *session_ranges = nullptr)
+                   &session_ranges)
 {
     // Deterministic error reporting: the lowest-index failure wins,
     // regardless of which shard thread failed first.
@@ -522,8 +520,7 @@ collectOutcome(std::vector<Result<Shard>> &shards,
     for (auto &shard : shards) {
         const std::size_t begin = merged.size();
         merged.append((*shard).trace, (*shard).remap);
-        if (session_ranges)
-            session_ranges->emplace_back(begin, merged.size());
+        session_ranges.emplace_back(begin, merged.size());
     }
 
     RunOutcome outcome;
@@ -536,7 +533,6 @@ collectOutcome(std::vector<Result<Shard>> &shards,
     }
     outcome.schedulerConfig.gpuCtxSwitchTicks =
         config.machine.timing.gpuCtxSwitch;
-    outcome.schedulerConfig.threads = config.schedulerThreads;
     outcome.schedule = sim::scheduleWith(config.schedulerEngine, merged,
                                          outcome.schedulerConfig);
     outcome.ticks = outcome.schedule.makespan;
@@ -553,87 +549,14 @@ collectOutcome(std::vector<Result<Shard>> &shards,
 
 }  // namespace
 
-Result<RunOutcome>
-runWorkload(const RunConfig &config)
-{
-    if (config.streaming)
-        return runWorkloadStreaming(config);
-    if (!config.factory)
-        return errInvalidArgument("no workload factory");
-    if (config.users < 1)
-        return errInvalidArgument("users must be >= 1");
-
-    // One workload instance per user (independent inputs).
-    std::vector<std::unique_ptr<Workload>> jobs;
-    for (int u = 0; u < config.users; ++u)
-        jobs.push_back(config.factory());
-    const std::uint64_t scale = jobs[0]->timingScale();
-
-    std::vector<Result<Shard>> shards;
-    shards.reserve(config.users);
-    for (int u = 0; u < config.users; ++u)
-        shards.push_back(errInternal("shard not recorded"));
-
-    const int workers = recordWorkers(config);
-    const auto record_start = SteadyClock::now();
-    // Session-fork fast path: boot one template, fork every shard.
-    std::optional<SessionTemplate> tpl;
-    if (config.forkSessions) {
-        auto built = buildSessionTemplate(config, scale, 0,
-                                          config.factory);
-        if (!built.isOk())
-            return built.status();
-        tpl.emplace(std::move(*built));
-    }
-    const SessionTemplate *tpl_ptr = tpl ? &*tpl : nullptr;
-    if (serialRecording(config, workers)) {
-        WorkerScratch scratch;
-        for (int u = 0; u < config.users; ++u)
-            shards[u] = recordShard(config, *jobs[u],
-                                    SlotSpec{u, 0, u, 0}, scale,
-                                    tpl_ptr, &scratch);
-    } else {
-        // Shards share no mutable state (each has a private machine
-        // and trace; the process-wide SealPool serializes callers and
-        // its outputs are order-independent), so workers record with
-        // no locking on the hot path. The user -> worker map is
-        // static (round-robin by index) and each worker writes only
-        // its own shard slots, so the vector needs no synchronization
-        // beyond the joins. In fork mode all workers fork from the
-        // shared template concurrently (page refcounts are atomic)
-        // and each reuses one worker-local scratch machine.
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (int w = 0; w < workers; ++w) {
-            threads.emplace_back([&, w] {
-                WorkerScratch scratch;
-                for (int u = w; u < config.users; u += workers)
-                    shards[u] = recordShard(config, *jobs[u],
-                                            SlotSpec{u, 0, u, 0},
-                                            scale, tpl_ptr, &scratch);
-            });
-        }
-        for (auto &thread : threads)
-            thread.join();
-    }
-    const auto record_end = SteadyClock::now();
-    auto outcome = collectOutcome(shards, config);
-    if (outcome.isOk()) {
-        (*outcome).hostRecordMs = msBetween(record_start, record_end);
-        (*outcome).hostScheduleMs =
-            msBetween(record_end, SteadyClock::now());
-        if (tpl)
-            (*outcome).hostBootMs += tpl->buildMs;
-    }
-    return outcome;
-}
-
 Result<PoolOutcome>
 runSessionPool(const RunConfig &config,
                const std::vector<PoolSession> &sessions)
 {
     if (sessions.empty())
         return errInvalidArgument("no sessions to run");
+    if (sessions.size() > MaxSessions)
+        return errInvalidArgument("more than 65535 sessions in one run");
     const int devices = std::max(1, config.machine.gpuCount);
     for (const auto &s : sessions) {
         if (s.device < 0 || s.device >= devices)
@@ -690,35 +613,31 @@ runSessionPool(const RunConfig &config,
     for (int i = 0; i < n; ++i)
         shards.push_back(errInternal("shard not recorded"));
 
-    RunConfig sized = config;  // recordWorkers sizes off users
-    sized.users = n;
-    const int workers = recordWorkers(sized);
-    if (serialRecording(sized, workers)) {
+    // Worker w records sessions w, w + workers, ... Shards share no
+    // mutable state (each has a private machine and trace; the
+    // process-wide SealPool serializes callers and its outputs are
+    // order-independent), and each worker writes only its own shard
+    // slots, so the vector needs no synchronization beyond the joins.
+    // In fork mode all workers fork from the shared templates
+    // concurrently (page refcounts are atomic); a worker's scratch
+    // machine re-forks whenever consecutive sessions use different
+    // templates (WorkerScratch::cleanFor tracks which snapshot the
+    // machine currently matches).
+    const int workers = recordWorkers(config.recordThreads, n);
+    auto record = [&](int w) {
         WorkerScratch scratch;
-        for (int i = 0; i < n; ++i)
-            shards[i] =
-                recordShard(config, *jobs[i], slots[i],
-                            jobs[i]->timingScale(), template_for(i),
-                            &scratch);
+        for (int i = w; i < n; i += workers)
+            shards[i] = recordShard(config, *jobs[i], slots[i],
+                                    jobs[i]->timingScale(),
+                                    template_for(i), &scratch);
+    };
+    if (workers == 1) {
+        record(0);
     } else {
-        // Same static session -> worker assignment as runWorkload():
-        // worker w records sessions w, w + workers, ... A worker's
-        // scratch machine re-forks whenever consecutive sessions use
-        // different templates (WorkerScratch::cleanFor tracks which
-        // snapshot the machine currently matches).
         std::vector<std::thread> threads;
         threads.reserve(workers);
-        for (int w = 0; w < workers; ++w) {
-            threads.emplace_back([&, w] {
-                WorkerScratch scratch;
-                for (int i = w; i < n; i += workers)
-                    shards[i] = recordShard(config, *jobs[i],
-                                            slots[i],
-                                            jobs[i]->timingScale(),
-                                            template_for(i),
-                                            &scratch);
-            });
-        }
+        for (int w = 0; w < workers; ++w)
+            threads.emplace_back(record, w);
         for (auto &thread : threads)
             thread.join();
     }
@@ -726,7 +645,7 @@ runSessionPool(const RunConfig &config,
 
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
     ranges.reserve(n);
-    auto outcome = collectOutcome(shards, config, &ranges);
+    auto outcome = collectOutcome(shards, config, ranges);
     if (!outcome.isOk())
         return outcome.status();
 
@@ -750,23 +669,38 @@ runSessionPool(const RunConfig &config,
 }
 
 Result<RunOutcome>
+runWorkload(const RunConfig &config)
+{
+    if (config.streaming)
+        return runWorkloadStreaming(config);
+    if (config.users < 1)
+        return errInvalidArgument("users must be >= 1");
+    auto pool = runSessionPool(
+        config, std::vector<PoolSession>(config.users, PoolSession{}));
+    if (!pool.isOk())
+        return pool.status();
+    return std::move(pool->run);
+}
+
+Result<RunOutcome>
 runWorkloadStreaming(const RunConfig &config)
 {
     if (!config.factory)
         return errInvalidArgument("no workload factory");
     if (config.users < 1)
         return errInvalidArgument("users must be >= 1");
+    if (static_cast<std::size_t>(config.users) > MaxSessions)
+        return errInvalidArgument("more than 65535 sessions in one run");
 
     std::vector<std::unique_ptr<Workload>> jobs;
     for (int u = 0; u < config.users; ++u)
         jobs.push_back(config.factory());
     const std::uint64_t scale = jobs[0]->timingScale();
-    const int workers = recordWorkers(config);
+    const int workers = recordWorkers(config.recordThreads, config.users);
 
     RunOutcome outcome;
     outcome.schedulerConfig.gpuCtxSwitchTicks =
         config.machine.timing.gpuCtxSwitch;
-    outcome.schedulerConfig.threads = config.schedulerThreads;
     sim::StreamingScheduler streamer(outcome.schedulerConfig,
                                      config.schedulerThreads);
 
@@ -807,7 +741,7 @@ runWorkloadStreaming(const RunConfig &config)
         outcome.hostBootMs += tpl->buildMs;
     }
     const SessionTemplate *tpl_ptr = tpl ? &*tpl : nullptr;
-    if (serialRecording(config, workers)) {
+    if (workers == 1) {
         // Serial: record and feed each shard in turn on the calling
         // thread. Intake overlap is moot here; the path exists so the
         // determinism tests can pin streaming == two-phase with the

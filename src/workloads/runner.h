@@ -5,17 +5,18 @@
  * users) and returns the scheduled simulated time. This is the
  * harness behind every figure-reproducing bench.
  *
- * Functional execution is sharded per user: every user gets a private
- * modelled machine (and, for HIX, a private GPU enclave) and records
- * into a private sim::Trace, optionally on its own host thread; the
- * shards are merged in user-index order with canonical GPU context
- * ids. See DESIGN.md "Parallel functional execution" for why the
+ * Functional execution is sharded per session: every session gets a
+ * private modelled machine (and, for HIX, a private GPU enclave) and
+ * records into a private sim::Trace on one of RunConfig::recordThreads
+ * workers; the shards are merged in session-index order with
+ * canonical GPU context ids, then scored in one scheduler pass. See
+ * DESIGN.md "Parallel functional execution" for why the
  * merged trace is bit-identical to a serial recording.
  *
- * Recording and scheduling can run two-phase (record everything, then
- * score the merged trace) or as a streaming pipeline
- * (RunConfig::streaming): completed shards flow through a bounded
- * queue into a sim::StreamingScheduler that schedules shard-private
+ * runWorkload() is runSessionPool() over `users` closed-batch
+ * sessions on device 0, unless RunConfig::streaming selects the
+ * streaming pipeline: completed shards flow through a bounded queue
+ * into a sim::StreamingScheduler that schedules shard-private
  * components while later users are still recording and pays the
  * cross-shard merge once at the final join. Both paths are
  * bit-identical — same traceDigest(), same ScheduleResult fields —
@@ -65,26 +66,17 @@ struct RunConfig
      */
     bool keepTrace = false;
     /**
-     * Record each user's shard on its own host thread (true, the
-     * default) or loop over the shards on the calling thread. Both
-     * paths execute identical per-user shards and merge them in user
-     * order, so the merged trace is bit-identical — same traceDigest,
-     * same scheduled ticks — either way; the flag only changes host
-     * wall-clock. Serial mode exists for the determinism tests and
-     * the bench's before/after columns.
-     */
-    bool parallelRecording = true;
-    /**
-     * Recording worker threads used when parallelRecording is on.
-     * 0 (the default) sizes the pool to min(users,
-     * hardware_concurrency), so an over-tenanted run never
-     * oversubscribes the host; a positive value forces exactly that
-     * many workers (the determinism tests force one thread per user so
-     * TSan sees the full interleaving even on small CI machines).
-     * Worker w records users w, w + workers, ... — a static
-     * assignment, so no scheduling decision can leak into the result;
-     * shards are merged by user index regardless of which worker
-     * recorded them.
+     * Recording workers. 0 (the default) sizes the pool to
+     * min(sessions, hardware_concurrency), so an over-tenanted run
+     * never oversubscribes the host; 1 records every shard serially
+     * on the calling thread; N > 1 forces N worker threads (capped at
+     * the session count; the determinism tests force one thread per
+     * user so TSan sees the full interleaving even on small CI
+     * machines). Worker w records sessions w, w + workers, ... — a
+     * static assignment, so no scheduling decision can leak into the
+     * result; shards are merged by session index regardless of which
+     * worker recorded them, so every width yields the same
+     * traceDigest and ticks.
      */
     int recordThreads = 0;
     /**
@@ -96,13 +88,12 @@ struct RunConfig
      */
     std::function<void(int user, os::Machine &machine)> shardHook;
     /**
-     * Which scheduling engine scores the merged trace. All engines
-     * are bit-identical (the golden suites enforce it); Parallel
-     * additionally spreads scheduling across schedulerThreads host
-     * threads for large multi-tenant traces.
+     * Which scheduling engine scores the merged trace. Both engines
+     * are bit-identical (the golden suites enforce it); Reference is
+     * the quadratic oracle, for tests.
      */
     sim::SchedulerEngine schedulerEngine = sim::SchedulerEngine::Fast;
-    /** Worker threads for the Parallel engine (0 = hardware count). */
+    /** Worker threads for the streaming join (0 = hardware count). */
     unsigned schedulerThreads = 0;
     /**
      * Stream completed shards into the scheduler while later users
@@ -110,9 +101,8 @@ struct RunConfig
      * back-to-back. Opt-in; results are bit-identical to the
      * two-phase path (the streaming golden wall enforces digest and
      * full-ScheduleResult equality), only host wall-clock changes.
-     * When set, schedulerEngine is ignored for the join — the
-     * streaming front-end always drives the parallel machinery,
-     * which is itself bit-identical to every engine.
+     * When set, schedulerEngine is ignored — the streaming front-end
+     * scores the run, bit-identically to every engine.
      */
     bool streaming = false;
     /**
@@ -135,9 +125,10 @@ struct RunConfig
      * between shards), so steady-state session startup is a page-map
      * restore, not a platform boot. The recorded window is
      * bit-identical to the cold-boot path — same traceDigest(), same
-     * ticks, at every user count, both runtimes, streaming on or off
-     * (the Fork determinism wall enforces it); only host startup
-     * wall-clock and per-session resident memory change.
+     * ticks, at every user count, both runtimes, Fermi and Volta
+     * presets, streaming on or off (the Fork and Streaming
+     * determinism walls enforce it); only host startup wall-clock and
+     * per-session resident memory change.
      */
     bool forkSessions = false;
 };
@@ -253,14 +244,18 @@ struct PoolOutcome
  * baseline sessions share one MPS context pool per device (the
  * device's first session is its MPS leader). Deterministic: same
  * config + placement => same digest, ticks, and per-session finishes
- * at any worker count.
+ * at any worker count. More than 65535 sessions is an
+ * InvalidArgument, rejected before any workload is built: session
+ * indices name 16-bit UserCpu resources, and a device-0 HIX session
+ * ordinal of 65535 would collide with the shard management context.
  */
 Result<PoolOutcome> runSessionPool(
     const RunConfig &config,
     const std::vector<PoolSession> &sessions);
 
-/** Execute @p config once (routes to runWorkloadStreaming() when
- *  RunConfig::streaming is set). */
+/** Execute @p config once: runSessionPool() over config.users
+ *  closed-batch sessions {device 0, admit 0, appId 0}, or
+ *  runWorkloadStreaming() when RunConfig::streaming is set. */
 Result<RunOutcome> runWorkload(const RunConfig &config);
 
 /**
@@ -270,7 +265,8 @@ Result<RunOutcome> runWorkload(const RunConfig &config);
  * restores user-index order), and score with one final join.
  * Bit-identical to runWorkload() with streaming off; error reporting
  * keeps the lowest-user-index-wins contract and the queue always
- * drains, so recording workers never block on a failed run.
+ * drains, so recording workers never block on a failed run. The same
+ * 65535-session limit as runSessionPool() applies.
  */
 Result<RunOutcome> runWorkloadStreaming(const RunConfig &config);
 

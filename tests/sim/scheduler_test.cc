@@ -215,7 +215,6 @@ TEST(SchedulerDeathTest, DependencyCyclePanicsInBothEngines)
     t.overwriteDepsForTest(a, back_edge);
     EXPECT_DEATH(schedule(t), "dependency cycle");
     EXPECT_DEATH(scheduleReference(t), "dependency cycle");
-    EXPECT_DEATH(scheduleParallel(t, {}, 4), "dependency cycle");
 }
 
 }  // namespace

@@ -3,17 +3,19 @@
  * The Fork determinism wall for the RunConfig::forkSessions session
  * fast path: a run whose user shards fork a copy-on-write template
  * snapshot must be *bit-identical* to a run that cold-boots a private
- * machine per user — same merged trace digest, same scheduled ticks,
- * same context switches — at every user count, for both runtimes,
- * streaming on or off. Also pins the copy-on-write isolation
- * properties the fast path rests on: writes in one fork are invisible
- * to its siblings and to the snapshot, the snapshot outlives the
- * machine it was taken of, and a forked machine owns zero private
- * pages until it writes.
+ * machine per user — same merged trace digest, same ScheduleResult in
+ * every field — at every user count, for both runtimes, two-phase and
+ * streaming on the Fermi preset, and two-phase on a Volta preset whose
+ * compute queues, DMA channels and enclave lanes are all per-context.
+ * Also pins the copy-on-write isolation properties the fast path
+ * rests on: writes in one fork are invisible to its siblings and to
+ * the snapshot, the snapshot outlives the machine it was taken of,
+ * and a forked machine owns zero private pages until it writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -30,23 +32,38 @@ namespace hix::workloads
 namespace
 {
 
+/** One pipeline/preset leg of the wall. */
+enum Leg
+{
+    TwoPhase,   //!< Fermi preset, record then schedule
+    Streaming,  //!< Fermi preset, RunConfig::streaming
+    Volta,      //!< per-context engines, record then schedule
+};
+
 RunConfig
-makeConfig(bool use_hix, int users, bool streaming, bool fork_sessions)
+makeConfig(bool use_hix, int users, Leg leg, bool fork_sessions)
 {
     RunConfig config;
     config.factory = [] { return makeRodinia("NN"); };
     config.users = users;
     config.useHix = use_hix;
-    config.streaming = streaming;
+    config.streaming = leg == Streaming;
     config.forkSessions = fork_sessions;
+    if (leg == Volta) {
+        // The true Volta preset is 8 queues/channels; 16 users need a
+        // 16-wide config for every session to own its engines
+        // (pigeonhole). Widths are powers of two.
+        const auto width =
+            static_cast<std::uint32_t>(std::max(8, users));
+        config.machine.timing.gpuConcurrentContexts = width;
+        config.machine.timing.gpuDmaChannels = width;
+        config.machine.timing.gpuEnclaveLanes = width;
+    }
     // Force one recording thread per user (the auto pool sizes to the
     // host and may collapse to one worker on small CI machines): the
     // wall must exercise — and TSan must observe — concurrent forks
     // off the shared template snapshot regardless of where it runs.
-    if (users > 1) {
-        config.parallelRecording = true;
-        config.recordThreads = users;
-    }
+    config.recordThreads = users;
     config.keepTrace = true;
     return config;
 }
@@ -55,44 +72,64 @@ struct Recording
 {
     std::uint64_t digest = 0;
     Tick ticks = 0;
-    std::uint64_t ctxSwitches = 0;
     std::size_t ops = 0;
+    sim::ScheduleResult schedule;
     double bootMs = 0;
     std::uint64_t residentPages = 0;
 };
 
 Recording
-record(bool use_hix, int users, bool streaming, bool fork_sessions)
+record(bool use_hix, int users, Leg leg, bool fork_sessions)
 {
     auto outcome = runWorkload(
-        makeConfig(use_hix, users, streaming, fork_sessions));
+        makeConfig(use_hix, users, leg, fork_sessions));
     EXPECT_TRUE(outcome.isOk()) << outcome.status().message();
     Recording r;
     r.digest = sim::traceDigest(*outcome->trace);
     r.ticks = outcome->ticks;
-    r.ctxSwitches = outcome->gpuCtxSwitches;
     r.ops = outcome->trace->size();
+    r.schedule = std::move(outcome->schedule);
     r.bootMs = outcome->hostBootMs;
     r.residentPages = outcome->residentPages;
     return r;
 }
 
+/** Every ScheduleResult field, bit for bit. */
+void
+expectScheduleEqual(const sim::ScheduleResult &got,
+                    const sim::ScheduleResult &want)
+{
+    EXPECT_EQ(got.makespan, want.makespan);
+    EXPECT_EQ(got.gpuCtxSwitches, want.gpuCtxSwitches);
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.finish, want.finish);
+    EXPECT_EQ(got.kindBusy, want.kindBusy);
+    ASSERT_EQ(got.usage.size(), want.usage.size());
+    for (const auto &[res, use] : want.usage) {
+        const auto it = got.usage.find(res);
+        ASSERT_NE(it, got.usage.end()) << res.toString();
+        EXPECT_EQ(it->second.busy, use.busy) << res.toString();
+        EXPECT_EQ(it->second.lastFree, use.lastFree) << res.toString();
+        EXPECT_EQ(it->second.ops, use.ops) << res.toString();
+    }
+}
+
 class ForkRecordTest
-    : public ::testing::TestWithParam<std::tuple<bool, int, bool>>
+    : public ::testing::TestWithParam<std::tuple<bool, int, Leg>>
 {
 };
 
 TEST_P(ForkRecordTest, ForkedSessionsAreBitIdenticalToColdBoot)
 {
-    const auto [use_hix, users, streaming] = GetParam();
-    const Recording cold = record(use_hix, users, streaming, false);
-    const Recording forked = record(use_hix, users, streaming, true);
+    const auto [use_hix, users, leg] = GetParam();
+    const Recording cold = record(use_hix, users, leg, false);
+    const Recording forked = record(use_hix, users, leg, true);
 
     ASSERT_GT(cold.ops, 0u);
     EXPECT_EQ(forked.ops, cold.ops);
     EXPECT_EQ(forked.digest, cold.digest);
     EXPECT_EQ(forked.ticks, cold.ticks);
-    EXPECT_EQ(forked.ctxSwitches, cold.ctxSwitches);
+    expectScheduleEqual(forked.schedule, cold.schedule);
 
     // Session startup accounting: both paths spend measurable host
     // time before the windows open, and a forked session owns no
@@ -113,11 +150,14 @@ INSTANTIATE_TEST_SUITE_P(
     ForkWall, ForkRecordTest,
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(1, 2, 4, 8, 16),
-                       ::testing::Bool()),
+                       ::testing::Values(TwoPhase, Streaming, Volta)),
     [](const auto &info) {
+        const Leg leg = std::get<2>(info.param);
         return std::string(std::get<0>(info.param) ? "hix" : "gdev") +
                "_u" + std::to_string(std::get<1>(info.param)) +
-               (std::get<2>(info.param) ? "_streaming" : "_twophase");
+               (leg == TwoPhase    ? "_twophase"
+                : leg == Streaming ? "_streaming"
+                                   : "_volta");
     });
 
 TEST(ForkCowIsolationTest, ForkWritesAreInvisibleToSiblingsAndSource)

@@ -33,13 +33,12 @@ makeConfig(bool use_hix, int users, bool pipeline, bool parallel)
     config.users = users;
     config.useHix = use_hix;
     config.pipeline = pipeline;
-    config.parallelRecording = parallel;
-    // Force one recording thread per user (the auto pool sizes to the
-    // host and may collapse to one worker on small CI machines): the
-    // wall must exercise — and TSan must observe — the maximally
+    // Serial records every shard on the calling thread. Parallel
+    // forces one recording thread per user (the auto pool sizes to
+    // the host and may collapse to one worker on small CI machines):
+    // the wall must exercise — and TSan must observe — the maximally
     // parallel interleaving regardless of where it runs.
-    if (parallel)
-        config.recordThreads = users;
+    config.recordThreads = parallel ? users : 1;
     config.keepTrace = true;
     return config;
 }
@@ -234,7 +233,7 @@ TEST(ParallelRecordErrorTest, LowestUserIndexErrorWins)
         };
         config.users = 4;
         config.useHix = false;
-        config.parallelRecording = parallel;
+        config.recordThreads = parallel ? 0 : 1;
         auto outcome = runWorkload(config);
         ASSERT_FALSE(outcome.isOk());
         EXPECT_NE(outcome.status().message().find("user 1"),

@@ -2,17 +2,23 @@
  * @file
  * Golden-equivalence suite for the two scheduler engines: every real
  * recorded trace — Rodinia applications, the HIX chunked crypto
- * pipeline, multi-user runs, and multi-trace merges — must produce a
- * bit-identical ScheduleResult from the O(n log n) engine and the
- * O(n^2) reference engine. CI gates on this suite by name
+ * pipeline, multi-user runs, and multi-trace merges — and every
+ * synthetic stress shape (multi-user pipelines across context-switch
+ * costs, disjoint per-user chains, a wide uniform-duration trace, a
+ * single-resource multi-context trace, empty and one-op traces) must
+ * produce a bit-identical ScheduleResult from the O(n log n) engine
+ * and the O(n^2) reference engine. CI gates on this suite by name
  * (ctest -R SchedulerGolden); do not rename it.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "sim/scheduler.h"
 #include "workloads/runner.h"
 #include "workloads/workload.h"
@@ -153,6 +159,144 @@ TEST(SchedulerGoldenTest, MergedMultiUserTraces)
     ASSERT_EQ(merged.size(), 2 * base.trace->size() +
                                  secure.trace->size());
     expectEngineEquivalence(merged, base.schedulerConfig);
+}
+
+/** The bench's multi-user pipeline shape, CI-sized: per user and
+ *  lane, a CPU encrypt feeds a shared DMA copy feeding a kernel on
+ *  the user's own GPU context. */
+sim::Trace
+makePipeline(int users, int lanes, std::size_t total_ops)
+{
+    sim::Trace trace;
+    trace.reserve(total_ops);
+    Rng rng(0x5ced);
+    const sim::ResourceId dma{sim::ResUnit::DmaHtoD, 0};
+    const sim::ResourceId gpu{sim::ResUnit::GpuCompute, 0};
+    std::vector<std::vector<sim::OpId>> tails(
+        users, std::vector<sim::OpId>(lanes, sim::InvalidOpId));
+    std::size_t added = 0;
+    for (std::size_t i = 0; added + 3 <= total_ops; ++i) {
+        const int u = static_cast<int>(i % users);
+        const int l = static_cast<int>((i / users) % lanes);
+        const sim::ResourceId cpu{sim::ResUnit::UserCpu,
+                                  static_cast<std::uint16_t>(u)};
+        const sim::OpId tail = tails[u][l];
+        const sim::OpId enc = trace.add(
+            cpu, 50 + rng.nextBelow(200),
+            std::span<const sim::OpId>(
+                &tail, tail != sim::InvalidOpId ? 1 : 0),
+            sim::OpKind::CryptoCpu, 4096, "enc");
+        const sim::OpId xfer =
+            trace.add(dma, 20 + rng.nextBelow(80), {enc},
+                      sim::OpKind::Transfer, 4096, "xfer");
+        tails[u][l] = trace.add(
+            gpu, 100 + rng.nextBelow(400), {xfer},
+            sim::OpKind::Compute, 0, "kernel",
+            static_cast<GpuContextId>(u));
+        added += 3;
+    }
+    return trace;
+}
+
+TEST(SchedulerGoldenTest, SyntheticPipelineAcrossCtxCosts)
+{
+    const sim::Trace trace = makePipeline(8, 16, 30'000);
+    for (Tick cost : {Tick(0), Tick(50), Tick(1000)}) {
+        sim::SchedulerConfig cfg;
+        cfg.gpuCtxSwitchTicks = cost;
+        expectEngineEquivalence(trace, cfg);
+    }
+}
+
+TEST(SchedulerGoldenTest, DisjointPerUserChains)
+{
+    // Users that never share a resource: six independent chains.
+    sim::Trace trace;
+    Rng rng(0xd15);
+    const int users = 6;
+    std::vector<sim::OpId> tails(users, sim::InvalidOpId);
+    for (int round = 0; round < 500; ++round) {
+        for (int u = 0; u < users; ++u) {
+            const sim::ResourceId cpu{sim::ResUnit::UserCpu,
+                                      static_cast<std::uint16_t>(u)};
+            const sim::OpId tail = tails[u];
+            tails[u] = trace.add(
+                cpu, 10 + rng.nextBelow(90),
+                std::span<const sim::OpId>(
+                    &tail, tail != sim::InvalidOpId ? 1 : 0),
+                sim::OpKind::Compute, 0, "w");
+        }
+    }
+    sim::SchedulerConfig cfg;
+    cfg.gpuCtxSwitchTicks = 50;
+    expectEngineEquivalence(trace, cfg);
+}
+
+TEST(SchedulerGoldenTest, WideUniformDurationTrace)
+{
+    // 128 equally-loaded resources, every op feeding a neighbouring
+    // resource with uniform durations: this maximises cross-resource
+    // dispatch ties, stressing the (eff, resident, id) tie-break.
+    // Resource 0 is the GPU compute engine with rotating contexts, so
+    // residency and switch accounting are exercised too.
+    sim::Trace trace;
+    const int nres = 128;
+    const std::size_t n = 25'600;
+    for (std::size_t i = 0; i < n; ++i) {
+        const int r = static_cast<int>(i % nres);
+        const sim::ResourceId res =
+            r == 0 ? sim::ResourceId{sim::ResUnit::GpuCompute, 0}
+                   : sim::ResourceId{sim::ResUnit::UserCpu,
+                                     static_cast<std::uint16_t>(r)};
+        std::vector<sim::OpId> deps;
+        if (i >= static_cast<std::size_t>(nres))
+            deps.push_back(static_cast<sim::OpId>(i - nres + 1));
+        const GpuContextId ctx =
+            r == 0 ? static_cast<GpuContextId>(1 + (i / nres) % 4)
+                   : sim::NoGpuContext;
+        trace.add(res, 100, deps, sim::OpKind::Compute, 0, "", ctx);
+    }
+    for (Tick cost : {Tick(0), Tick(50)}) {
+        sim::SchedulerConfig cfg;
+        cfg.gpuCtxSwitchTicks = cost;
+        expectEngineEquivalence(trace, cfg);
+    }
+}
+
+TEST(SchedulerGoldenTest, SingleResourceFiveContexts)
+{
+    // Degenerate single-resource trace: five contexts contend for one
+    // compute engine, a third of the ops unchained.
+    sim::Trace trace;
+    Rng rng(0x1);
+    sim::OpId tail = sim::InvalidOpId;
+    const sim::ResourceId gpu{sim::ResUnit::GpuCompute, 0};
+    for (int i = 0; i < 2'000; ++i) {
+        const bool chained = (i % 3) != 0 && tail != sim::InvalidOpId;
+        tail = trace.add(
+            gpu, 1 + rng.nextBelow(50),
+            std::span<const sim::OpId>(&tail, chained ? 1 : 0),
+            sim::OpKind::Compute, 0, "",
+            static_cast<GpuContextId>(i % 5));
+    }
+    sim::SchedulerConfig cfg;
+    cfg.gpuCtxSwitchTicks = 25;
+    expectEngineEquivalence(trace, cfg);
+}
+
+TEST(SchedulerGoldenTest, EmptyAndOneOpTraces)
+{
+    sim::Trace empty;
+    const sim::ScheduleResult none = sim::schedule(empty);
+    EXPECT_EQ(none.makespan, 0u);
+    EXPECT_TRUE(none.start.empty());
+    EXPECT_TRUE(none.finish.empty());
+    expectEngineEquivalence(empty, {});
+
+    sim::Trace one;
+    one.add({sim::ResUnit::UserCpu, 0}, 7, {}, sim::OpKind::Control);
+    expectEngineEquivalence(one, {});
+    EXPECT_EQ(sim::schedule(one).makespan, 7u);
 }
 
 }  // namespace

@@ -49,10 +49,8 @@ makeServiceConfig(Policy policy, bool use_hix, int devices,
     // Force a multi-worker recording pool (the auto pool may collapse
     // to one worker on small CI machines) so the wall — and TSan —
     // sees concurrent shard recording against the shared templates.
-    if (sessions > 1) {
-        cfg.run.parallelRecording = true;
+    if (sessions > 1)
         cfg.run.recordThreads = std::min(sessions, 8);
-    }
     return cfg;
 }
 
@@ -222,6 +220,43 @@ TEST(SessionPoolEdgeTest, SessionOnMissingDeviceIsRejected)
     bad.device = 2;
     auto out = workloads::runSessionPool(config, {bad});
     EXPECT_FALSE(out.isOk());
+}
+
+TEST(SessionPoolEdgeTest, MoreThan65535PoolSessionsAreRejected)
+{
+    // Session 65,536 would share UserCpu 0 with session 0, and a
+    // device-0 HIX session at ordinal 65,535 would land on the shard
+    // management context: the pool must refuse before building any
+    // workload.
+    int factory_calls = 0;
+    workloads::RunConfig config;
+    config.factory = [&factory_calls] {
+        ++factory_calls;
+        return workloads::makeRodinia("NN");
+    };
+    const std::vector<workloads::PoolSession> sessions(65536);
+    auto out = workloads::runSessionPool(config, sessions);
+    ASSERT_FALSE(out.isOk());
+    EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(factory_calls, 0);
+}
+
+TEST(SessionPoolEdgeTest, RunWorkloadRejectsMoreThan65535Users)
+{
+    for (bool streaming : {false, true}) {
+        int factory_calls = 0;
+        workloads::RunConfig config;
+        config.factory = [&factory_calls] {
+            ++factory_calls;
+            return workloads::makeRodinia("NN");
+        };
+        config.users = 65536;
+        config.streaming = streaming;
+        auto out = workloads::runWorkload(config);
+        ASSERT_FALSE(out.isOk()) << "streaming " << streaming;
+        EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+        EXPECT_EQ(factory_calls, 0) << "streaming " << streaming;
+    }
 }
 
 }  // namespace

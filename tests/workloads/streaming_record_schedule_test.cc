@@ -34,11 +34,10 @@ makeConfig(bool use_hix, int users, int record_threads, bool streaming)
     config.factory = [] { return makeRodinia("NN"); };
     config.users = users;
     config.useHix = use_hix;
-    config.parallelRecording = true;
-    // record_threads: 0 = auto pool (min(users, hardware)), else the
-    // forced width. Forcing 1 with parallelRecording still runs the
-    // queue path with a single producer — the consumer and reorder
-    // buffer must behave identically there too.
+    // record_threads: 0 = auto pool (min(users, hardware)), 1 = feed
+    // every shard inline on the calling thread, else the forced width
+    // of the queue path — the consumer and reorder buffer must behave
+    // identically at every width.
     config.recordThreads = record_threads;
     config.keepTrace = true;
     config.streaming = streaming;
@@ -92,7 +91,7 @@ TEST_P(StreamingWallTest, StreamingIsBitIdenticalToTwoPhase)
     // *every* engine the latter can score with (they are all
     // bit-identical to each other; the wall closes the triangle).
     for (auto engine : {sim::SchedulerEngine::Fast,
-                        sim::SchedulerEngine::Parallel}) {
+                        sim::SchedulerEngine::Reference}) {
         RunConfig two_phase_config =
             makeConfig(use_hix, users, record_threads,
                        /*streaming=*/false);
@@ -177,7 +176,7 @@ TEST(StreamingQueueTest, SerialModeFeedsInlineWithoutAQueue)
     RunConfig config = makeConfig(/*use_hix=*/false, /*users=*/4,
                                   /*record_threads=*/0,
                                   /*streaming=*/true);
-    config.parallelRecording = false;
+    config.recordThreads = 1;
     auto streaming = runWorkload(config);
     ASSERT_TRUE(streaming.isOk()) << streaming.status().message();
     EXPECT_EQ(streaming->streamQueueDepthMax, 0u);
@@ -259,7 +258,7 @@ TEST(StreamingErrorTest, SerialStreamingKeepsTheSameErrorContract)
     config.users = 4;
     config.useHix = false;
     config.streaming = true;
-    config.parallelRecording = false;
+    config.recordThreads = 1;
     auto outcome = runWorkload(config);
     ASSERT_FALSE(outcome.isOk());
     EXPECT_NE(outcome.status().message().find("user 2"),

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hix/baseline_runtime.h"
 #include "os/machine.h"
 #include "workloads/workload.h"
@@ -23,6 +25,15 @@ struct AccountingCase
     /** Acceptable relative deviation (PF's tiny DtoH rounds up). */
     double dtohTolerance;
 };
+
+/** Print the case by value. gtest's default byte dump would embed the
+ *  app-name pointer, which moves with address-space randomisation, so
+ *  the registered ctest names would change on every build. */
+void
+PrintTo(const AccountingCase &c, std::ostream *os)
+{
+    *os << c.app << " dtoh_tol=" << c.dtohTolerance;
+}
 
 class TransferAccountingTest
     : public ::testing::TestWithParam<AccountingCase>

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workloads/runner.h"
 
 namespace hix::workloads
@@ -21,6 +23,15 @@ struct Case
     const char *name;
     bool hix;
 };
+
+/** Print the case by value. gtest's default byte dump would embed the
+ *  name pointer and padding bytes, which differ between runs, so the
+ *  registered ctest names would change on every build. */
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.name << (c.hix ? " hix" : " gdev");
+}
 
 class WorkloadRunTest
     : public ::testing::TestWithParam<Case>
