@@ -18,6 +18,7 @@ namespace
 constexpr std::uint32_t NominalIn = 589824;
 constexpr std::uint32_t Hidden = 16;
 constexpr std::uint64_t Scale = 16;
+constexpr std::uint64_t FuncIn = NominalIn / Scale;
 /** Calibrated total kernel time at the nominal size (Figure 7 fit). */
 constexpr double KernelNs = 27.0e6;
 
@@ -27,13 +28,61 @@ squash(float x)
     return 1.0f / (1.0f + std::exp(-x));
 }
 
+/** Input, weights and deltas, the CPU reference's forward pass and
+ *  its weight update at the 64 sampled entries. */
+struct Fixture
+{
+    Bytes input;
+    Bytes w1;
+    Bytes delta;
+    std::vector<float> hidden;  // [1..Hidden]; [0] unused
+    std::vector<Expected<float>> samples;
+};
+
+const Fixture &
+fixture()
+{
+    static const Fixture f = [] {
+        const std::uint64_t in = FuncIn;
+        Rng rng(0xb9);
+        std::vector<float> input(in + 1, 0.0f);
+        for (std::uint64_t i = 1; i <= in; ++i)
+            input[i] = static_cast<float>(rng.nextDouble());
+        std::vector<float> w1((in + 1) * (Hidden + 1));
+        for (auto &w : w1)
+            w = static_cast<float>(rng.nextDouble() - 0.5) * 0.01f;
+        std::vector<float> delta(Hidden + 1);
+        for (auto &d : delta)
+            d = static_cast<float>(rng.nextDouble() - 0.5) * 0.1f;
+
+        Fixture out{vecBytes(input), vecBytes(w1), vecBytes(delta),
+                    std::vector<float>(Hidden + 1), {}};
+        Rng pick(3);
+        for (int s = 0; s < 64; ++s) {
+            const std::uint64_t i = pick.nextBelow(in + 1);
+            const std::uint64_t j = 1 + pick.nextBelow(Hidden);
+            const float x = i == 0 ? 1.0f : input[i];
+            const float expect =
+                w1[i * (Hidden + 1) + j] + 0.3f * delta[j] * x;
+            out.samples.push_back({i * (Hidden + 1) + j, expect});
+        }
+        for (std::uint64_t j = 1; j <= Hidden; ++j) {
+            float sum = w1[j];
+            for (std::uint64_t i = 1; i <= in; ++i)
+                sum += input[i] * w1[i * (Hidden + 1) + j];
+            out.hidden[j] = squash(sum);
+        }
+        return out;
+    }();
+    return f;
+}
+
 class Backprop : public RodiniaApp
 {
   public:
     Backprop()
         : RodiniaApp("BP", Scale,
-                     TransferSpec{117 * MiB, (42 * MiB) + (768 * KiB)}),
-          in_f_(NominalIn / Scale)
+                     TransferSpec{117 * MiB, (42 * MiB) + (768 * KiB)})
     {}
 
     void
@@ -47,11 +96,11 @@ class Backprop : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {input, w1, hidden_out, in_f, nominal_in}
                 const std::uint64_t in = args[3];
-                HIX_ASSIGN_OR_RETURN(auto input,
-                                     loadF32(mem, args[0], in + 1));
                 HIX_ASSIGN_OR_RETURN(
-                    auto w1,
-                    loadF32(mem, args[1], (in + 1) * (Hidden + 1)));
+                    auto input, loadArray<float>(mem, args[0], in + 1));
+                HIX_ASSIGN_OR_RETURN(
+                    auto w1, loadArray<float>(mem, args[1],
+                                              (in + 1) * (Hidden + 1)));
                 std::vector<float> hidden(Hidden + 1, 0.0f);
                 for (std::uint64_t j = 1; j <= Hidden; ++j) {
                     float sum = w1[j];  // bias row 0
@@ -59,7 +108,7 @@ class Backprop : public RodiniaApp
                         sum += input[i] * w1[i * (Hidden + 1) + j];
                     hidden[j] = squash(sum);
                 }
-                return storeF32(mem, args[2], hidden);
+                return storeArray(mem, args[2], hidden);
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =
@@ -72,13 +121,13 @@ class Backprop : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {input, w1, delta, in_f, nominal_in}
                 const std::uint64_t in = args[3];
-                HIX_ASSIGN_OR_RETURN(auto input,
-                                     loadF32(mem, args[0], in + 1));
                 HIX_ASSIGN_OR_RETURN(
-                    auto w1,
-                    loadF32(mem, args[1], (in + 1) * (Hidden + 1)));
-                HIX_ASSIGN_OR_RETURN(auto delta,
-                                     loadF32(mem, args[2], Hidden + 1));
+                    auto input, loadArray<float>(mem, args[0], in + 1));
+                HIX_ASSIGN_OR_RETURN(
+                    auto w1, loadArray<float>(mem, args[1],
+                                              (in + 1) * (Hidden + 1)));
+                HIX_ASSIGN_OR_RETURN(
+                    auto delta, loadArray<float>(mem, args[2], Hidden + 1));
                 for (std::uint64_t i = 0; i <= in; ++i) {
                     const float x = i == 0 ? 1.0f : input[i];
                     for (std::uint64_t j = 1; j <= Hidden; ++j) {
@@ -86,7 +135,7 @@ class Backprop : public RodiniaApp
                             0.3f * delta[j] * x;
                     }
                 }
-                return storeF32(mem, args[1], w1);
+                return storeArray(mem, args[1], w1);
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =
@@ -98,17 +147,8 @@ class Backprop : public RodiniaApp
     Status
     run(GpuApi &api) override
     {
-        const std::uint64_t in = in_f_;
-        Rng rng(0xb9);
-        std::vector<float> input(in + 1, 0.0f);
-        for (std::uint64_t i = 1; i <= in; ++i)
-            input[i] = static_cast<float>(rng.nextDouble());
-        std::vector<float> w1((in + 1) * (Hidden + 1));
-        for (auto &w : w1)
-            w = static_cast<float>(rng.nextDouble() - 0.5) * 0.01f;
-        std::vector<float> delta(Hidden + 1);
-        for (auto &d : delta)
-            d = static_cast<float>(rng.nextDouble() - 0.5) * 0.1f;
+        const std::uint64_t in = FuncIn;
+        const Fixture &fx = fixture();
 
         HIX_ASSIGN_OR_RETURN(auto k_fwd,
                              api.loadModule("bp_layerforward"));
@@ -125,12 +165,12 @@ class Backprop : public RodiniaApp
                              api.memAlloc((Hidden + 1) * 4));
 
         std::uint64_t h2d = 0;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_input, vecBytes(input)));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_input, fx.input));
         h2d += (in + 1) * 4;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_w1, vecBytes(w1)));
-        h2d += w1.size() * 4;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_delta, vecBytes(delta)));
-        h2d += delta.size() * 4;
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_w1, fx.w1));
+        h2d += fx.w1.size();
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_delta, fx.delta));
+        h2d += fx.delta.size();
         HIX_RETURN_IF_ERROR(padHtoD(api, h2d));
 
         HIX_RETURN_IF_ERROR(api.launchKernel(
@@ -141,30 +181,21 @@ class Backprop : public RodiniaApp
         HIX_ASSIGN_OR_RETURN(Bytes hidden_bytes,
                              api.memcpyDtoH(d_hidden, (Hidden + 1) * 4));
         HIX_ASSIGN_OR_RETURN(Bytes w1_bytes,
-                             api.memcpyDtoH(d_w1, w1.size() * 4));
+                             api.memcpyDtoH(d_w1, fx.w1.size()));
         HIX_RETURN_IF_ERROR(
-            padDtoH(api, (Hidden + 1) * 4 + w1.size() * 4));
+            padDtoH(api, (Hidden + 1) * 4 + fx.w1.size()));
 
         // Verify the weight update against a CPU reference (sampled).
+        // Written so that a NaN result fails too.
         auto w1_out = bytesVec<float>(w1_bytes);
-        Rng pick(3);
-        for (int s = 0; s < 64; ++s) {
-            const std::uint64_t i = pick.nextBelow(in + 1);
-            const std::uint64_t j = 1 + pick.nextBelow(Hidden);
-            const float x = i == 0 ? 1.0f : input[i];
-            const float expect =
-                w1[i * (Hidden + 1) + j] + 0.3f * delta[j] * x;
-            if (std::fabs(w1_out[i * (Hidden + 1) + j] - expect) >
-                1e-4f)
+        for (const auto &e : fx.samples) {
+            if (!(std::fabs(w1_out[e.index] - e.value) <= 1e-4f))
                 return errInternal("BP weight update mismatch");
         }
         // Verify the forward pass.
         auto hidden = bytesVec<float>(hidden_bytes);
         for (std::uint64_t j = 1; j <= Hidden; ++j) {
-            float sum = w1[j];
-            for (std::uint64_t i = 1; i <= in; ++i)
-                sum += input[i] * w1[i * (Hidden + 1) + j];
-            if (std::fabs(hidden[j] - squash(sum)) > 1e-3f)
+            if (!(std::fabs(hidden[j] - fx.hidden[j]) <= 1e-3f))
                 return errInternal("BP forward pass mismatch");
         }
 
@@ -172,9 +203,6 @@ class Backprop : public RodiniaApp
             HIX_RETURN_IF_ERROR(api.memFree(va));
         return Status::ok();
     }
-
-  private:
-    std::uint64_t in_f_;
 };
 
 }  // namespace

@@ -18,66 +18,26 @@ namespace
 
 constexpr std::uint32_t NominalNodes = 1000000;
 constexpr std::uint64_t Scale = 16;
+constexpr std::uint32_t FuncNodes = NominalNodes / Scale;
 constexpr std::uint32_t Degree = 6;
 constexpr double KernelNs = 16.0e6;
 
-class Bfs : public RodiniaApp
+/** The graph (CSR rows and edges), the initial level vector, and the
+ *  CPU reference BFS's levels and depth. */
+struct Fixture
 {
-  public:
-    Bfs()
-        : RodiniaApp(
-              "BFS", Scale,
-              TransferSpec{(45 * MiB) + (798 * KiB),
-                           (3 * MiB) + (829 * KiB)}),
-          nodes_(NominalNodes / Scale)
-    {}
+    Bytes rows;
+    Bytes edges;
+    Bytes level;
+    std::vector<std::int32_t> refLevel;
+    std::int32_t maxLevel = 0;
+};
 
-    void
-    registerKernels(gpu::GpuDevice &device) override
-    {
-        if (device.kernels().idOf("bfs_level").isOk())
-            return;
-        device.kernels().add(
-            "bfs_level",
-            [](const gpu::GpuMemAccessor &mem,
-               const gpu::KernelArgs &args) -> Status {
-                // args: {row_start, edges, level, n, edge_count,
-                //        cur_level, nominal_nodes, total_levels}
-                const std::uint64_t n = args[3];
-                const std::uint64_t edge_count = args[4];
-                const std::int32_t cur =
-                    static_cast<std::int32_t>(args[5]);
-                HIX_ASSIGN_OR_RETURN(auto rows,
-                                     loadI32(mem, args[0], n + 1));
-                HIX_ASSIGN_OR_RETURN(auto edges,
-                                     loadI32(mem, args[1], edge_count));
-                HIX_ASSIGN_OR_RETURN(auto level,
-                                     loadI32(mem, args[2], n));
-                for (std::uint64_t v = 0; v < n; ++v) {
-                    if (level[v] != cur)
-                        continue;
-                    for (std::int32_t e = rows[v]; e < rows[v + 1];
-                         ++e) {
-                        const std::int32_t to = edges[e];
-                        if (level[to] < 0)
-                            level[to] = cur + 1;
-                    }
-                }
-                return storeI32(mem, args[2], level);
-            },
-            [](const gpu::KernelArgs &args) {
-                const double ratio =
-                    static_cast<double>(args[6]) / NominalNodes;
-                const std::uint64_t levels = args[7];
-                return calibratedKernelCost(KernelNs, ratio, levels,
-                                            levels);
-            });
-    }
-
-    Status
-    run(GpuApi &api) override
-    {
-        const std::uint32_t n = nodes_;
+const Fixture &
+fixture()
+{
+    static const Fixture f = [] {
+        const std::uint32_t n = FuncNodes;
         // Build a random graph with a ring backbone (connected).
         Rng rng(0xbf5);
         std::vector<std::int32_t> rows(n + 1);
@@ -111,30 +71,95 @@ class Bfs : public RodiniaApp
             }
         }
 
+        std::vector<std::int32_t> level(n, -1);
+        level[0] = 0;
+        return Fixture{vecBytes(rows), vecBytes(edges), vecBytes(level),
+                       std::move(ref_level), max_level};
+    }();
+    return f;
+}
+
+class Bfs : public RodiniaApp
+{
+  public:
+    Bfs()
+        : RodiniaApp(
+              "BFS", Scale,
+              TransferSpec{(45 * MiB) + (798 * KiB),
+                           (3 * MiB) + (829 * KiB)})
+    {}
+
+    void
+    registerKernels(gpu::GpuDevice &device) override
+    {
+        if (device.kernels().idOf("bfs_level").isOk())
+            return;
+        device.kernels().add(
+            "bfs_level",
+            [](const gpu::GpuMemAccessor &mem,
+               const gpu::KernelArgs &args) -> Status {
+                // args: {row_start, edges, level, n, edge_count,
+                //        cur_level, nominal_nodes, total_levels}
+                const std::uint64_t n = args[3];
+                const std::uint64_t edge_count = args[4];
+                const std::int32_t cur =
+                    static_cast<std::int32_t>(args[5]);
+                HIX_ASSIGN_OR_RETURN(
+                    auto rows, loadArray<std::int32_t>(mem, args[0], n + 1));
+                HIX_ASSIGN_OR_RETURN(auto edges,
+                                     loadArray<std::int32_t>(
+                                         mem, args[1], edge_count));
+                HIX_ASSIGN_OR_RETURN(
+                    auto level, loadArray<std::int32_t>(mem, args[2], n));
+                for (std::uint64_t v = 0; v < n; ++v) {
+                    if (level[v] != cur)
+                        continue;
+                    for (std::int32_t e = rows[v]; e < rows[v + 1];
+                         ++e) {
+                        const std::int32_t to = edges[e];
+                        if (level[to] < 0)
+                            level[to] = cur + 1;
+                    }
+                }
+                return storeArray(mem, args[2], level);
+            },
+            [](const gpu::KernelArgs &args) {
+                const double ratio =
+                    static_cast<double>(args[6]) / NominalNodes;
+                const std::uint64_t levels = args[7];
+                return calibratedKernelCost(KernelNs, ratio, levels,
+                                            levels);
+            });
+    }
+
+    Status
+    run(GpuApi &api) override
+    {
+        const std::uint32_t n = FuncNodes;
+        const Fixture &fx = fixture();
+        const std::uint64_t edge_count = fx.edges.size() / 4;
+
         HIX_ASSIGN_OR_RETURN(auto kid, api.loadModule("bfs_level"));
         HIX_ASSIGN_OR_RETURN(Addr d_rows,
                              api.memAlloc((n + 1) * 4));
         HIX_ASSIGN_OR_RETURN(Addr d_edges,
-                             api.memAlloc(edges.size() * 4));
+                             api.memAlloc(edge_count * 4));
         HIX_ASSIGN_OR_RETURN(Addr d_level, api.memAlloc(n * 4));
 
-        std::vector<std::int32_t> level(n, -1);
-        level[0] = 0;
-
         std::uint64_t h2d = 0;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_rows, vecBytes(rows)));
-        h2d += rows.size() * 4;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_edges, vecBytes(edges)));
-        h2d += edges.size() * 4;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_level, vecBytes(level)));
-        h2d += level.size() * 4;
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_rows, fx.rows));
+        h2d += fx.rows.size();
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_edges, fx.edges));
+        h2d += fx.edges.size();
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_level, fx.level));
+        h2d += fx.level.size();
         HIX_RETURN_IF_ERROR(padHtoD(api, h2d));
 
         const auto total_levels =
-            static_cast<std::uint64_t>(max_level) + 1;
-        for (std::int32_t lvl = 0; lvl < max_level; ++lvl) {
+            static_cast<std::uint64_t>(fx.maxLevel) + 1;
+        for (std::int32_t lvl = 0; lvl < fx.maxLevel; ++lvl) {
             HIX_RETURN_IF_ERROR(api.launchKernel(
-                kid, {d_rows, d_edges, d_level, n, edges.size(),
+                kid, {d_rows, d_edges, d_level, n, edge_count,
                       static_cast<std::uint64_t>(lvl), NominalNodes,
                       total_levels}));
         }
@@ -144,7 +169,7 @@ class Bfs : public RodiniaApp
 
         auto gpu_level = bytesVec<std::int32_t>(out);
         for (std::uint32_t v = 0; v < n; ++v) {
-            if (gpu_level[v] != ref_level[v])
+            if (gpu_level[v] != fx.refLevel[v])
                 return errInternal("BFS level mismatch at node " +
                                    std::to_string(v));
         }
@@ -153,9 +178,6 @@ class Bfs : public RodiniaApp
             HIX_RETURN_IF_ERROR(api.memFree(va));
         return Status::ok();
     }
-
-  private:
-    std::uint32_t nodes_;
 };
 
 }  // namespace

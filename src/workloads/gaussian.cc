@@ -17,14 +17,50 @@ namespace
 
 constexpr std::uint32_t NominalN = 2048;
 constexpr std::uint64_t Scale = 64;  // functional 256x256
+constexpr std::uint64_t FuncN = NominalN / 8;
 constexpr double KernelNs = 320.0e6;
+
+/** The system A x = b, the zeroed multiplier matrix, and the known
+ *  solution the host back-substitution must recover. */
+struct Fixture
+{
+    Bytes a;
+    Bytes b;
+    Bytes m;
+    std::vector<float> xRef;
+};
+
+const Fixture &
+fixture()
+{
+    static const Fixture f = [] {
+        const std::uint64_t n = FuncN;
+        // Diagonally dominant system => stable elimination.
+        Rng rng(0x6a);
+        std::vector<float> a(n * n), b(n), x_ref(n);
+        for (auto &v : a)
+            v = static_cast<float>(rng.nextDouble() - 0.5);
+        for (std::uint64_t i = 0; i < n; ++i)
+            a[i * n + i] = static_cast<float>(n) + 1.0f;
+        for (auto &v : x_ref)
+            v = static_cast<float>(rng.nextDouble() * 2 - 1);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            double sum = 0;
+            for (std::uint64_t j = 0; j < n; ++j)
+                sum += double(a[i * n + j]) * x_ref[j];
+            b[i] = static_cast<float>(sum);
+        }
+        return Fixture{vecBytes(a), vecBytes(b), Bytes(n * n * 4),
+                       std::move(x_ref)};
+    }();
+    return f;
+}
 
 class Gaussian : public RodiniaApp
 {
   public:
     Gaussian()
-        : RodiniaApp("GS", Scale, TransferSpec{32 * MiB, 32 * MiB}),
-          n_(NominalN / 8)
+        : RodiniaApp("GS", Scale, TransferSpec{32 * MiB, 32 * MiB})
     {}
 
     void
@@ -41,13 +77,13 @@ class Gaussian : public RodiniaApp
                 // args: {a, m, n, t, nominal_n}
                 const std::uint64_t n = args[2];
                 const std::uint64_t t = args[3];
-                HIX_ASSIGN_OR_RETURN(auto a,
-                                     loadF32(mem, args[0], n * n));
-                HIX_ASSIGN_OR_RETURN(auto m,
-                                     loadF32(mem, args[1], n * n));
+                HIX_ASSIGN_OR_RETURN(
+                    auto a, loadArray<float>(mem, args[0], n * n));
+                HIX_ASSIGN_OR_RETURN(
+                    auto m, loadArray<float>(mem, args[1], n * n));
                 for (std::uint64_t i = t + 1; i < n; ++i)
                     m[i * n + t] = a[i * n + t] / a[t * n + t];
-                return storeF32(mem, args[1], m);
+                return storeArray(mem, args[1], m);
             },
             [](const gpu::KernelArgs &args) {
                 const std::uint64_t n = args[2];
@@ -65,19 +101,20 @@ class Gaussian : public RodiniaApp
                 // args: {a, b, m, n, t, nominal_n}
                 const std::uint64_t n = args[3];
                 const std::uint64_t t = args[4];
-                HIX_ASSIGN_OR_RETURN(auto a,
-                                     loadF32(mem, args[0], n * n));
-                HIX_ASSIGN_OR_RETURN(auto b, loadF32(mem, args[1], n));
-                HIX_ASSIGN_OR_RETURN(auto m,
-                                     loadF32(mem, args[2], n * n));
+                HIX_ASSIGN_OR_RETURN(
+                    auto a, loadArray<float>(mem, args[0], n * n));
+                HIX_ASSIGN_OR_RETURN(auto b,
+                                     loadArray<float>(mem, args[1], n));
+                HIX_ASSIGN_OR_RETURN(
+                    auto m, loadArray<float>(mem, args[2], n * n));
                 for (std::uint64_t i = t + 1; i < n; ++i) {
                     const float mult = m[i * n + t];
                     for (std::uint64_t j = t; j < n; ++j)
                         a[i * n + j] -= mult * a[t * n + j];
                     b[i] -= mult * b[t];
                 }
-                HIX_RETURN_IF_ERROR(storeF32(mem, args[0], a));
-                return storeF32(mem, args[1], b);
+                HIX_RETURN_IF_ERROR(storeArray(mem, args[0], a));
+                return storeArray(mem, args[1], b);
             },
             [](const gpu::KernelArgs &args) {
                 const std::uint64_t n = args[3];
@@ -93,22 +130,8 @@ class Gaussian : public RodiniaApp
     Status
     run(GpuApi &api) override
     {
-        const std::uint64_t n = n_;
-        // Diagonally dominant system => stable elimination.
-        Rng rng(0x6a);
-        std::vector<float> a(n * n), b(n), x_ref(n);
-        for (auto &v : a)
-            v = static_cast<float>(rng.nextDouble() - 0.5);
-        for (std::uint64_t i = 0; i < n; ++i)
-            a[i * n + i] = static_cast<float>(n) + 1.0f;
-        for (auto &v : x_ref)
-            v = static_cast<float>(rng.nextDouble() * 2 - 1);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            double sum = 0;
-            for (std::uint64_t j = 0; j < n; ++j)
-                sum += double(a[i * n + j]) * x_ref[j];
-            b[i] = static_cast<float>(sum);
-        }
+        const std::uint64_t n = FuncN;
+        const Fixture &fx = fixture();
 
         HIX_ASSIGN_OR_RETURN(auto k_fan1, api.loadModule("gs_fan1"));
         HIX_ASSIGN_OR_RETURN(auto k_fan2, api.loadModule("gs_fan2"));
@@ -116,14 +139,13 @@ class Gaussian : public RodiniaApp
         HIX_ASSIGN_OR_RETURN(Addr d_b, api.memAlloc(n * 4));
         HIX_ASSIGN_OR_RETURN(Addr d_m, api.memAlloc(n * n * 4));
 
-        std::vector<float> m(n * n, 0.0f);
         std::uint64_t h2d = 0;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_a, vecBytes(a)));
-        h2d += a.size() * 4;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_b, vecBytes(b)));
-        h2d += b.size() * 4;
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_m, vecBytes(m)));
-        h2d += m.size() * 4;
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_a, fx.a));
+        h2d += fx.a.size();
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_b, fx.b));
+        h2d += fx.b.size();
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_m, fx.m));
+        h2d += fx.m.size();
         HIX_RETURN_IF_ERROR(padHtoD(api, h2d));
 
         for (std::uint64_t t = 0; t < n - 1; ++t) {
@@ -139,7 +161,7 @@ class Gaussian : public RodiniaApp
         HIX_RETURN_IF_ERROR(padDtoH(api, a_out.size() + b_out.size()));
 
         // Back-substitute on the host and compare to the known
-        // solution.
+        // solution (written so that a NaN result fails too).
         auto u = bytesVec<float>(a_out);
         auto y = bytesVec<float>(b_out);
         std::vector<double> x(n);
@@ -150,7 +172,7 @@ class Gaussian : public RodiniaApp
             x[i] = sum / u[i * n + i];
         }
         for (std::uint64_t i = 0; i < n; ++i) {
-            if (std::fabs(x[i] - x_ref[i]) > 1e-2)
+            if (!(std::fabs(x[i] - fx.xRef[i]) <= 1e-2))
                 return errInternal("GS solution mismatch");
         }
 
@@ -158,9 +180,6 @@ class Gaussian : public RodiniaApp
             HIX_RETURN_IF_ERROR(api.memFree(va));
         return Status::ok();
     }
-
-  private:
-    std::uint64_t n_;
 };
 
 }  // namespace

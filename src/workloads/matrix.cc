@@ -6,12 +6,9 @@
  */
 
 #include <cmath>
-#include <cstring>
+#include <utility>
 
-#include "common/byte_utils.h"
-#include "common/logging.h"
-#include "common/rng.h"
-#include "workloads/workload.h"
+#include "workloads/rodinia_util.h"
 
 namespace hix::workloads
 {
@@ -19,32 +16,44 @@ namespace hix::workloads
 namespace
 {
 
-/** Bulk-load a u32 matrix from device memory. */
-Result<std::vector<std::uint32_t>>
-loadU32(const gpu::GpuMemAccessor &mem, Addr va, std::size_t count)
+/** The operands A and B and the expected C the check compares. */
+struct Fixture
 {
-    auto bytes = mem.readBytes(va, count * 4);
-    if (!bytes.isOk())
-        return bytes.status();
-    std::vector<std::uint32_t> out(count);
-    std::memcpy(out.data(), bytes->data(), count * 4);
-    return out;
-}
+    Bytes a;
+    Bytes b;
+    /** Add: every entry of C. */
+    std::vector<std::uint32_t> sum;
+    /** Multiply: 32 sampled entries of C. */
+    std::vector<Expected<std::uint32_t>> samples;
+};
 
-Status
-storeU32(const gpu::GpuMemAccessor &mem, Addr va,
-         const std::vector<std::uint32_t> &data)
+Fixture
+buildFixture(std::uint32_t n, std::uint64_t nf, bool multiply)
 {
-    Bytes bytes(data.size() * 4);
-    std::memcpy(bytes.data(), data.data(), bytes.size());
-    return mem.writeBytes(va, bytes);
-}
+    const std::uint64_t elems = nf * nf;
+    Rng rng(0x9a7e + n);
+    std::vector<std::uint32_t> a(elems), b(elems);
+    for (auto &v : a)
+        v = rng.next32() & 0xffff;
+    for (auto &v : b)
+        v = rng.next32() & 0xffff;
 
-Bytes
-toBytes(const std::vector<std::uint32_t> &data)
-{
-    Bytes out(data.size() * 4);
-    std::memcpy(out.data(), data.data(), out.size());
+    Fixture out{vecBytes(a), vecBytes(b), {}, {}};
+    if (!multiply) {
+        out.sum.resize(elems);
+        for (std::size_t i = 0; i < elems; ++i)
+            out.sum[i] = a[i] + b[i];
+    } else {
+        Rng pick(7);
+        for (int s = 0; s < 32; ++s) {
+            const std::uint64_t i = pick.nextBelow(nf);
+            const std::uint64_t j = pick.nextBelow(nf);
+            std::uint32_t ref = 0;
+            for (std::uint64_t k = 0; k < nf; ++k)
+                ref += a[i * nf + k] * b[k * nf + j];
+            out.samples.push_back({i * nf + j, ref});
+        }
+    }
     return out;
 }
 
@@ -91,13 +100,15 @@ class MatrixWorkload : public Workload
                     // args: {a, b, c, n_func, n_nominal}
                     const std::uint64_t nf = args[3];
                     HIX_ASSIGN_OR_RETURN(
-                        auto a, loadU32(mem, args[0], nf * nf));
+                        auto a,
+                        loadArray<std::uint32_t>(mem, args[0], nf * nf));
                     HIX_ASSIGN_OR_RETURN(
-                        auto b, loadU32(mem, args[1], nf * nf));
+                        auto b,
+                        loadArray<std::uint32_t>(mem, args[1], nf * nf));
                     std::vector<std::uint32_t> c(nf * nf);
                     for (std::size_t i = 0; i < c.size(); ++i)
                         c[i] = a[i] + b[i];
-                    return storeU32(mem, args[2], c);
+                    return storeArray(mem, args[2], c);
                 },
                 [perf](const gpu::KernelArgs &args) {
                     // Streaming kernel: 3 matrices through memory.
@@ -111,9 +122,11 @@ class MatrixWorkload : public Workload
                    const gpu::KernelArgs &args) -> Status {
                     const std::uint64_t nf = args[3];
                     HIX_ASSIGN_OR_RETURN(
-                        auto a, loadU32(mem, args[0], nf * nf));
+                        auto a,
+                        loadArray<std::uint32_t>(mem, args[0], nf * nf));
                     HIX_ASSIGN_OR_RETURN(
-                        auto b, loadU32(mem, args[1], nf * nf));
+                        auto b,
+                        loadArray<std::uint32_t>(mem, args[1], nf * nf));
                     std::vector<std::uint32_t> c(nf * nf, 0);
                     for (std::uint64_t i = 0; i < nf; ++i) {
                         for (std::uint64_t k = 0; k < nf; ++k) {
@@ -123,7 +136,7 @@ class MatrixWorkload : public Workload
                                     aik * b[k * nf + j];
                         }
                     }
-                    return storeU32(mem, args[2], c);
+                    return storeArray(mem, args[2], c);
                 },
                 [perf](const gpu::KernelArgs &args) {
                     // 2*n^3 integer multiply-adds; Fermi 32-bit IMAD
@@ -143,12 +156,13 @@ class MatrixWorkload : public Workload
     run(GpuApi &api) override
     {
         const std::uint64_t elems = std::uint64_t(nf_) * nf_;
-        Rng rng(0x9a7e + n_);
-        std::vector<std::uint32_t> a(elems), b(elems);
-        for (auto &v : a)
-            v = rng.next32() & 0xffff;
-        for (auto &v : b)
-            v = rng.next32() & 0xffff;
+        // Keyed by (multiply, n): n fixes both the seed and nf.
+        static FixtureCache<std::pair<bool, std::uint32_t>, Fixture>
+            fixtures;
+        const Fixture &fx =
+            fixtures.get({multiply_, n_}, [this] {
+                return buildFixture(n_, nf_, multiply_);
+            });
 
         auto kid = api.loadModule(kernelName());
         if (!kid.isOk())
@@ -158,30 +172,23 @@ class MatrixWorkload : public Workload
         HIX_ASSIGN_OR_RETURN(Addr va_b, api.memAlloc(elems * 4));
         HIX_ASSIGN_OR_RETURN(Addr va_c, api.memAlloc(elems * 4));
 
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(va_a, toBytes(a)));
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(va_b, toBytes(b)));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(va_a, fx.a));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(va_b, fx.b));
         HIX_RETURN_IF_ERROR(api.launchKernel(
             *kid, {va_a, va_b, va_c, nf_, n_}));
         HIX_ASSIGN_OR_RETURN(Bytes c_bytes,
                              api.memcpyDtoH(va_c, elems * 4));
 
         // Verify against a CPU reference (sampled for multiply).
-        std::vector<std::uint32_t> c(elems);
-        std::memcpy(c.data(), c_bytes.data(), c_bytes.size());
+        auto c = bytesVec<std::uint32_t>(c_bytes);
         if (!multiply_) {
             for (std::size_t i = 0; i < elems; ++i) {
-                if (c[i] != a[i] + b[i])
+                if (c[i] != fx.sum[i])
                     return errInternal("matrix add mismatch");
             }
         } else {
-            Rng pick(7);
-            for (int s = 0; s < 32; ++s) {
-                const std::uint64_t i = pick.nextBelow(nf_);
-                const std::uint64_t j = pick.nextBelow(nf_);
-                std::uint32_t ref = 0;
-                for (std::uint64_t k = 0; k < nf_; ++k)
-                    ref += a[i * nf_ + k] * b[k * nf_ + j];
-                if (c[i * nf_ + j] != ref)
+            for (const auto &e : fx.samples) {
+                if (c[e.index] != e.value)
                     return errInternal("matrix mul mismatch");
             }
         }

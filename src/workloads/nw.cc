@@ -18,7 +18,59 @@ constexpr std::uint32_t NominalN = 4096;
 constexpr std::uint64_t Scale = 64;  // functional 512x512
 constexpr std::uint32_t Block = 16;
 constexpr std::int32_t Penalty = 10;
+constexpr std::uint64_t FuncN = NominalN / 8;
 constexpr double KernelNs = 53.0e6;
+
+/** The initial score matrix, the substitution scores, and the CPU
+ *  reference's final score and 64 sampled cells. */
+struct Fixture
+{
+    Bytes score;
+    Bytes ref;
+    Expected<std::int32_t> finalScore;
+    std::vector<Expected<std::int32_t>> samples;
+};
+
+const Fixture &
+fixture()
+{
+    static const Fixture f = [] {
+        const std::uint64_t n = FuncN;
+        const std::uint64_t w = n + 1;
+        Rng rng(0x714);
+        std::vector<std::int32_t> ref(n * n);
+        for (auto &v : ref)
+            v = static_cast<std::int32_t>(rng.nextBelow(21)) - 10;
+
+        std::vector<std::int32_t> score(w * w, 0);
+        for (std::uint64_t i = 0; i < w; ++i) {
+            score[i * w] = -static_cast<std::int32_t>(i) * Penalty;
+            score[i] = -static_cast<std::int32_t>(i) * Penalty;
+        }
+
+        // Full CPU DP reference.
+        std::vector<std::int32_t> cpu = score;
+        for (std::uint64_t i = 1; i < w; ++i) {
+            for (std::uint64_t j = 1; j < w; ++j) {
+                const std::int32_t match =
+                    cpu[(i - 1) * w + j - 1] + ref[(i - 1) * n + j - 1];
+                const std::int32_t del = cpu[(i - 1) * w + j] - Penalty;
+                const std::int32_t ins = cpu[i * w + j - 1] - Penalty;
+                cpu[i * w + j] = std::max(match, std::max(del, ins));
+            }
+        }
+        Fixture out{vecBytes(score), vecBytes(ref),
+                    {n * w + n, cpu[n * w + n]}, {}};
+        Rng pick(9);
+        for (int s = 0; s < 64; ++s) {
+            const std::uint64_t i = 1 + pick.nextBelow(n);
+            const std::uint64_t j = 1 + pick.nextBelow(n);
+            out.samples.push_back({i * w + j, cpu[i * w + j]});
+        }
+        return out;
+    }();
+    return f;
+}
 
 class NeedlemanWunsch : public RodiniaApp
 {
@@ -26,8 +78,7 @@ class NeedlemanWunsch : public RodiniaApp
     NeedlemanWunsch()
         : RodiniaApp("NW", Scale,
                      TransferSpec{(128 * MiB) + (102 * KiB),
-                                  (64 * MiB) + (31 * KiB)}),
-          n_(NominalN / 8)
+                                  (64 * MiB) + (31 * KiB)})
     {}
 
     void
@@ -45,11 +96,11 @@ class NeedlemanWunsch : public RodiniaApp
                 const std::uint64_t n = args[2];
                 const std::uint64_t diag = args[3];
                 const std::uint64_t blocks = n / Block;
+                HIX_ASSIGN_OR_RETURN(auto score,
+                                     loadArray<std::int32_t>(
+                                         mem, args[0], (n + 1) * (n + 1)));
                 HIX_ASSIGN_OR_RETURN(
-                    auto score, loadI32(mem, args[0],
-                                        (n + 1) * (n + 1)));
-                HIX_ASSIGN_OR_RETURN(auto ref,
-                                     loadI32(mem, args[1], n * n));
+                    auto ref, loadArray<std::int32_t>(mem, args[1], n * n));
                 const std::uint64_t w = n + 1;
                 for (std::uint64_t bi = 0; bi < blocks; ++bi) {
                     const std::uint64_t bj_signed = diag - bi;
@@ -72,7 +123,7 @@ class NeedlemanWunsch : public RodiniaApp
                         }
                     }
                 }
-                return storeI32(mem, args[0], score);
+                return storeArray(mem, args[0], score);
             },
             [](const gpu::KernelArgs &args) {
                 const std::uint64_t n = args[2];
@@ -91,25 +142,16 @@ class NeedlemanWunsch : public RodiniaApp
     Status
     run(GpuApi &api) override
     {
-        const std::uint64_t n = n_;
+        const std::uint64_t n = FuncN;
         const std::uint64_t w = n + 1;
-        Rng rng(0x714);
-        std::vector<std::int32_t> ref(n * n);
-        for (auto &v : ref)
-            v = static_cast<std::int32_t>(rng.nextBelow(21)) - 10;
-
-        std::vector<std::int32_t> score(w * w, 0);
-        for (std::uint64_t i = 0; i < w; ++i) {
-            score[i * w] = -static_cast<std::int32_t>(i) * Penalty;
-            score[i] = -static_cast<std::int32_t>(i) * Penalty;
-        }
+        const Fixture &fx = fixture();
 
         HIX_ASSIGN_OR_RETURN(auto kid, api.loadModule("nw_diag"));
         HIX_ASSIGN_OR_RETURN(Addr d_score, api.memAlloc(w * w * 4));
         HIX_ASSIGN_OR_RETURN(Addr d_ref, api.memAlloc(n * n * 4));
 
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_score, vecBytes(score)));
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_ref, vecBytes(ref)));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_score, fx.score));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_ref, fx.ref));
         HIX_RETURN_IF_ERROR(padHtoD(api, (w * w + n * n) * 4));
 
         const std::uint64_t blocks = n / Block;
@@ -122,25 +164,11 @@ class NeedlemanWunsch : public RodiniaApp
                              api.memcpyDtoH(d_score, w * w * 4));
         HIX_RETURN_IF_ERROR(padDtoH(api, w * w * 4));
 
-        // Full CPU DP reference.
-        std::vector<std::int32_t> cpu = score;
-        for (std::uint64_t i = 1; i < w; ++i) {
-            for (std::uint64_t j = 1; j < w; ++j) {
-                const std::int32_t match =
-                    cpu[(i - 1) * w + j - 1] + ref[(i - 1) * n + j - 1];
-                const std::int32_t del = cpu[(i - 1) * w + j] - Penalty;
-                const std::int32_t ins = cpu[i * w + j - 1] - Penalty;
-                cpu[i * w + j] = std::max(match, std::max(del, ins));
-            }
-        }
         auto got = bytesVec<std::int32_t>(out);
-        if (got[n * w + n] != cpu[n * w + n])
+        if (got[fx.finalScore.index] != fx.finalScore.value)
             return errInternal("NW final score mismatch");
-        Rng pick(9);
-        for (int s = 0; s < 64; ++s) {
-            const std::uint64_t i = 1 + pick.nextBelow(n);
-            const std::uint64_t j = 1 + pick.nextBelow(n);
-            if (got[i * w + j] != cpu[i * w + j])
+        for (const auto &e : fx.samples) {
+            if (got[e.index] != e.value)
                 return errInternal("NW cell mismatch");
         }
 
@@ -148,9 +176,6 @@ class NeedlemanWunsch : public RodiniaApp
             HIX_RETURN_IF_ERROR(api.memFree(va));
         return Status::ok();
     }
-
-  private:
-    std::uint64_t n_;
 };
 
 }  // namespace

@@ -16,15 +16,54 @@ namespace
 
 constexpr std::uint32_t NominalN = 8192;
 constexpr std::uint64_t Scale = 16;  // functional 2048x2048
+constexpr std::uint64_t FuncN = NominalN / 4;
 constexpr std::uint32_t Bands = 8;
 constexpr double KernelNs = 2.5e6;
+
+/** The weight grid, its first row (the initial cost vector) and the
+ *  CPU reference's final cost row. */
+struct Fixture
+{
+    Bytes grid;
+    Bytes firstRow;
+    std::vector<std::int32_t> cost;
+};
+
+const Fixture &
+fixture()
+{
+    static const Fixture f = [] {
+        const std::uint64_t n = FuncN;
+        Rng rng(0x9f);
+        std::vector<std::int32_t> grid(n * n);
+        for (auto &v : grid)
+            v = static_cast<std::int32_t>(rng.nextBelow(10));
+
+        std::vector<std::int32_t> ref(grid.begin(), grid.begin() + n);
+        Fixture out{vecBytes(grid), vecBytes(ref), {}};
+        std::vector<std::int32_t> next(n);
+        for (std::uint64_t r = 1; r < n; ++r) {
+            for (std::uint64_t j = 0; j < n; ++j) {
+                std::int32_t best = ref[j];
+                if (j > 0)
+                    best = std::min(best, ref[j - 1]);
+                if (j + 1 < n)
+                    best = std::min(best, ref[j + 1]);
+                next[j] = grid[r * n + j] + best;
+            }
+            ref.swap(next);
+        }
+        out.cost = std::move(ref);
+        return out;
+    }();
+    return f;
+}
 
 class Pathfinder : public RodiniaApp
 {
   public:
     Pathfinder()
-        : RodiniaApp("PF", Scale, TransferSpec{256 * MiB, 32 * KiB}),
-          n_(NominalN / 4)
+        : RodiniaApp("PF", Scale, TransferSpec{256 * MiB, 32 * KiB})
     {}
 
     void
@@ -39,10 +78,11 @@ class Pathfinder : public RodiniaApp
                 // args: {grid, cost_row, n, row_begin, row_end,
                 //        nominal_n}
                 const std::uint64_t n = args[2];
-                HIX_ASSIGN_OR_RETURN(auto cost,
-                                     loadI32(mem, args[1], n));
+                HIX_ASSIGN_OR_RETURN(
+                    auto cost, loadArray<std::int32_t>(mem, args[1], n));
                 for (std::uint64_t r = args[3]; r < args[4]; ++r) {
-                    auto row = loadI32(mem, args[0] + r * n * 4, n);
+                    auto row = loadArray<std::int32_t>(
+                        mem, args[0] + r * n * 4, n);
                     if (!row.isOk())
                         return row.status();
                     std::vector<std::int32_t> next(n);
@@ -56,7 +96,7 @@ class Pathfinder : public RodiniaApp
                     }
                     cost.swap(next);
                 }
-                return storeI32(mem, args[1], cost);
+                return storeArray(mem, args[1], cost);
             },
             [](const gpu::KernelArgs &args) {
                 const double nominal = static_cast<double>(args[5]);
@@ -70,21 +110,16 @@ class Pathfinder : public RodiniaApp
     Status
     run(GpuApi &api) override
     {
-        const std::uint64_t n = n_;
-        Rng rng(0x9f);
-        std::vector<std::int32_t> grid(n * n);
-        for (auto &v : grid)
-            v = static_cast<std::int32_t>(rng.nextBelow(10));
+        const std::uint64_t n = FuncN;
+        const Fixture &fx = fixture();
 
         HIX_ASSIGN_OR_RETURN(auto kid, api.loadModule("pf_band"));
         HIX_ASSIGN_OR_RETURN(Addr d_grid, api.memAlloc(n * n * 4));
         HIX_ASSIGN_OR_RETURN(Addr d_cost, api.memAlloc(n * 4));
 
         // First row seeds the cost vector.
-        std::vector<std::int32_t> cost(grid.begin(),
-                                       grid.begin() + n);
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_grid, vecBytes(grid)));
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_cost, vecBytes(cost)));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_grid, fx.grid));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(d_cost, fx.firstRow));
         HIX_RETURN_IF_ERROR(padHtoD(api, (n * n + n) * 4));
 
         const std::uint64_t band = (n - 1) / Bands + 1;
@@ -99,24 +134,9 @@ class Pathfinder : public RodiniaApp
         }
 
         HIX_ASSIGN_OR_RETURN(Bytes out, api.memcpyDtoH(d_cost, n * 4));
-
-        // CPU reference.
-        std::vector<std::int32_t> ref(grid.begin(), grid.begin() + n);
-        std::vector<std::int32_t> next(n);
-        for (std::uint64_t r = 1; r < n; ++r) {
-            for (std::uint64_t j = 0; j < n; ++j) {
-                std::int32_t best = ref[j];
-                if (j > 0)
-                    best = std::min(best, ref[j - 1]);
-                if (j + 1 < n)
-                    best = std::min(best, ref[j + 1]);
-                next[j] = grid[r * n + j] + best;
-            }
-            ref.swap(next);
-        }
         auto got = bytesVec<std::int32_t>(out);
         for (std::uint64_t j = 0; j < n; ++j) {
-            if (got[j] != ref[j])
+            if (got[j] != fx.cost[j])
                 return errInternal("PF cost mismatch");
         }
 
@@ -124,9 +144,6 @@ class Pathfinder : public RodiniaApp
             HIX_RETURN_IF_ERROR(api.memFree(va));
         return Status::ok();
     }
-
-  private:
-    std::uint64_t n_;
 };
 
 }  // namespace

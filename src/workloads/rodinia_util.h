@@ -1,8 +1,16 @@
 /**
  * @file
- * Shared helpers for the Rodinia workload implementations: bulk
- * device-array accessors, transfer padding to hit Table 5 volumes
- * exactly, and the calibrated kernel-cost helper.
+ * Shared helpers for the workload implementations: typed device-array
+ * accessors, the process-wide fixture cache, transfer padding to hit
+ * Table 5 volumes exactly, and the calibrated kernel-cost helper.
+ *
+ * Fixtures: a workload's input, its upload Bytes and its expected
+ * output depend only on a fixed seed and the functional size, so each
+ * is built once per process — a function-local static for single-size
+ * apps, a FixtureCache where the size varies — and shared read-only by
+ * every session and recording thread. Each session still uploads the
+ * fixture through its own runtime and checks its own memcpyDtoH
+ * result against the expected values.
  *
  * Kernel-time calibration: the paper does not publish per-kernel GPU
  * times, so each app's total kernel time at the nominal problem size
@@ -17,6 +25,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -27,45 +38,30 @@
 namespace hix::workloads
 {
 
-/** Bulk-load float32 array from device memory. */
-inline Result<std::vector<float>>
-loadF32(const gpu::GpuMemAccessor &mem, Addr va, std::size_t count)
+/** Read @p count elements of T from device memory straight into a
+ *  vector; fails like the access itself on an unmapped page. */
+template <typename T>
+Result<std::vector<T>>
+loadArray(const gpu::GpuMemAccessor &mem, Addr va, std::size_t count)
 {
-    auto bytes = mem.readBytes(va, count * 4);
-    if (!bytes.isOk())
-        return bytes.status();
-    std::vector<float> out(count);
-    std::memcpy(out.data(), bytes->data(), count * 4);
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::vector<T> out(count);
+    HIX_RETURN_IF_ERROR(mem.read(
+        va, reinterpret_cast<std::uint8_t *>(out.data()),
+        count * sizeof(T)));
     return out;
 }
 
-inline Status
-storeF32(const gpu::GpuMemAccessor &mem, Addr va,
-         const std::vector<float> &data)
+/** Write @p data to device memory at @p va. */
+template <typename T>
+Status
+storeArray(const gpu::GpuMemAccessor &mem, Addr va,
+           const std::vector<T> &data)
 {
-    Bytes bytes(data.size() * 4);
-    std::memcpy(bytes.data(), data.data(), bytes.size());
-    return mem.writeBytes(va, bytes);
-}
-
-inline Result<std::vector<std::int32_t>>
-loadI32(const gpu::GpuMemAccessor &mem, Addr va, std::size_t count)
-{
-    auto bytes = mem.readBytes(va, count * 4);
-    if (!bytes.isOk())
-        return bytes.status();
-    std::vector<std::int32_t> out(count);
-    std::memcpy(out.data(), bytes->data(), count * 4);
-    return out;
-}
-
-inline Status
-storeI32(const gpu::GpuMemAccessor &mem, Addr va,
-         const std::vector<std::int32_t> &data)
-{
-    Bytes bytes(data.size() * 4);
-    std::memcpy(bytes.data(), data.data(), bytes.size());
-    return mem.writeBytes(va, bytes);
+    static_assert(std::is_trivially_copyable_v<T>);
+    return mem.write(va,
+                     reinterpret_cast<const std::uint8_t *>(data.data()),
+                     data.size() * sizeof(T));
 }
 
 template <typename T>
@@ -85,6 +81,41 @@ bytesVec(const Bytes &b)
     std::memcpy(out.data(), b.data(), b.size());
     return out;
 }
+
+/** One expected element of a device result, by index. */
+template <typename T>
+struct Expected
+{
+    std::uint64_t index;
+    T value;
+};
+
+/**
+ * Process-wide build-once cache of immutable fixtures keyed by size.
+ * get() builds the value for a new key under the lock, so concurrent
+ * first users of a key wait for one build; the returned reference
+ * stays valid for the life of the process (std::map never moves its
+ * nodes) and must only be read.
+ */
+template <typename K, typename V>
+class FixtureCache
+{
+  public:
+    template <typename Build>
+    const V &
+    get(const K &key, Build &&build)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = values_.find(key);
+        if (it == values_.end())
+            it = values_.emplace(key, build()).first;
+        return it->second;
+    }
+
+  private:
+    std::mutex mu_;
+    std::map<K, V> values_;
+};
 
 /**
  * Calibrated kernel cost: @p total_ns is the app's summed kernel time
@@ -153,8 +184,10 @@ class RodiniaApp : public Workload
         if (done + 4096 >= target)
             return Status::ok();
         const std::uint64_t pad = target - done;
+        static FixtureCache<std::uint64_t, Bytes> zeros;
+        const Bytes &zero = zeros.get(pad, [pad] { return Bytes(pad); });
         HIX_ASSIGN_OR_RETURN(Addr va, api.memAlloc(pad));
-        HIX_RETURN_IF_ERROR(api.memcpyHtoD(va, Bytes(pad, 0)));
+        HIX_RETURN_IF_ERROR(api.memcpyHtoD(va, zero));
         return api.memFree(va);
     }
 

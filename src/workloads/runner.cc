@@ -576,6 +576,8 @@ runSessionPool(const RunConfig &config,
     for (int i = 0; i < n; ++i) {
         const PoolSession &s = sessions[i];
         jobs.push_back(s.factory ? s.factory() : config.factory());
+        if (!jobs.back())
+            return errInvalidArgument("workload factory returned none");
         slots[i] =
             SlotSpec{i, s.device, placed[s.device]++, s.admitTick};
     }
@@ -693,8 +695,11 @@ runWorkloadStreaming(const RunConfig &config)
         return errInvalidArgument("more than 65535 sessions in one run");
 
     std::vector<std::unique_ptr<Workload>> jobs;
-    for (int u = 0; u < config.users; ++u)
+    for (int u = 0; u < config.users; ++u) {
         jobs.push_back(config.factory());
+        if (!jobs.back())
+            return errInvalidArgument("workload factory returned none");
+    }
     const std::uint64_t scale = jobs[0]->timingScale();
     const int workers = recordWorkers(config.recordThreads, config.users);
 

@@ -248,6 +248,8 @@ struct PoolOutcome
  * InvalidArgument, rejected before any workload is built: session
  * indices name 16-bit UserCpu resources, and a device-0 HIX session
  * ordinal of 65535 would collide with the shard management context.
+ * A factory that returns no workload is an InvalidArgument too,
+ * rejected before any template build or session boot.
  */
 Result<PoolOutcome> runSessionPool(
     const RunConfig &config,
@@ -266,7 +268,8 @@ Result<RunOutcome> runWorkload(const RunConfig &config);
  * Bit-identical to runWorkload() with streaming off; error reporting
  * keeps the lowest-user-index-wins contract and the queue always
  * drains, so recording workers never block on a failed run. The same
- * 65535-session limit as runSessionPool() applies.
+ * 65535-session limit and null-workload check as runSessionPool()
+ * apply.
  */
 Result<RunOutcome> runWorkloadStreaming(const RunConfig &config);
 

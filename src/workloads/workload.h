@@ -7,7 +7,10 @@
  * Each workload bundles (1) functional GPU kernels registered on the
  * device, (2) GTX-580-calibrated cost models that charge nominal-size
  * execution time, and (3) a host program that allocates, transfers,
- * launches, and verifies results against a CPU reference.
+ * launches, and verifies results against a CPU reference. The
+ * fixed-seed input and the reference's expected output form a
+ * process-wide immutable fixture, built once per (workload, size) and
+ * shared by every session; each run still verifies its own results.
  *
  * Problem scaling: workloads run *functionally* at nominal/scale of
  * the paper's sizes (so a software model can execute them), while all
@@ -60,7 +63,10 @@ class Workload
     /**
      * Execute the full application through @p api (alloc, copy in,
      * kernels, copy out, verify, free). Returns non-OK on any failure
-     * including result-verification mismatch.
+     * including result-verification mismatch. May run concurrently
+     * with other instances on other threads; may read process-wide
+     * immutable fixtures and must not mutate them, and verifies the
+     * results that came back through @p api.
      */
     virtual Status run(GpuApi &api) = 0;
 

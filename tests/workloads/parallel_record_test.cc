@@ -4,8 +4,9 @@
  * parallel (thread-per-user) recording must be *bit-identical* to a
  * serial recording of the same configuration — same merged trace
  * digest, same scheduled ticks — across user counts, runtimes, and
- * pipeline ablations. Also pins the recording-thread contract for
- * per-shard TraceRecorder observers.
+ * pipeline ablations, and for every workload when its recording
+ * threads race to build its shared fixture. Also pins the
+ * recording-thread contract for per-shard TraceRecorder observers.
  */
 
 #include <gtest/gtest.h>
@@ -103,6 +104,52 @@ INSTANTIATE_TEST_SUITE_P(
                "_users" + std::to_string(std::get<1>(info.param)) +
                (std::get<2>(info.param) ? "_pipeline" : "_nopipeline");
     });
+
+/** The nine Rodinia apps by abbreviation, plus the two matrix
+ *  workloads. */
+std::unique_ptr<Workload>
+makeByName(const std::string &name)
+{
+    if (name == "matrix_add")
+        return makeMatrixAdd(2048);
+    if (name == "matrix_mul")
+        return makeMatrixMul(2048);
+    return makeRodinia(name);
+}
+
+class ParallelRecordFixtureTest
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ParallelRecordFixtureTest, ConcurrentFirstUseMatchesSerial)
+{
+    // ctest runs each case in a fresh process, so the first run below
+    // is the process's first use of the workload: its four recording
+    // threads race to build the shared fixture.
+    const std::string name = GetParam();
+    RunConfig config;
+    config.factory = [name] { return makeByName(name); };
+    config.users = 4;
+    config.useHix = false;
+    config.keepTrace = true;
+    config.recordThreads = 4;
+    auto parallel = runWorkload(config);
+    ASSERT_TRUE(parallel.isOk()) << parallel.status().toString();
+
+    config.recordThreads = 1;
+    auto serial = runWorkload(config);
+    ASSERT_TRUE(serial.isOk()) << serial.status().toString();
+    EXPECT_EQ(sim::traceDigest(*parallel->trace),
+              sim::traceDigest(*serial->trace));
+    EXPECT_EQ(parallel->ticks, serial->ticks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, ParallelRecordFixtureTest,
+    ::testing::Values("BP", "BFS", "GS", "HS", "LUD", "NW", "NN", "PF",
+                      "SRAD", "matrix_add", "matrix_mul"),
+    [](const auto &info) { return info.param; });
 
 TEST(ParallelRecordTestAutoPool, AutoSizedPoolIsBitIdenticalToo)
 {

@@ -259,5 +259,43 @@ TEST(SessionPoolEdgeTest, RunWorkloadRejectsMoreThan65535Users)
     }
 }
 
+TEST(SessionPoolEdgeTest, RunWorkloadRejectsFactoryReturningNoWorkload)
+{
+    workloads::RunConfig config;
+    config.factory = [] { return workloads::makeRodinia("XX"); };
+    config.users = 2;
+    auto out = workloads::runWorkload(config);
+    ASSERT_FALSE(out.isOk());
+    EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+}
+
+TEST(SessionPoolEdgeTest, PoolSessionFactoryReturningNoWorkloadIsRejected)
+{
+    workloads::RunConfig config;
+    config.factory = [] { return workloads::makeRodinia("NN"); };
+    workloads::PoolSession good;
+    workloads::PoolSession bad;
+    bad.factory = [] { return workloads::makeRodinia("XX"); };
+    for (bool fork : {false, true}) {
+        config.forkSessions = fork;
+        auto out = workloads::runSessionPool(config, {good, bad});
+        ASSERT_FALSE(out.isOk()) << "fork " << fork;
+        EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+    }
+}
+
+TEST(SessionPoolEdgeTest, StreamingRejectsFactoryReturningNoWorkload)
+{
+    workloads::RunConfig config;
+    config.factory = [] { return workloads::makeRodinia("XX"); };
+    config.users = 2;
+    for (bool fork : {false, true}) {
+        config.forkSessions = fork;
+        auto out = workloads::runWorkloadStreaming(config);
+        ASSERT_FALSE(out.isOk()) << "fork " << fork;
+        EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+    }
+}
+
 }  // namespace
 }  // namespace hix::svc

@@ -4,12 +4,15 @@
  * verify on both the unprotected baseline and the HIX secure path,
  * plus sanity checks of the timing shape (HIX overhead present for
  * transfer-heavy apps, baseline wins there; small apps faster on
- * HIX).
+ * HIX). Every workload's check must also reject a corrupted device
+ * result, before and after its shared fixture is built.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <ostream>
+#include <tuple>
 
 #include "workloads/runner.h"
 
@@ -166,6 +169,167 @@ TEST(AblationTest, SingleCopyBeatsNaiveDoubleCopy)
     ASSERT_TRUE(slow.isOk());
     EXPECT_LT(fast->ticks, slow->ticks);
 }
+
+/** How CorruptingApi damages a device result. */
+enum class Corruption
+{
+    FlipBit30,
+    QuietNaN,
+};
+
+const char *
+corruptionName(Corruption how)
+{
+    return how == Corruption::FlipBit30 ? "flip30" : "nan";
+}
+
+void
+PrintTo(Corruption how, std::ostream *os)
+{
+    *os << corruptionName(how);
+}
+
+/** GpuApi decorator that corrupts every 32-bit word of every
+ *  memcpyDtoH result and forwards everything else untouched. */
+class CorruptingApi : public GpuApi
+{
+  public:
+    CorruptingApi(GpuApi &inner, Corruption how)
+        : inner_(inner), how_(how)
+    {
+    }
+
+    Result<Addr>
+    memAlloc(std::uint64_t size) override
+    {
+        return inner_.memAlloc(size);
+    }
+    Status memFree(Addr va) override { return inner_.memFree(va); }
+    Status
+    memcpyHtoD(Addr dst, const Bytes &data) override
+    {
+        return inner_.memcpyHtoD(dst, data);
+    }
+    Result<Bytes>
+    memcpyDtoH(Addr src, std::uint64_t len) override
+    {
+        auto data = inner_.memcpyDtoH(src, len);
+        if (!data.isOk())
+            return data;
+        Bytes out = std::move(*data);
+        for (std::size_t i = 0; i + 4 <= out.size(); i += 4) {
+            std::uint32_t word;
+            std::memcpy(&word, out.data() + i, 4);
+            word = how_ == Corruption::FlipBit30 ? word ^ (1u << 30)
+                                                 : 0x7FC00000u;
+            std::memcpy(out.data() + i, &word, 4);
+        }
+        return out;
+    }
+    Result<gpu::KernelId>
+    loadModule(const std::string &name) override
+    {
+        return inner_.loadModule(name);
+    }
+    Status
+    launchKernel(gpu::KernelId kernel,
+                 const gpu::KernelArgs &args) override
+    {
+        return inner_.launchKernel(kernel, args);
+    }
+
+  private:
+    GpuApi &inner_;
+    Corruption how_;
+};
+
+/** Workload decorator: runs the wrapped app through a CorruptingApi. */
+class CorruptedWorkload : public Workload
+{
+  public:
+    CorruptedWorkload(std::unique_ptr<Workload> inner, Corruption how)
+        : Workload(inner->name()), inner_(std::move(inner)), how_(how)
+    {
+    }
+
+    std::uint64_t
+    timingScale() const override
+    {
+        return inner_->timingScale();
+    }
+    TransferSpec
+    nominalTransfers() const override
+    {
+        return inner_->nominalTransfers();
+    }
+    void
+    registerKernels(gpu::GpuDevice &device) override
+    {
+        inner_->registerKernels(device);
+    }
+    Status
+    run(GpuApi &api) override
+    {
+        CorruptingApi corrupting(api, how_);
+        return inner_->run(corrupting);
+    }
+
+  private:
+    std::unique_ptr<Workload> inner_;
+    Corruption how_;
+};
+
+/** The nine Rodinia apps by abbreviation, plus the two matrix
+ *  workloads. */
+std::unique_ptr<Workload>
+makeByName(const std::string &name)
+{
+    if (name == "matrix_add")
+        return makeMatrixAdd(2048);
+    if (name == "matrix_mul")
+        return makeMatrixMul(2048);
+    return makeRodinia(name);
+}
+
+class WrongResultTest
+    : public ::testing::TestWithParam<std::tuple<std::string, Corruption>>
+{
+};
+
+TEST_P(WrongResultTest, FailsWithColdOrWarmFixture)
+{
+    // Clean, corrupted, clean again, all in one process: the first
+    // run builds the app's fixture, the corrupted run checks against
+    // the warm fixture, and the last run shows that nothing the
+    // corrupted run saw leaked into the fixture.
+    const auto [name, how] = GetParam();
+    auto clean = [&] { return makeByName(name); };
+    auto corrupted = [&, how = how] {
+        return std::unique_ptr<Workload>(
+            new CorruptedWorkload(makeByName(name), how));
+    };
+
+    auto first = runBaseline(clean);
+    ASSERT_TRUE(first.isOk()) << first.status().toString();
+    auto bad = runBaseline(corrupted);
+    ASSERT_FALSE(bad.isOk());
+    EXPECT_EQ(bad.status().code(), StatusCode::Internal)
+        << bad.status().toString();
+    auto again = runBaseline(clean);
+    ASSERT_TRUE(again.isOk()) << again.status().toString();
+    EXPECT_EQ(again->ticks, first->ticks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, WrongResultTest,
+    ::testing::Combine(
+        ::testing::Values("BP", "BFS", "GS", "HS", "LUD", "NW", "NN",
+                          "PF", "SRAD", "matrix_add", "matrix_mul"),
+        ::testing::Values(Corruption::FlipBit30, Corruption::QuietNaN)),
+    [](const auto &info) {
+        return std::get<0>(info.param) + "_" +
+               corruptionName(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace hix::workloads
