@@ -8,10 +8,11 @@
  * numbers.
  *
  * Before the google-benchmark suite runs, main() does a short
- * throughput sweep of OCB sealing (reference scalar engine, T-table
- * fast engine, and the SealPool parallel chunk path) over message
- * sizes 4 KiB .. 1 MiB, prints a MB/s table, and writes the results
- * to BENCH_crypto.json in the working directory for CI trending.
+ * single-thread throughput sweep of OCB sealing on each engine
+ * (reference scalar, T-table, fast) and of opening on the fast
+ * engine, over message sizes 4 KiB .. 1 MiB, prints a MB/s table,
+ * and writes the results to BENCH_crypto.json in the working
+ * directory for CI trending.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,7 +27,6 @@
 #include "crypto/aes128.h"
 #include "crypto/hmac.h"
 #include "crypto/ocb.h"
-#include "crypto/seal_pool.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
 
@@ -65,7 +65,7 @@ double
 measureMbps(std::size_t bytes_per_call, Fn &&fn)
 {
     using Clock = std::chrono::steady_clock;
-    // Warm-up (touches caches, spins up pool threads).
+    // Warm-up (touches caches and the output buffer).
     fn();
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
@@ -94,8 +94,6 @@ runSweep()
     const Ocb ref(key, AesEngine::Reference);
     const Ocb ttable(key, AesEngine::TTable);
     const Ocb fast(key, AesEngine::Fast);
-    SealPool &pool = SealPool::shared();
-    constexpr std::size_t ChunkBytes = 64 * 1024;
 
     std::vector<SweepResult> results;
     Rng rng(7);
@@ -130,13 +128,20 @@ runSweep()
                              out.data() + size);
         });
 
-        const std::size_t nchunks = (size + ChunkBytes - 1) / ChunkBytes;
-        Bytes chunked(nchunks * (ChunkBytes + OcbTagSize));
-        timed("ocb_seal_parallel_chunks", size, [&] {
-            pool.sealChunks(fast, 1, ctr + 1, pt.data(), size,
-                            ChunkBytes, chunked.data());
-            ctr += nchunks;
+        // Open one message sealed under the same nonce, so every call
+        // verifies its tag and writes the plaintext back.
+        const OcbNonce open_nonce = makeNonce(2, 1);
+        fast.encryptInto(open_nonce, nullptr, 0, pt.data(), size,
+                         out.data(), out.data() + size);
+        Bytes opened(size);
+        timed("ocb_open_fast", size, [&] {
+            (void)fast.decryptInto(open_nonce, nullptr, 0, out.data(),
+                                   size, out.data() + size,
+                                   opened.data());
         });
+        if (opened != pt)
+            std::fprintf(stderr, "ocb_open_fast: %zu-byte open failed\n",
+                         size);
     }
     return results;
 }
@@ -144,7 +149,7 @@ runSweep()
 void
 reportSweep(const std::vector<SweepResult> &results)
 {
-    std::printf("\nOCB-AES-128 seal throughput (host wall-clock)\n");
+    std::printf("\nOCB-AES-128 seal/open throughput (host wall-clock)\n");
     std::printf("fast engine: %s\n",
                 Aes128::hwSupported() ? "AES-NI" : "T-table");
     std::printf("%-28s %10s %12s\n", "path", "bytes", "MB/s");
@@ -299,28 +304,6 @@ BENCHMARK(BM_OcbDecrypt)
     ->Args({2, 1024})
     ->Args({2, 64 * 1024})
     ->Args({2, 1024 * 1024});
-
-void
-BM_SealPoolChunks(benchmark::State &state)
-{
-    Ocb ocb(benchKey());
-    SealPool &pool = SealPool::shared();
-    Rng rng(12);
-    const std::size_t size = state.range(0);
-    constexpr std::size_t ChunkBytes = 64 * 1024;
-    const std::size_t nchunks = (size + ChunkBytes - 1) / ChunkBytes;
-    Bytes pt = rng.bytes(size);
-    Bytes out(nchunks * (ChunkBytes + OcbTagSize));
-    std::uint64_t ctr = 0;
-    for (auto _ : state) {
-        pool.sealChunks(ocb, 1, ctr + 1, pt.data(), size, ChunkBytes,
-                        out.data());
-        ctr += nchunks;
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetBytesProcessed(state.iterations() * size);
-}
-BENCHMARK(BM_SealPoolChunks)->Arg(256 * 1024)->Arg(1024 * 1024);
 
 void
 BM_Sha256(benchmark::State &state)

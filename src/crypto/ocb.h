@@ -5,9 +5,11 @@
  * for all inter-enclave and DMA data protection (Section 5.2).
  *
  * The encryptInto/decryptInto paths are allocation-free: the L-table
- * is fully precomputed at construction and the bulk loops run four
- * AES blocks at a time through Aes128::encryptBlocks, so sealing a
- * message costs |M|/16 + O(1) AES calls and zero heap allocations.
+ * is fully precomputed at construction and the bulk loops run eight
+ * AES blocks at a time through one Aes128::encryptBlocks /
+ * decryptBlocks call, doing the offset chain, checksum and whitening
+ * on native 64-bit words around it. Sealing a message costs
+ * |M|/16 + O(1) AES calls and zero heap allocations, on every engine.
  */
 
 #ifndef HIX_CRYPTO_OCB_H_

@@ -606,6 +606,8 @@ GpuDevice::execCommand(const std::vector<std::uint64_t> &words,
         GpuMemAccessor mem(*ctx, &vram_);
 
         const std::uint64_t pt_len = args[3];
+        if (pt_len > geometry_.vramSize)
+            return errInvalidArgument("OCB length exceeds VRAM");
         const crypto::OcbNonce nonce = crypto::makeNonce(
             static_cast<std::uint32_t>(args[4]), args[5]);
 

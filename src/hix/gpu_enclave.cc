@@ -27,6 +27,24 @@ functionalChunk(const sim::PlatformConfig &timing, std::uint64_t scale)
     return std::max<std::uint64_t>(chunk, mem::PageSize);
 }
 
+/**
+ * Bound one data-plane chunk before any DMA: its ciphertext must fit
+ * one GPU staging slot, and its ring window [ring_off, ring_off +
+ * ct_len) must lie inside the session's shared memory. No sum here
+ * can wrap.
+ */
+Status
+checkChunk(std::uint64_t pt_len, std::uint64_t ring_off,
+           std::uint64_t slot_size, const os::DmaBuffer &shared)
+{
+    if (pt_len > slot_size - crypto::OcbTagSize)
+        return errInvalidArgument("chunk larger than a staging slot");
+    const std::uint64_t ct_len = pt_len + crypto::OcbTagSize;
+    if (ring_off > shared.size || ct_len > shared.size - ring_off)
+        return errInvalidArgument("chunk outside the shared ring");
+    return Status::ok();
+}
+
 }  // namespace
 
 GpuEnclave::GpuEnclave(os::Machine *machine, HixConfig config,
@@ -614,6 +632,9 @@ GpuEnclave::pushChunkHtoD(std::uint32_t session_id,
     if (!alive_)
         return errUnavailable("GPU enclave terminated");
     HIX_ASSIGN_OR_RETURN(Session *session, sessionOf(session_id));
+    HIX_RETURN_IF_ERROR(checkChunk(pt_len, ring_off,
+                                   session->stagingSlotSize,
+                                   session->shared));
     driver_->setClient(session->geActor, session->lane);
     const sim::OpId notify =
         ipcArrival(ready_op, "chunk_h2d", session->geActor,
@@ -717,6 +738,9 @@ GpuEnclave::pullChunkDtoH(std::uint32_t session_id, Addr src_gpu_va,
     if (!alive_)
         return errUnavailable("GPU enclave terminated");
     HIX_ASSIGN_OR_RETURN(Session *session, sessionOf(session_id));
+    HIX_RETURN_IF_ERROR(checkChunk(pt_len, ring_off,
+                                   session->stagingSlotSize,
+                                   session->shared));
     driver_->setClient(session->geActor, session->lane);
     const sim::OpId notify =
         ipcArrival(ready_op, "chunk_d2h", session->geActor,

@@ -47,12 +47,6 @@ struct HixConfig
     /** Move ciphertext by BAR1 programmed I/O instead of DMA. */
     bool usePio = false;
     /**
-     * Seal/open a transfer's chunks on the host-side SealPool worker
-     * threads. Host wall-clock only: ciphertexts are bit-identical
-     * to the serial path and simulated timing is unchanged.
-     */
-    bool parallelHostSealing = true;
-    /**
      * First GPU context id the enclave's driver hands out (see
      * GdevConfig::ctxBase). Zero draws from the process-global
      * counter; the sharded multi-user runner passes a per-shard base

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "crypto/hmac.h"
-#include "crypto/seal_pool.h"
 
 namespace hix::core
 {
@@ -246,20 +245,7 @@ TrustedRuntime::memcpyHtoD(Addr dst_gpu_va, const Bytes &data)
     HIX_RETURN_IF_ERROR(statusFromResponse(resp));
 
     const std::uint32_t stream = GpuEnclave::streamHtoD(session_id_);
-    const std::uint64_t nchunks = (data.size() + chunk - 1) / chunk;
     const std::uint64_t ct_stride = chunk + crypto::OcbTagSize;
-    // Parallel fast path: seal every chunk of this transfer on the
-    // worker pool up front (host wall-clock only). Nonces are the
-    // same (stream, counter) sequence the serial loop uses below, so
-    // the ring bytes are bit-identical either way.
-    const bool parallel_seal =
-        ge_->hixConfig().parallelHostSealing && nchunks > 1;
-    if (parallel_seal) {
-        seal_scratch_.resize(nchunks * ct_stride);
-        crypto::SealPool::shared().sealChunks(
-            *data_ocb_, stream, ctr_h2d_ + 1, data.data(), data.size(),
-            chunk, seal_scratch_.data());
-    }
 
     sim::OpId last_done = sim::InvalidOpId;
     std::uint64_t off = 0;
@@ -272,21 +258,14 @@ TrustedRuntime::memcpyHtoD(Addr dst_gpu_va, const Bytes &data)
         const std::uint64_t ctr = ++ctr_h2d_;
 
         // Functional: encrypt this chunk into the shared ring.
-        if (parallel_seal) {
-            HIX_RETURN_IF_ERROR(machine_->ram().writeAt(
-                shared_.paddr + ring_off,
-                seal_scratch_.data() + index * ct_stride,
-                len + crypto::OcbTagSize));
-        } else {
-            seal_scratch_.resize(ct_stride);
-            data_ocb_->encryptInto(crypto::makeNonce(stream, ctr),
-                                   nullptr, 0, data.data() + off, len,
-                                   seal_scratch_.data(),
-                                   seal_scratch_.data() + len);
-            HIX_RETURN_IF_ERROR(machine_->ram().writeAt(
-                shared_.paddr + ring_off, seal_scratch_.data(),
-                len + crypto::OcbTagSize));
-        }
+        seal_scratch_.resize(ct_stride);
+        data_ocb_->encryptInto(crypto::makeNonce(stream, ctr), nullptr, 0,
+                               data.data() + off, len,
+                               seal_scratch_.data(),
+                               seal_scratch_.data() + len);
+        HIX_RETURN_IF_ERROR(machine_->ram().writeAt(
+            shared_.paddr + ring_off, seal_scratch_.data(),
+            len + crypto::OcbTagSize));
 
         // Timing: the encryption pass. It must wait for the ring
         // slot's previous consumer; without pipelining it also waits
@@ -340,15 +319,7 @@ TrustedRuntime::memcpyDtoH(Addr src_gpu_va, std::uint64_t len)
     const sim::OpId begin_op = machine_->recorder().chainTail(actor_);
 
     const std::uint32_t stream = GpuEnclave::streamDtoH(session_id_);
-    const std::uint64_t nchunks = (len + chunk - 1) / chunk;
     const std::uint64_t ct_stride = chunk + crypto::OcbTagSize;
-    const std::uint64_t base_ctr = ctr_d2h_ + 1;
-    // Parallel fast path: collect every chunk's ciphertext while
-    // draining the ring, then open them all on the worker pool.
-    const bool parallel_open =
-        ge_->hixConfig().parallelHostSealing && nchunks > 1;
-    if (parallel_open)
-        seal_scratch_.resize(nchunks * ct_stride);
 
     Bytes out(len);
     std::uint64_t off = 0;
@@ -370,23 +341,17 @@ TrustedRuntime::memcpyDtoH(Addr src_gpu_va, std::uint64_t len)
         if (!result.isOk())
             return result.status();
 
-        // Functional: fetch the chunk; decrypt now (serial) or after
-        // the drain loop (parallel).
-        if (parallel_open) {
-            HIX_RETURN_IF_ERROR(machine_->ram().readAt(
-                shared_.paddr + ring_off,
-                seal_scratch_.data() + index * ct_stride,
-                clen + crypto::OcbTagSize));
-        } else {
-            seal_scratch_.resize(ct_stride);
-            HIX_RETURN_IF_ERROR(machine_->ram().readAt(
-                shared_.paddr + ring_off, seal_scratch_.data(),
-                clen + crypto::OcbTagSize));
-            HIX_RETURN_IF_ERROR(data_ocb_->decryptInto(
-                crypto::makeNonce(stream, ctr), nullptr, 0,
-                seal_scratch_.data(), clen,
-                seal_scratch_.data() + clen, out.data() + off));
-        }
+        // Functional: fetch the chunk and open it into place. A
+        // failed tag ends the transfer; decryptInto has zeroed the
+        // chunk it was opening.
+        seal_scratch_.resize(ct_stride);
+        HIX_RETURN_IF_ERROR(machine_->ram().readAt(
+            shared_.paddr + ring_off, seal_scratch_.data(),
+            clen + crypto::OcbTagSize));
+        HIX_RETURN_IF_ERROR(data_ocb_->decryptInto(
+            crypto::makeNonce(stream, ctr), nullptr, 0,
+            seal_scratch_.data(), clen, seal_scratch_.data() + clen,
+            out.data() + off));
 
         // Timing: CPU decryption depends on the chunk's arrival.
         prev_decrypt = recordUser(
@@ -397,10 +362,6 @@ TrustedRuntime::memcpyDtoH(Addr src_gpu_va, std::uint64_t len)
         off += clen;
         ++index;
     }
-    if (parallel_open)
-        HIX_RETURN_IF_ERROR(crypto::SealPool::shared().openChunks(
-            *data_ocb_, stream, base_ctr, seal_scratch_.data(), len,
-            chunk, out.data()));
     return out;
 }
 

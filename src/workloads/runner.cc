@@ -616,10 +616,10 @@ runSessionPool(const RunConfig &config,
         shards.push_back(errInternal("shard not recorded"));
 
     // Worker w records sessions w, w + workers, ... Shards share no
-    // mutable state (each has a private machine and trace; the
-    // process-wide SealPool serializes callers and its outputs are
-    // order-independent), and each worker writes only its own shard
-    // slots, so the vector needs no synchronization beyond the joins.
+    // mutable state (each has a private machine and trace, and seals
+    // and opens its transfers on its own worker thread), and each
+    // worker writes only its own shard slots, so the vector needs no
+    // synchronization beyond the joins.
     // In fork mode all workers fork from the shared templates
     // concurrently (page refcounts are atomic); a worker's scratch
     // machine re-forks whenever consecutive sessions use different

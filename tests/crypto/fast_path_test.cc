@@ -1,10 +1,9 @@
 /**
  * @file
  * Fast-path crypto engine tests: byte-identity of the T-table and
- * hardware AES engines (and the SealPool parallel chunk path) against
- * the scalar reference, the wide-block API against the single-block
- * API, and an allocation counter proving steady-state AuthChannel
- * sealing does no heap allocation.
+ * hardware AES engines against the scalar reference, the wide-block
+ * API against the single-block API, and an allocation counter proving
+ * steady-state AuthChannel and OCB sealing do no heap allocation.
  *
  * This file lives in its own test binary (test_fast_path) because it
  * overrides the global operator new/delete to count allocations.
@@ -20,7 +19,6 @@
 #include "crypto/aes128.h"
 #include "crypto/auth_channel.h"
 #include "crypto/ocb.h"
-#include "crypto/seal_pool.h"
 
 // ----- Global allocation counter ---------------------------------------
 
@@ -171,70 +169,6 @@ TEST(FastPathTest, EncryptBlocksSupportsInPlaceOperation)
     EXPECT_EQ(buf, expect);
     aes.decryptBlocks(buf.data(), buf.data(), 9);
     EXPECT_EQ(buf, orig);
-}
-
-// ----- SealPool parallel path vs serial path ---------------------------
-
-TEST(FastPathTest, SealPoolChunksBitIdenticalToSerial)
-{
-    const AesKey key = testKey();
-    const Ocb ocb(key);
-    SealPool pool(4);
-    Rng rng(77);
-
-    constexpr std::size_t kChunk = 64 * 1024;
-    // An uneven total so the last chunk is short.
-    const std::size_t total = 5 * kChunk + 12345;
-    const std::size_t nchunks = (total + kChunk - 1) / kChunk;
-    const std::size_t stride = kChunk + OcbTagSize;
-    const Bytes pt = rng.bytes(total);
-    const std::uint32_t stream = 21;
-    const std::uint64_t base = 1000;
-
-    Bytes parallel(nchunks * stride);
-    pool.sealChunks(ocb, stream, base, pt.data(), total, kChunk,
-                    parallel.data());
-
-    Bytes serial(nchunks * stride);
-    for (std::size_t i = 0; i < nchunks; ++i) {
-        const std::size_t off = i * kChunk;
-        const std::size_t len = std::min(kChunk, total - off);
-        ocb.encryptInto(makeNonce(stream, base + i), nullptr, 0,
-                        pt.data() + off, len, serial.data() + i * stride,
-                        serial.data() + i * stride + len);
-    }
-    EXPECT_EQ(parallel, serial);
-
-    // openChunks recovers the plaintext...
-    Bytes recovered(total);
-    ASSERT_TRUE(pool.openChunks(ocb, stream, base, parallel.data(),
-                                total, kChunk, recovered.data())
-                    .isOk());
-    EXPECT_EQ(recovered, pt);
-
-    // ...and rejects a corrupted chunk.
-    parallel[2 * stride + 5] ^= 0x01;
-    EXPECT_FALSE(pool.openChunks(ocb, stream, base, parallel.data(),
-                                 total, kChunk, recovered.data())
-                     .isOk());
-}
-
-TEST(FastPathTest, SealPoolSingleThreadFallback)
-{
-    const Ocb ocb(testKey());
-    SealPool pool(1);
-    Rng rng(78);
-    const Bytes pt = rng.bytes(100000);
-    constexpr std::size_t kChunk = 16 * 1024;
-    const std::size_t nchunks = (pt.size() + kChunk - 1) / kChunk;
-    Bytes sealed(nchunks * (kChunk + OcbTagSize));
-    pool.sealChunks(ocb, 3, 1, pt.data(), pt.size(), kChunk,
-                    sealed.data());
-    Bytes recovered(pt.size());
-    ASSERT_TRUE(pool.openChunks(ocb, 3, 1, sealed.data(), pt.size(),
-                                kChunk, recovered.data())
-                    .isOk());
-    EXPECT_EQ(recovered, pt);
 }
 
 // ----- Steady-state sealing allocates nothing --------------------------

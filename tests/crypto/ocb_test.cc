@@ -1,12 +1,16 @@
 /**
  * @file
- * OCB-AES-128 tests: RFC 7253 Appendix A known-answer vectors plus
- * round-trip, tamper-detection, and nonce-sensitivity properties.
+ * OCB-AES-128 tests: RFC 7253 Appendix A known-answer vectors (the
+ * sample results and the iterated vector), a block-at-a-time oracle
+ * written from RFC 7253 Section 4 that checks the wide loops byte for
+ * byte, plus round-trip, tamper-detection, and nonce-sensitivity
+ * properties.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/byte_utils.h"
 #include "common/rng.h"
@@ -109,6 +113,219 @@ TEST(OcbTest, Rfc7253KnownAnswers)
             ASSERT_TRUE(back.isOk());
             EXPECT_EQ(*back, pt);
         }
+    }
+}
+
+// ----- Block-at-a-time oracle (RFC 7253 Section 4) --------------------
+
+/**
+ * OCB-ENCRYPT exactly as RFC 7253 Section 4 states it, one block at a
+ * time over Aes128::encryptBlock on the reference engine: L_i grown by
+ * doubling on demand, ntz by shifting, Offset_0 taken bit by bit out
+ * of Stretch. It shares no code with Ocb, so it checks the production
+ * wide loops against the specification rather than against
+ * themselves.
+ */
+class OcbOracle
+{
+  public:
+    explicit OcbOracle(const AesKey &key)
+        : aes_(key, AesEngine::Reference)
+    {
+        AesBlock zero{};
+        l_star_ = enc(zero);
+        l_dollar_ = dbl(l_star_);
+        l_.push_back(dbl(l_dollar_));
+    }
+
+    /** C || Tag for (N, A, P). */
+    Bytes
+    encrypt(const OcbNonce &n, const Bytes &a, const Bytes &p)
+    {
+        // Nonce = num2str(TAGLEN mod 128, 7) || zeros || 1 || N.
+        AesBlock nonce{};
+        nonce[15 - n.size()] = 0x01;
+        std::memcpy(nonce.data() + 16 - n.size(), n.data(), n.size());
+        const unsigned bottom = nonce[15] & 0x3f;
+        AesBlock top_in = nonce;
+        top_in[15] &= 0xc0;
+        const AesBlock ktop = enc(top_in);
+        std::uint8_t stretch[24];
+        std::memcpy(stretch, ktop.data(), 16);
+        for (int i = 0; i < 8; ++i)
+            stretch[16 + i] = ktop[i] ^ ktop[i + 1];
+        AesBlock offset{};
+        for (unsigned bit = 0; bit < 128; ++bit) {
+            const unsigned src = bit + bottom;
+            if ((stretch[src / 8] >> (7 - src % 8)) & 1)
+                offset[bit / 8] |= 0x80 >> (bit % 8);
+        }
+
+        AesBlock checksum{};
+        Bytes out;
+        const std::size_t m = p.size() / 16;
+        for (std::size_t i = 1; i <= m; ++i) {
+            offset = xr(offset, L(ntz(i)));
+            const AesBlock pi = blockAt(p, (i - 1) * 16);
+            const AesBlock ci = xr(offset, enc(xr(pi, offset)));
+            out.insert(out.end(), ci.begin(), ci.end());
+            checksum = xr(checksum, pi);
+        }
+        const std::size_t rest = p.size() % 16;
+        if (rest > 0) {
+            offset = xr(offset, l_star_);
+            const AesBlock pad = enc(offset);
+            AesBlock padded{};
+            for (std::size_t j = 0; j < rest; ++j) {
+                out.push_back(p[m * 16 + j] ^ pad[j]);
+                padded[j] = p[m * 16 + j];
+            }
+            padded[rest] = 0x80;
+            checksum = xr(checksum, padded);
+        }
+        const AesBlock tag =
+            xr(enc(xr(xr(checksum, offset), l_dollar_)), hash(a));
+        out.insert(out.end(), tag.begin(), tag.end());
+        return out;
+    }
+
+  private:
+    AesBlock
+    enc(const AesBlock &in) const
+    {
+        AesBlock out;
+        aes_.encryptBlock(in.data(), out.data());
+        return out;
+    }
+
+    static AesBlock
+    xr(const AesBlock &a, const AesBlock &b)
+    {
+        AesBlock out;
+        for (std::size_t i = 0; i < 16; ++i)
+            out[i] = a[i] ^ b[i];
+        return out;
+    }
+
+    /** double(S): S << 1, xor 0x87 into the last byte on carry-out. */
+    static AesBlock
+    dbl(const AesBlock &s)
+    {
+        AesBlock out;
+        for (std::size_t i = 0; i < 16; ++i)
+            out[i] = static_cast<std::uint8_t>(
+                (s[i] << 1) | (i + 1 < 16 ? s[i + 1] >> 7 : 0));
+        if (s[0] & 0x80)
+            out[15] ^= 0x87;
+        return out;
+    }
+
+    static std::size_t
+    ntz(std::size_t i)
+    {
+        std::size_t n = 0;
+        for (; (i & 1) == 0; i >>= 1)
+            ++n;
+        return n;
+    }
+
+    static AesBlock
+    blockAt(const Bytes &b, std::size_t off)
+    {
+        AesBlock out;
+        std::memcpy(out.data(), b.data() + off, 16);
+        return out;
+    }
+
+    const AesBlock &
+    L(std::size_t i)
+    {
+        while (l_.size() <= i)
+            l_.push_back(dbl(l_.back()));
+        return l_[i];
+    }
+
+    AesBlock
+    hash(const Bytes &a)
+    {
+        AesBlock sum{};
+        AesBlock offset{};
+        const std::size_t m = a.size() / 16;
+        for (std::size_t i = 1; i <= m; ++i) {
+            offset = xr(offset, L(ntz(i)));
+            sum = xr(sum, enc(xr(blockAt(a, (i - 1) * 16), offset)));
+        }
+        const std::size_t rest = a.size() % 16;
+        if (rest > 0) {
+            offset = xr(offset, l_star_);
+            AesBlock padded{};
+            std::memcpy(padded.data(), a.data() + m * 16, rest);
+            padded[rest] = 0x80;
+            sum = xr(sum, enc(xr(padded, offset)));
+        }
+        return sum;
+    }
+
+    Aes128 aes_;
+    AesBlock l_star_;
+    AesBlock l_dollar_;
+    std::vector<AesBlock> l_;
+};
+
+TEST(OcbTest, WideLoopMatchesBlockAtATimeOracle)
+{
+    // Every length here reaches the eight-block wide loop (128 bytes
+    // and up); the odd ones also leave full-block and partial tails.
+    Rng rng(20);
+    AesKey key;
+    rng.fill(key.data(), key.size());
+    OcbOracle oracle(key);
+    const Ocb engines[] = {Ocb(key, AesEngine::Fast),
+                           Ocb(key, AesEngine::TTable),
+                           Ocb(key, AesEngine::Reference)};
+    for (std::size_t len : {128u, 129u, 255u, 256u, 4096u, 4113u, 65536u,
+                            65551u, 1u << 20}) {
+        SCOPED_TRACE(len);
+        const Bytes pt = rng.bytes(len);
+        const Bytes ad = rng.bytes(len % 53);
+        const OcbNonce n = makeNonce(3, len);
+        const Bytes expected = oracle.encrypt(n, ad, pt);
+        for (const Ocb &ocb : engines) {
+            SCOPED_TRACE(static_cast<int>(ocb.engine()));
+            const Bytes ct = ocb.encrypt(n, ad, pt);
+            EXPECT_TRUE(ct == expected) << "ciphertext differs from oracle";
+            auto back = ocb.decrypt(n, ad, expected);
+            ASSERT_TRUE(back.isOk());
+            EXPECT_TRUE(*back == pt) << "decrypt differs from plaintext";
+        }
+    }
+}
+
+TEST(OcbTest, Rfc7253IteratedVector)
+{
+    // RFC 7253 Appendix A: K = zeros(KEYLEN-8) || num2str(TAGLEN,8);
+    // for i = 0..127, S = zeros(8i) (i zero bytes) and C gathers
+    // OCB-ENCRYPT(K,N,S,S), (K,N,<empty>,S) and (K,N,S,<empty>) under
+    // nonces num2str(3i+1..3i+3, 96). The answer is
+    // OCB-ENCRYPT(K, num2str(385,96), C, <empty>).
+    AesKey key{};
+    key[15] = 0x80;
+    for (AesEngine engine : {AesEngine::Fast, AesEngine::TTable,
+                             AesEngine::Reference}) {
+        SCOPED_TRACE(static_cast<int>(engine));
+        Ocb ocb(key, engine);
+        Bytes c;
+        for (std::uint64_t i = 0; i < 128; ++i) {
+            const Bytes s(i, 0);
+            for (const Bytes &part :
+                 {ocb.encrypt(makeNonce(0, 3 * i + 1), s, s),
+                  ocb.encrypt(makeNonce(0, 3 * i + 2), {}, s),
+                  ocb.encrypt(makeNonce(0, 3 * i + 3), s, {})})
+                c.insert(c.end(), part.begin(), part.end());
+        }
+        ASSERT_EQ(c.size(), 22400u);
+        EXPECT_EQ(toHex(ocb.encrypt(makeNonce(0, 385), c, {})),
+                  "67e944d23256c5e0b6c61fa22fdf1ea2");
     }
 }
 

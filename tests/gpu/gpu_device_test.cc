@@ -381,6 +381,32 @@ TEST_F(GpuDeviceTest, TamperedCiphertextFailsInGpu)
     EXPECT_EQ(gpu_.stats().macFailures, 1u);
 }
 
+TEST_F(GpuDeviceTest, OcbLengthBeyondVramRejected)
+{
+    // With a live session key, an OCB command whose length exceeds
+    // VRAM must set the error status before any scratch grows.
+    submit(GpuOp::CtxCreate, 1, {});
+    submit(GpuOp::Map, 1, {0x100000, 0x200000, mem::PageSize});
+    Rng rng(3);
+    auto host_pair = crypto::X25519KeyPair::generate(rng);
+    ASSERT_TRUE(ram_.writeAt(0x1000, host_pair.publicKey.data(),
+                             crypto::X25519KeySize)
+                    .isOk());
+    submit(GpuOp::CopyH2D, 1, {0x1000, 0x100000, crypto::X25519KeySize});
+    submit(GpuOp::DhMix, 1, {0, 0x100000, 0x100100});
+    submit(GpuOp::DhSetKey, 1, {0, 0x100000});
+    expectOk();
+    ASSERT_TRUE(gpu_.keySlotActive(0));
+
+    for (GpuOp op : {GpuOp::OcbEncrypt, GpuOp::OcbDecrypt}) {
+        submit(op, 1, {0, 0x100000, 0x100000, 1ull << 62, 1, 1});
+        expectError();
+        EXPECT_NE(gpu_.lastError().find("exceeds VRAM"), std::string::npos)
+            << gpu_.lastError();
+    }
+    EXPECT_EQ(gpu_.stats().cryptoKernels, 0u);
+}
+
 TEST_F(GpuDeviceTest, CryptoWithoutKeyFails)
 {
     submit(GpuOp::CtxCreate, 1, {});

@@ -1,14 +1,16 @@
 /**
  * @file
  * End-to-end tests of the trusted runtime against the GPU enclave:
- * session setup, encrypted transfers (single- and multi-chunk),
- * kernel execution on decrypted data, multi-session isolation,
- * data-path variants, and attacker-facing properties.
+ * session setup, encrypted transfers (single- and multi-chunk, and at
+ * every chunk edge), kernel execution on decrypted data, multi-session
+ * isolation, chunk bounds, data-path variants, and attacker-facing
+ * properties.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/byte_utils.h"
+#include "common/rng.h"
 #include "hix/baseline_runtime.h"
 #include "hix/gpu_enclave.h"
 #include "hix/trusted_runtime.h"
@@ -254,6 +256,106 @@ TEST_F(RuntimeTest, HixTraceContainsCryptoAndTransferOps)
     EXPECT_GT(trace.totalDuration(sim::OpKind::Transfer), 0u);
     EXPECT_EQ(trace.totalBytes(sim::OpKind::CryptoCpu), 1 * MiB);
 }
+
+TEST_F(RuntimeTest, OutOfBoundsChunkRejectedBeforeDma)
+{
+    // A chunk whose ciphertext overflows a GPU staging slot, or whose
+    // ring window leaves the session's shared memory, must fail with
+    // InvalidArgument before any DMA and leave the session usable.
+    TrustedRuntime user(&machine_, ge_.get(), "app");
+    ASSERT_TRUE(user.connect().isOk());
+    auto va = user.memAlloc(4096);
+    ASSERT_TRUE(va.isOk());
+    const std::uint32_t sid = user.sessionId();
+
+    // A staging slot holds one chunk's ciphertext, page-rounded.
+    const std::uint64_t chunk =
+        machine_.config().timing.pipelineChunkBytes / config_.timingScale;
+    const std::uint64_t slot =
+        (chunk + crypto::OcbTagSize + mem::PageSize - 1) &
+        ~(mem::PageSize - 1);
+    auto push = [&](std::uint64_t ring_off, std::uint64_t len) {
+        return ge_->pushChunkHtoD(sid, ring_off, len, *va, 1,
+                                  sim::InvalidOpId)
+            .status()
+            .code();
+    };
+    auto pull = [&](std::uint64_t ring_off, std::uint64_t len) {
+        return ge_->pullChunkDtoH(sid, *va, len, ring_off, 1,
+                                  sim::InvalidOpId)
+            .status()
+            .code();
+    };
+    const std::uint64_t lens[] = {~0ull - 15, 1ull << 40,
+                                  slot - crypto::OcbTagSize + 1};
+    for (std::uint64_t len : lens) {
+        SCOPED_TRACE(len);
+        EXPECT_EQ(push(0, len), StatusCode::InvalidArgument);
+        EXPECT_EQ(pull(0, len), StatusCode::InvalidArgument);
+    }
+    const std::uint64_t ring = user.sharedRing().size;
+    const std::uint64_t ring_offs[] = {ring - 16, ring, 1ull << 40, ~0ull};
+    for (std::uint64_t ring_off : ring_offs) {
+        SCOPED_TRACE(ring_off);
+        EXPECT_EQ(push(ring_off, 100), StatusCode::InvalidArgument);
+        EXPECT_EQ(pull(ring_off, 100), StatusCode::InvalidArgument);
+    }
+
+    const Bytes data = patternBytes(1000);
+    ASSERT_TRUE(user.memcpyHtoD(*va, data).isOk());
+    auto back = user.memcpyDtoH(*va, data.size());
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(*back, data);
+}
+
+/** A transfer of chunks * chunk + delta bytes, named for the test id. */
+struct ChunkEdge
+{
+    const char *name;
+    std::uint64_t chunks;
+    std::int64_t delta;
+};
+
+class RuntimeChunkEdgeTest : public RuntimeTest,
+                             public ::testing::WithParamInterface<ChunkEdge>
+{
+};
+
+TEST_P(RuntimeChunkEdgeTest, TwoRoundTripsOnOneSession)
+{
+    const std::uint64_t chunk =
+        machine_.config().timing.pipelineChunkBytes / config_.timingScale;
+    const std::uint64_t size = GetParam().chunks * chunk + GetParam().delta;
+    TrustedRuntime user(&machine_, ge_.get(), "app");
+    ASSERT_TRUE(user.connect().isOk());
+    auto va = user.memAlloc(size);
+    ASSERT_TRUE(va.isOk());
+
+    // Random bytes, so no two chunks share a plaintext. The second
+    // transfer starts from the nonce counters the first one left, so
+    // it opens only if both sides stayed in step.
+    Rng rng(size);
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
+        const Bytes data = rng.bytes(size);
+        ASSERT_TRUE(user.memcpyHtoD(*va, data).isOk());
+        auto back = user.memcpyDtoH(*va, size);
+        ASSERT_TRUE(back.isOk()) << back.status().toString();
+        EXPECT_TRUE(*back == data);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChunkEdges, RuntimeChunkEdgeTest,
+    ::testing::Values(ChunkEdge{"one_byte", 0, 1},
+                      ChunkEdge{"chunk_minus_one", 1, -1},
+                      ChunkEdge{"one_chunk", 1, 0},
+                      ChunkEdge{"chunk_plus_one", 1, 1},
+                      ChunkEdge{"two_chunks", 2, 0},
+                      ChunkEdge{"two_chunks_plus_17", 2, 17}),
+    [](const ::testing::TestParamInfo<ChunkEdge> &info) {
+        return std::string(info.param.name);
+    });
 
 class NaiveCopyTest : public ::testing::Test
 {
