@@ -32,7 +32,7 @@ hostThreads()
 }
 
 /** One configuration recorded serially, then in parallel, then as the
- * streaming schedule-while-recording pipeline: the ticks must be
+ * streaming merge-while-recording pipeline: the ticks must be
  * bit-identical all three ways (the runner's headline guarantee); the
  * host wall-clock ratios are the recording speedup and the pipeline
  * overlap the two parallel modes buy. */
@@ -198,8 +198,6 @@ runFigure(int users, bench::BenchJson &json)
             .metric("ticks_streaming", double(base.streaming->ticks))
             .metric("host_ms_streaming", base.streamingMs)
             .metric("stream_overlap", base.overlap())
-            .metric("stream_join_ops",
-                    double(base.streaming->streamStats.joinOps))
             .metric("stream_queue_depth_max",
                     double(base.streaming->streamQueueDepthMax))
             .metric("ticks_fork", double(base.forked->ticks))
@@ -224,8 +222,6 @@ runFigure(int users, bench::BenchJson &json)
             .metric("ticks_streaming", double(secure.streaming->ticks))
             .metric("host_ms_streaming", secure.streamingMs)
             .metric("stream_overlap", secure.overlap())
-            .metric("stream_join_ops",
-                    double(secure.streaming->streamStats.joinOps))
             .metric("stream_queue_depth_max",
                     double(secure.streaming->streamQueueDepthMax))
             .metric("ticks_fork", double(secure.forked->ticks))
@@ -314,21 +310,20 @@ runVoltaAblation(int users)
 /**
  * Volta preset as measured rows: per-context compute queues, DMA
  * channels, and HIX enclave dispatch lanes all sized so every user
- * owns a private slice of each engine bank. With no shared timing
- * resources between shards, the streaming scheduler's finish() join
- * has nothing left to reschedule — stream_join_ops must be 0 and the
- * streaming/fork ticks bit-identical to the two-phase schedule. The
- * CI perf-smoke gate asserts both on every "volta " row.
+ * owns a private slice of each engine bank. The streaming run and the
+ * forked streaming run must score ticks bit-identical to the
+ * two-phase schedule; the CI perf-smoke gate asserts both on every
+ * "volta " row.
  */
 void
 runVoltaRows(bench::BenchJson &json)
 {
     std::printf(
-        "Volta preset: per-context queues/channels/lanes => join-free "
-        "streaming\n\n");
+        "Volta preset: per-context queues/channels/lanes, streaming "
+        "and fork vs two-phase\n\n");
     std::printf(
-        " App  | users | runtime | ticks (ms) | join ops | stream "
-        "identical | fork identical\n");
+        " App  | users | runtime | ticks (ms) | stream identical | "
+        "fork identical\n");
     for (const char *app : {"BP", "NN"}) {
         for (int users : {2, 4, 8, 16}) {
             for (bool use_hix : {false, true}) {
@@ -366,11 +361,9 @@ runVoltaRows(bench::BenchJson &json)
                 const bool fork_same =
                     forked->ticks == two_phase->ticks;
                 std::printf(
-                    "%-5s | %5d | %-7s | %10.2f | %8llu | %16s | %s\n",
+                    "%-5s | %5d | %-7s | %10.2f | %16s | %s\n",
                     app, users, use_hix ? "hix" : "gdev",
                     two_phase->milliseconds(),
-                    static_cast<unsigned long long>(
-                        streaming->streamStats.joinOps),
                     stream_same ? "ok" : "MISMATCH",
                     fork_same ? "ok" : "MISMATCH");
                 const std::string config_name =
@@ -382,12 +375,6 @@ runVoltaRows(bench::BenchJson &json)
                     .metric("ticks_streaming",
                             double(streaming->ticks))
                     .metric("ticks_fork", double(forked->ticks))
-                    .metric("stream_join_ops",
-                            double(streaming->streamStats.joinOps))
-                    .metric("stream_join_ops_fork",
-                            double(forked->streamStats.joinOps))
-                    .metric("stream_reused_ops",
-                            double(streaming->streamStats.reusedOps))
                     .metric("host_ms_streaming_volta", streaming_ms)
                     .metric("stream_queue_depth_max",
                             double(streaming->streamQueueDepthMax));

@@ -79,8 +79,7 @@ struct PlatformConfig
      * per-context protected DMA channels: context c of device d lands
      * on channel d * gpuDmaChannels + c % gpuDmaChannels, exactly the
      * device-blocked layout the compute queues use, so concurrent
-     * contexts stop contending on copies (and the streaming
-     * scheduler's shard-private intake results survive the join).
+     * contexts stop contending on copies.
      * Must be a power of two so the canonical context-id blocks
      * (DeviceCtxStride, ShardMgmtCtx) stay congruent at record time.
      */

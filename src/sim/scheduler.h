@@ -23,9 +23,9 @@
  *    the executable specification; the golden-equivalence tests
  *    assert the two produce bit-identical results.
  *
- * StreamingScheduler is the streaming pipeline's front-end: it scores
- * shards as they arrive and joins them once, with a result
- * bit-identical to schedule() on the merged trace.
+ * Both recording loops of the multi-user runner (two-phase and
+ * streaming) merge their shards into one Trace and score it with
+ * schedule(); there is no incremental or per-shard engine.
  */
 
 #ifndef HIX_SIM_SCHEDULER_H_
@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -113,77 +112,6 @@ ScheduleResult scheduleReference(const Trace &trace,
 /** Dispatch on a SchedulerEngine knob (RunConfig::schedulerEngine). */
 ScheduleResult scheduleWith(SchedulerEngine engine, const Trace &trace,
                             const SchedulerConfig &config = {});
-
-/** Work counters of one StreamingScheduler run (filled by finish()). */
-struct StreamingStats
-{
-    std::uint64_t shards = 0;      //!< addShard() calls accepted
-    std::uint64_t earlyComps = 0;  //!< components scheduled at intake
-    std::uint64_t reusedComps = 0; //!< intake results that survived the join
-    std::uint64_t reusedOps = 0;   //!< ops covered by surviving results
-    std::uint64_t joinOps = 0;     //!< ops (re)scheduled at the join
-};
-
-/**
- * Streaming scheduler: accepts completed per-user shards
- * incrementally while later shards are still being recorded, and
- * produces a ScheduleResult bit-identical to schedule() on the merged
- * trace.
- *
- * addShard() must be called in merge order (user-index order for the
- * multi-user runner) because merged op ids are append-order dependent;
- * the runner's consumer holds out-of-order shard completions in a
- * reorder buffer. Each call appends the shard into the merged trace
- * and eagerly schedules every shard component whose resources have not
- * been seen in an earlier shard on a cache-lean serial core — those
- * are exactly the components that cannot be perturbed by *earlier*
- * work. A later shard that touches one of the component's resources
- * invalidates the speculative result.
- *
- * finish() pays the cross-shard merge exactly once: components whose
- * resource set stayed private to one shard keep their intake results
- * verbatim; the groups connected across shards by a shared resource
- * are (re)scheduled on a worker pool, one group per task. When no
- * intake result survives (on the Fermi preset the DMA engines and the
- * single compute engine tie all users together) the whole merged trace
- * goes to schedule(). The streaming golden wall
- * (tests/workloads/streaming_record_schedule_test.cc) enforces
- * bit-identity on every ScheduleResult field at every thread count.
- */
-class StreamingScheduler
-{
-  public:
-    /** @p threads sizes the join's worker pool (0 = hardware
-     *  concurrency). */
-    explicit StreamingScheduler(const SchedulerConfig &config = {},
-                                unsigned threads = 0);
-    ~StreamingScheduler();
-
-    StreamingScheduler(const StreamingScheduler &) = delete;
-    StreamingScheduler &operator=(const StreamingScheduler &) = delete;
-
-    /** Append the next shard in merge order and eagerly schedule its
-     *  still-private components. Must not be called after finish(). */
-    void addShard(const Trace &shard,
-                  const Trace::AppendRemap &remap = {});
-
-    /** Final join: (re)schedule every cross-shard component group,
-     *  fold in surviving intake results, and merge stats once. */
-    ScheduleResult finish();
-
-    /** The incrementally merged trace (stable after finish()). */
-    const Trace &merged() const;
-
-    /** Move the merged trace out (for RunConfig::keepTrace). */
-    Trace takeMerged();
-
-    /** Intake/join work counters (complete after finish()). */
-    const StreamingStats &stats() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace hix::sim
 

@@ -216,69 +216,6 @@ traceDigest(const Trace &trace)
     return h;
 }
 
-Trace::Components
-Trace::components() const
-{
-    Components out;
-    const std::size_t n = ops_.size();
-    out.opComponent.assign(n, 0);
-    if (n == 0)
-        return out;
-
-    // Union-find over distinct resources; ops inherit the component
-    // of their resource, dependency edges union the two resources.
-    std::unordered_map<ResourceId, std::uint32_t, ResourceIdHash>
-        res_index;
-    std::vector<std::uint32_t> res_of(n);
-    std::vector<std::uint32_t> parent;
-    {
-        ResourceId cached_res{};
-        std::uint32_t cached_idx = ~0u;
-        for (const Op &op : ops_) {
-            if (cached_idx == ~0u || !(op.resource == cached_res)) {
-                auto [it, inserted] = res_index.try_emplace(
-                    op.resource,
-                    static_cast<std::uint32_t>(parent.size()));
-                if (inserted)
-                    parent.push_back(it->second);
-                cached_res = op.resource;
-                cached_idx = it->second;
-            }
-            res_of[op.id] = cached_idx;
-        }
-    }
-
-    auto find = [&](std::uint32_t x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];  // path halving
-            x = parent[x];
-        }
-        return x;
-    };
-
-    for (const Op &op : ops_) {
-        const std::uint32_t a = find(res_of[op.id]);
-        for (OpId d : deps(op)) {
-            const std::uint32_t b = find(res_of[d]);
-            if (a != b)
-                parent[b] = a;
-        }
-    }
-
-    // Dense component ids in first-appearance op order.
-    std::vector<std::uint32_t> dense(parent.size(), ~0u);
-    for (const Op &op : ops_) {
-        const std::uint32_t root = find(res_of[op.id]);
-        if (dense[root] == ~0u) {
-            dense[root] = out.count++;
-            out.sizes.push_back(0);
-        }
-        out.opComponent[op.id] = dense[root];
-        ++out.sizes[dense[root]];
-    }
-    return out;
-}
-
 void
 Trace::overwriteDepsForTest(OpId id, std::span<const OpId> deps)
 {

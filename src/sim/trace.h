@@ -241,37 +241,6 @@ class Trace
     OpId append(const Trace &other, const AppendRemap &remap);
 
     /**
-     * Resource-connected components of this trace.
-     *
-     * Two ops are connected when one depends on the other or when
-     * they occupy the same resource; components are the transitive
-     * closure. Ops in different components never interact under the
-     * greedy list scheduler — they share no resource and no
-     * dependency path — so each component is an independent
-     * scheduling sub-problem (the streaming scheduler schedules a
-     * shard's private components at intake). Per-user shards merged
-     * via append() land in disjoint components exactly when their
-     * resource sets are disjoint.
-     */
-    struct Components
-    {
-        /** Number of components. */
-        std::uint32_t count = 0;
-        /**
-         * Component of each op (indexed by OpId). Component ids are
-         * dense and assigned in first-appearance op order, so the
-         * partition is deterministic for a given trace.
-         */
-        std::vector<std::uint32_t> opComponent;
-        /** Ops per component (indexed by component id). The streaming
-         *  scheduler sizes its per-component member lists from this. */
-        std::vector<std::uint32_t> sizes;
-    };
-
-    /** Compute the resource-connected components (one pass). */
-    Components components() const;
-
-    /**
      * Test-only: overwrite an op's dependency list without the
      * forward-reference check, so scheduler cycle-detection paths can
      * be exercised. Never call from modelled software.

@@ -1,5 +1,6 @@
 #include "sim/trace_export.h"
 
+#include <algorithm>
 #include <map>
 
 namespace hix::sim
@@ -23,6 +24,20 @@ escaped(const std::string &s)
         }
     }
     return out;
+}
+
+/**
+ * Write @p ticks (ns) as exact decimal microseconds, the format's
+ * unit, from integers only: a double through operator<< keeps six
+ * significant digits, which rounds any timestamp past 1 s to 10 us.
+ */
+void
+writeMicros(std::ostream &os, Tick ticks)
+{
+    const Tick ns = ticks % 1000;
+    os << ticks / 1000 << '.' << static_cast<char>('0' + ns / 100)
+       << static_cast<char>('0' + ns / 10 % 10)
+       << static_cast<char>('0' + ns % 10);
 }
 
 }  // namespace
@@ -53,20 +68,16 @@ exportChromeTrace(const Trace &trace, const ScheduleResult &schedule,
     }
 
     for (const Op &op : trace.ops()) {
-        const double start_us =
-            static_cast<double>(schedule.start[op.id]) / 1000.0;
-        double dur_us =
-            static_cast<double>(op.duration) / 1000.0;
-        if (dur_us < 0.05)
-            dur_us = 0.05;  // keep ops visible
         const std::string &label = trace.labelOf(op);
         os << ",{\"name\":\""
            << escaped(label.empty() ? opKindName(op.kind) : label)
            << "\",\"cat\":\"" << opKindName(op.kind)
            << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-           << tids[op.resource] << ",\"ts\":" << start_us
-           << ",\"dur\":" << dur_us << ",\"args\":{\"op\":" << op.id
-           << ",\"bytes\":" << op.bytes;
+           << tids[op.resource] << ",\"ts\":";
+        writeMicros(os, schedule.start[op.id]);
+        os << ",\"dur\":";
+        writeMicros(os, std::max<Tick>(op.duration, 50));  // keep visible
+        os << ",\"args\":{\"op\":" << op.id << ",\"bytes\":" << op.bytes;
         if (op.gpuCtx != NoGpuContext)
             os << ",\"gpu_ctx\":" << op.gpuCtx;
         os << "}}";

@@ -20,8 +20,9 @@ namespace hix::sim
 
 /**
  * Write @p trace with its @p schedule as trace-event JSON to @p os.
- * Durations are emitted in microseconds (the format's native unit);
- * sub-microsecond ops are clamped to a minimum visible width.
+ * Timestamps and durations are emitted as exact decimal microseconds
+ * (the format's native unit) with nanosecond digits; ops shorter than
+ * 50 ns are widened to 50 ns so they stay visible.
  */
 void exportChromeTrace(const Trace &trace,
                        const ScheduleResult &schedule, std::ostream &os);

@@ -494,42 +494,34 @@ recordShard(const RunConfig &config, Workload &job,
     return shard;
 }
 
-/**
- * Merge shards in session-index order, score, and package.
- * @p session_ranges receives each shard's [begin, end) op-id range in
- * the merged trace, in shard order — the pool derives per-session
- * finish times from these.
- */
-Result<RunOutcome>
-collectOutcome(std::vector<Result<Shard>> &shards,
-               const RunConfig &config,
-               std::vector<std::pair<std::size_t, std::size_t>>
-                   &session_ranges)
+/** The lowest-index failed shard's status, or Ok: deterministic error
+ *  reporting, whichever recording worker failed first. */
+Status
+firstFailure(const std::vector<Result<Shard>> &shards)
 {
-    // Deterministic error reporting: the lowest-index failure wins,
-    // regardless of which shard thread failed first.
-    for (auto &shard : shards)
+    for (const auto &shard : shards)
         if (!shard.isOk())
             return shard.status();
+    return Status::ok();
+}
 
-    sim::Trace merged;
-    std::size_t total_ops = 0;
-    for (auto &shard : shards)
-        total_ops += (*shard).trace.size();
-    merged.reserve(total_ops);
-    for (auto &shard : shards) {
-        const std::size_t begin = merged.size();
-        merged.append((*shard).trace, (*shard).remap);
-        session_ranges.emplace_back(begin, merged.size());
-    }
-
+/**
+ * Shared tail of both recording loops. @p shards are every session's
+ * shards in session order, all recorded, with their traces already
+ * appended into @p merged in that order. Fold the per-shard counters,
+ * score the merged trace, export it and keep it on request.
+ */
+RunOutcome
+scoreRun(const RunConfig &config,
+         const std::vector<Result<Shard>> &shards, sim::Trace merged)
+{
     RunOutcome outcome;
-    for (auto &shard : shards) {
-        outcome.tlbHits += (*shard).tlbHits;
-        outcome.tlbMisses += (*shard).tlbMisses;
-        outcome.iotlbHits += (*shard).iotlbHits;
-        outcome.hostBootMs += (*shard).bootMs;
-        outcome.residentPages += (*shard).residentPages;
+    for (const auto &shard : shards) {
+        outcome.tlbHits += shard->tlbHits;
+        outcome.tlbMisses += shard->tlbMisses;
+        outcome.iotlbHits += shard->iotlbHits;
+        outcome.hostBootMs += shard->bootMs;
+        outcome.residentPages += shard->residentPages;
     }
     outcome.schedulerConfig.gpuCtxSwitchTicks =
         config.machine.timing.gpuCtxSwitch;
@@ -645,14 +637,24 @@ runSessionPool(const RunConfig &config,
     }
     const auto record_end = SteadyClock::now();
 
+    HIX_RETURN_IF_ERROR(firstFailure(shards));
+    // Merge in session-index order; ranges[i] is session i's
+    // [begin, end) op-id range in the merged trace.
+    sim::Trace merged;
+    std::size_t total_ops = 0;
+    for (const auto &shard : shards)
+        total_ops += shard->trace.size();
+    merged.reserve(total_ops);
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
     ranges.reserve(n);
-    auto outcome = collectOutcome(shards, config, ranges);
-    if (!outcome.isOk())
-        return outcome.status();
+    for (auto &shard : shards) {
+        const std::size_t begin = merged.size();
+        merged.append(shard->trace, shard->remap);
+        ranges.emplace_back(begin, merged.size());
+    }
 
     PoolOutcome pool;
-    pool.run = std::move(*outcome);
+    pool.run = scoreRun(config, shards, std::move(merged));
     pool.run.hostRecordMs = msBetween(record_start, record_end);
     pool.run.hostScheduleMs =
         msBetween(record_end, SteadyClock::now());
@@ -703,36 +705,21 @@ runWorkloadStreaming(const RunConfig &config)
     const std::uint64_t scale = jobs[0]->timingScale();
     const int workers = recordWorkers(config.recordThreads, config.users);
 
-    RunOutcome outcome;
-    outcome.schedulerConfig.gpuCtxSwitchTicks =
-        config.machine.timing.gpuCtxSwitch;
-    sim::StreamingScheduler streamer(outcome.schedulerConfig,
-                                     config.schedulerThreads);
-
-    // Shards feed the scheduler in user-index order (the reorder
-    // buffer below restores it), so the first failure met in order IS
-    // the lowest-index failure — the same deterministic error the
-    // two-phase path reports. After a failure the remaining shards
-    // are still recorded and drained (never fed), which keeps every
-    // producer's final push unblocked and the workload side effects
-    // identical to a two-phase failed run.
-    bool failed = false;
-    Status failure;
+    // Shards arrive here in user-index order (the reorder buffer below
+    // restores it); each recorded trace is appended into the merged
+    // trace at once and its own copy freed, so at most the queue's
+    // shards are held besides the merged trace. A failed shard is kept
+    // for firstFailure(), which reports the lowest-index failure, the
+    // same deterministic error the two-phase path reports.
+    std::vector<Result<Shard>> shards;
+    shards.reserve(config.users);
+    sim::Trace merged;
     auto consume = [&](Result<Shard> &&shard) {
-        if (failed)
-            return;
-        if (!shard.isOk()) {
-            failed = true;
-            failure = shard.status();
-            return;
+        if (shard.isOk()) {
+            merged.append(shard->trace, shard->remap);
+            shard->trace = sim::Trace();
         }
-        Shard &s = *shard;
-        outcome.tlbHits += s.tlbHits;
-        outcome.tlbMisses += s.tlbMisses;
-        outcome.iotlbHits += s.iotlbHits;
-        outcome.hostBootMs += s.bootMs;
-        outcome.residentPages += s.residentPages;
-        streamer.addShard(s.trace, s.remap);
+        shards.push_back(std::move(shard));
     };
 
     const auto record_start = SteadyClock::now();
@@ -743,14 +730,13 @@ runWorkloadStreaming(const RunConfig &config)
         if (!built.isOk())
             return built.status();
         tpl.emplace(std::move(*built));
-        outcome.hostBootMs += tpl->buildMs;
     }
     const SessionTemplate *tpl_ptr = tpl ? &*tpl : nullptr;
+    std::uint32_t queue_depth_max = 0;
     if (workers == 1) {
-        // Serial: record and feed each shard in turn on the calling
-        // thread. Intake overlap is moot here; the path exists so the
-        // determinism tests can pin streaming == two-phase with the
-        // recording pool taken out of the picture.
+        // Serial: record and merge each shard in turn on the calling
+        // thread, so the determinism tests can pin streaming ==
+        // two-phase with the recording pool taken out of the picture.
         WorkerScratch scratch;
         for (int u = 0; u < config.users; ++u)
             consume(recordShard(config, *jobs[u],
@@ -775,8 +761,8 @@ runWorkloadStreaming(const RunConfig &config)
             });
         }
         // Consumer: pop one completion per user, park out-of-order
-        // arrivals in a reorder buffer, and feed the scheduler in
-        // user-index order (merged op ids are append-order dependent).
+        // arrivals in a reorder buffer, and merge in user-index order
+        // (merged op ids are append-order dependent).
         std::map<int, Result<Shard>> reorder;
         int next_user = 0;
         for (int received = 0; received < config.users; ++received) {
@@ -791,26 +777,17 @@ runWorkloadStreaming(const RunConfig &config)
         }
         for (auto &thread : threads)
             thread.join();
-        outcome.streamQueueDepthMax = queue.depthMax();
+        queue_depth_max = queue.depthMax();
     }
     const auto record_end = SteadyClock::now();
-    outcome.hostRecordMs = msBetween(record_start, record_end);
-    if (failed)
-        return failure;
+    HIX_RETURN_IF_ERROR(firstFailure(shards));
 
-    outcome.schedule = streamer.finish();
+    RunOutcome outcome = scoreRun(config, shards, std::move(merged));
+    outcome.hostRecordMs = msBetween(record_start, record_end);
     outcome.hostScheduleMs = msBetween(record_end, SteadyClock::now());
-    outcome.ticks = outcome.schedule.makespan;
-    outcome.gpuCtxSwitches = outcome.schedule.gpuCtxSwitches;
-    outcome.streamStats = streamer.stats();
-    if (!config.traceJsonPath.empty()) {
-        std::ofstream file(config.traceJsonPath);
-        sim::exportChromeTrace(streamer.merged(), outcome.schedule,
-                               file);
-    }
-    if (config.keepTrace)
-        outcome.trace =
-            std::make_shared<sim::Trace>(streamer.takeMerged());
+    if (tpl)
+        outcome.hostBootMs += tpl->buildMs;
+    outcome.streamQueueDepthMax = queue_depth_max;
     return outcome;
 }
 

@@ -16,12 +16,12 @@
  * runWorkload() is runSessionPool() over `users` closed-batch
  * sessions on device 0, unless RunConfig::streaming selects the
  * streaming pipeline: completed shards flow through a bounded queue
- * into a sim::StreamingScheduler that schedules shard-private
- * components while later users are still recording and pays the
- * cross-shard merge once at the final join. Both paths are
+ * and are merged in user-index order while later users are still
+ * recording. Both recording loops end in the same scoring tail
+ * (counter fold, one schedule pass, export), so both are
  * bit-identical — same traceDigest(), same ScheduleResult fields —
- * at every recording/scheduling thread count (see DESIGN.md
- * "Streaming pipeline").
+ * at every recording thread count (see DESIGN.md "Streaming
+ * pipeline").
  */
 
 #ifndef HIX_WORKLOADS_RUNNER_H_
@@ -88,21 +88,18 @@ struct RunConfig
      */
     std::function<void(int user, os::Machine &machine)> shardHook;
     /**
-     * Which scheduling engine scores the merged trace. Both engines
-     * are bit-identical (the golden suites enforce it); Reference is
-     * the quadratic oracle, for tests.
+     * Which scheduling engine scores the merged trace, on either
+     * recording loop. Both engines are bit-identical (the golden
+     * suites enforce it); Reference is the quadratic oracle, for
+     * tests.
      */
     sim::SchedulerEngine schedulerEngine = sim::SchedulerEngine::Fast;
-    /** Worker threads for the streaming join (0 = hardware count). */
-    unsigned schedulerThreads = 0;
     /**
-     * Stream completed shards into the scheduler while later users
-     * are still recording instead of running the two phases
-     * back-to-back. Opt-in; results are bit-identical to the
-     * two-phase path (the streaming golden wall enforces digest and
-     * full-ScheduleResult equality), only host wall-clock changes.
-     * When set, schedulerEngine is ignored — the streaming front-end
-     * scores the run, bit-identically to every engine.
+     * Merge completed shards into the trace while later users are
+     * still recording instead of running the two phases back-to-back.
+     * Opt-in; results are bit-identical to the two-phase path (the
+     * streaming golden wall enforces digest and full-ScheduleResult
+     * equality), only host wall-clock changes.
      */
     bool streaming = false;
     /**
@@ -156,17 +153,15 @@ struct RunOutcome
     /** Scheduler configuration the run was scored with. */
     sim::SchedulerConfig schedulerConfig;
     /**
-     * Host wall-clock of the two pipeline stages, for the streaming
-     * overlap metrics in bench_multiuser: recording (until the last
-     * shard is recorded; streaming intake work interleaves here) and
-     * merge+schedule (two-phase) or the final join (streaming).
+     * Host wall-clock of the two pipeline stages: recording (until
+     * the last shard is recorded; the streaming merge interleaves
+     * here) and the scoring tail — merge (two-phase only), schedule,
+     * export.
      */
     double hostRecordMs = 0;
     double hostScheduleMs = 0;
     /** Streaming only: high-water mark of the bounded shard queue. */
     std::uint32_t streamQueueDepthMax = 0;
-    /** Streaming only: front-end intake/join work counters. */
-    sim::StreamingStats streamStats;
     /**
      * Host wall-clock spent on session startup: the sum over all user
      * shards of the setup time before each recorded window opens
@@ -261,13 +256,14 @@ Result<PoolOutcome> runSessionPool(
 Result<RunOutcome> runWorkload(const RunConfig &config);
 
 /**
- * Streaming pipeline: record shards on the worker pool, feed each
- * completed shard through a bounded queue into a
- * sim::StreamingScheduler on the calling thread (a reorder buffer
- * restores user-index order), and score with one final join.
- * Bit-identical to runWorkload() with streaming off; error reporting
- * keeps the lowest-user-index-wins contract and the queue always
- * drains, so recording workers never block on a failed run. The same
+ * Streaming pipeline: record shards on the worker pool and hand each
+ * completed shard through a bounded queue to the calling thread,
+ * which appends it into the merged trace in user-index order (a
+ * reorder buffer restores it). The merged trace is then scored by the
+ * same tail as the two-phase path, so the result is bit-identical to
+ * runWorkload() with streaming off. Error reporting keeps the
+ * lowest-user-index-wins contract and the queue always drains, so
+ * recording workers never block on a failed run. The same
  * 65535-session limit and null-workload check as runSessionPool()
  * apply.
  */

@@ -56,6 +56,31 @@ TEST(TraceExportTest, EscapesLabels)
     EXPECT_NE(oss.str().find("we\\\"ird\\\\label"), std::string::npos);
 }
 
+TEST(TraceExportTest, TimestampsKeepNanosecondResolution)
+{
+    // Two back-to-back ops past the 1 s mark, 1.5 us apart: each must
+    // export its own exact start, not a six-significant-digit double.
+    Trace t;
+    const ResourceId cpu{ResUnit::UserCpu, 0};
+    OpId wait = t.add(cpu, 1'234'567'891, {}, OpKind::Control);
+    OpId a = t.add(cpu, 1'500, {wait}, OpKind::Control);
+    t.add(cpu, 20, {a}, OpKind::Control);
+    auto schedule = hix::sim::schedule(t);
+    std::ostringstream oss;
+    exportChromeTrace(t, schedule, oss);
+    const std::string out = oss.str();
+    EXPECT_NE(out.find("\"ts\":0.000,\"dur\":1234567.891"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("\"ts\":1234567.891,\"dur\":1.500"),
+              std::string::npos)
+        << out;
+    // The 20 ns op is widened to the 50 ns minimum visible width.
+    EXPECT_NE(out.find("\"ts\":1234569.391,\"dur\":0.050"),
+              std::string::npos)
+        << out;
+}
+
 TEST(TraceExportTest, EmptyTrace)
 {
     Trace t;

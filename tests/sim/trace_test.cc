@@ -172,89 +172,6 @@ TEST(TraceRecorderTest, ProgramOrderChainsPerActor)
     EXPECT_EQ(rec.chainTail(1), b0);
 }
 
-TEST(TraceComponentsTest, DisjointAppendedShardsStayDisjoint)
-{
-    // Per-user shards that never share a resource (the parallel
-    // recorder's per-user traces) must map to distinct components
-    // after append(), numbered in first-appearance op order.
-    Trace a;
-    a.add(cpu0, 10, {}, OpKind::Control);
-    a.add(cpu0, 10, {0}, OpKind::Control);
-    Trace b;
-    const ResourceId cpu1{ResUnit::UserCpu, 1};
-    b.add(cpu1, 10, {}, OpKind::Control);
-    b.add(cpu1, 10, {0}, OpKind::Control);
-
-    Trace merged;
-    merged.append(a);
-    merged.append(b);
-    const Trace::Components comps = merged.components();
-    EXPECT_EQ(comps.count, 2u);
-    ASSERT_EQ(comps.opComponent.size(), 4u);
-    EXPECT_EQ(comps.opComponent[0], 0u);
-    EXPECT_EQ(comps.opComponent[1], 0u);
-    EXPECT_EQ(comps.opComponent[2], 1u);
-    EXPECT_EQ(comps.opComponent[3], 1u);
-    // Per-component op counts, indexed by component id (the streaming
-    // scheduler sizes its member lists from these).
-    ASSERT_EQ(comps.sizes.size(), 2u);
-    EXPECT_EQ(comps.sizes[0], 2u);
-    EXPECT_EQ(comps.sizes[1], 2u);
-}
-
-TEST(TraceComponentsTest, CrossShardDependencyAfterMergeUnifies)
-{
-    // Regression pin for streaming: shards merge with disjoint
-    // resources (two components), then a dependency injected *after*
-    // the merge bridges them — components() must see one connected
-    // component, sized to the whole trace. The streaming join relies
-    // on this to catch cross-shard edges that did not exist at intake.
-    Trace a;
-    a.add(cpu0, 10, {}, OpKind::Control);
-    a.add(cpu0, 10, {0}, OpKind::Control);
-    Trace b;
-    const ResourceId cpu1{ResUnit::UserCpu, 1};
-    b.add(cpu1, 10, {}, OpKind::Control);
-    b.add(cpu1, 10, {0}, OpKind::Control);
-
-    Trace merged;
-    merged.append(a);
-    const OpId off = merged.append(b);
-    ASSERT_EQ(merged.components().count, 2u);
-
-    // Op off (shard b's first op) now also depends on op 1 (shard a).
-    const OpId bridge[] = {OpId(1)};
-    merged.overwriteDepsForTest(off, bridge);
-    const Trace::Components comps = merged.components();
-    EXPECT_EQ(comps.count, 1u);
-    ASSERT_EQ(comps.sizes.size(), 1u);
-    EXPECT_EQ(comps.sizes[0], merged.size());
-    for (std::size_t i = 0; i < merged.size(); ++i)
-        EXPECT_EQ(comps.opComponent[i], 0u);
-}
-
-TEST(TraceComponentsTest, CrossResourceDependencyMergesComponents)
-{
-    Trace t;
-    OpId a = t.add(cpu0, 10, {}, OpKind::Control);
-    t.add(dma, 10, {a}, OpKind::Transfer);  // links cpu0 and dma
-    const ResourceId cpu1{ResUnit::UserCpu, 1};
-    t.add(cpu1, 10, {}, OpKind::Control);   // independent
-
-    const Trace::Components comps = t.components();
-    EXPECT_EQ(comps.count, 2u);
-    EXPECT_EQ(comps.opComponent[0], comps.opComponent[1]);
-    EXPECT_NE(comps.opComponent[0], comps.opComponent[2]);
-}
-
-TEST(TraceComponentsTest, EmptyTraceHasNoComponents)
-{
-    Trace t;
-    const Trace::Components comps = t.components();
-    EXPECT_EQ(comps.count, 0u);
-    EXPECT_TRUE(comps.opComponent.empty());
-}
-
 TEST(TraceRecorderTest, DetachedOpsDoNotMoveChain)
 {
     Trace t;

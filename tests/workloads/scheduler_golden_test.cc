@@ -5,10 +5,11 @@
  * pipeline, multi-user runs, and multi-trace merges — and every
  * synthetic stress shape (multi-user pipelines across context-switch
  * costs, disjoint per-user chains, a wide uniform-duration trace, a
- * single-resource multi-context trace, empty and one-op traces) must
- * produce a bit-identical ScheduleResult from the O(n log n) engine
- * and the O(n^2) reference engine. CI gates on this suite by name
- * (ctest -R SchedulerGolden); do not rename it.
+ * single-resource multi-context trace, synthetic shards merged in
+ * session order, empty and one-op traces, durations past 32 bits)
+ * must produce a bit-identical ScheduleResult from the O(n log n)
+ * engine and the O(n^2) reference engine. CI gates on this suite by
+ * name (ctest -R SchedulerGolden); do not rename it.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +144,53 @@ TEST(SchedulerGoldenTest, MatrixWorkloads)
     runAndCheck(config);
 }
 
+/**
+ * A synthetic per-user shard: a private CPU always, a second private
+ * resource sometimes, and, with probability @p share_pct, ops on the
+ * globally shared DMA and compute engines that entangle it with every
+ * other shard (the Fermi regime). Compute ops carry a shard-local GPU
+ * context remapped to the canonical 1 + user at append, as the
+ * multi-user runner does. Up to 4 deps per op, so some lists spill
+ * past Op::InlineDeps.
+ */
+sim::Trace
+randomShard(Rng &rng, int user, std::size_t n_ops, unsigned share_pct,
+            sim::Trace::AppendRemap &remap)
+{
+    const GpuContextId local_ctx = 0x10000 + GpuContextId(user);
+    const sim::ResourceId priv_cpu{sim::ResUnit::UserCpu,
+                                   static_cast<std::uint16_t>(user)};
+    const sim::ResourceId priv_alt{
+        sim::ResUnit::UserCpu, static_cast<std::uint16_t>(100 + user)};
+    const sim::ResourceId shared_dma{sim::ResUnit::DmaHtoD, 0};
+    const sim::ResourceId shared_gpu{sim::ResUnit::GpuCompute, 0};
+
+    sim::Trace shard;
+    remap.gpuCtx = {{local_ctx, 1 + GpuContextId(user)}};
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        sim::ResourceId res = priv_cpu;
+        GpuContextId ctx = sim::NoGpuContext;
+        const std::uint64_t roll = rng.nextBelow(100);
+        if (roll < share_pct) {
+            res = rng.nextBelow(2) == 0 ? shared_dma : shared_gpu;
+            if (res.unit == sim::ResUnit::GpuCompute)
+                ctx = local_ctx;
+        } else if (roll < share_pct + 20) {
+            res = priv_alt;
+        }
+        std::vector<sim::OpId> deps;
+        if (i > 0) {
+            const std::size_t want = rng.nextBelow(5);
+            for (std::size_t d = 0; d < want; ++d)
+                deps.push_back(static_cast<sim::OpId>(rng.nextBelow(i)));
+        }
+        shard.add(res, rng.nextBelow(500), deps,
+                  static_cast<sim::OpKind>(rng.nextBelow(sim::OpKindCount)),
+                  rng.nextBelow(1 << 16), "", ctx);
+    }
+    return shard;
+}
+
 TEST(SchedulerGoldenTest, MergedMultiUserTraces)
 {
     // Merge independently recorded runs into one trace (the shape the
@@ -159,6 +207,26 @@ TEST(SchedulerGoldenTest, MergedMultiUserTraces)
     ASSERT_EQ(merged.size(), 2 * base.trace->size() +
                                  secure.trace->size());
     expectEngineEquivalence(merged, base.schedulerConfig);
+
+    // Synthetic shards appended in session order, across sharing
+    // regimes from fully private to heavily entangled; shard 2 is
+    // empty and must not perturb the ids of later shards.
+    Rng rng(0x57bea301);
+    for (unsigned share_pct : {0u, 15u, 30u, 45u}) {
+        sim::Trace shards;
+        for (int u = 0; u < 6; ++u) {
+            sim::Trace::AppendRemap remap;
+            const std::size_t n_ops = u == 2 ? 0 : 1 + rng.nextBelow(80);
+            const sim::Trace shard =
+                randomShard(rng, u, n_ops, share_pct, remap);
+            shards.append(shard, remap);
+        }
+        for (Tick cost : {Tick(0), Tick(37)}) {
+            sim::SchedulerConfig cfg;
+            cfg.gpuCtxSwitchTicks = cost;
+            expectEngineEquivalence(shards, cfg);
+        }
+    }
 }
 
 /** The bench's multi-user pipeline shape, CI-sized: per user and
@@ -297,6 +365,23 @@ TEST(SchedulerGoldenTest, EmptyAndOneOpTraces)
     one.add({sim::ResUnit::UserCpu, 0}, 7, {}, sim::OpKind::Control);
     expectEngineEquivalence(one, {});
     EXPECT_EQ(sim::schedule(one).makespan, 7u);
+
+    // Durations past 32 bits: a one-op trace and a two-op chain.
+    const Tick big = (Tick(1) << 32) + 1;
+    sim::Trace one_big;
+    one_big.add({sim::ResUnit::UserCpu, 0}, big, {},
+                sim::OpKind::Compute);
+    expectEngineEquivalence(one_big, {});
+    EXPECT_EQ(sim::schedule(one_big).makespan, big);
+
+    sim::Trace chain;
+    const sim::OpId head =
+        chain.add({sim::ResUnit::UserCpu, 0}, big, {},
+                  sim::OpKind::Compute);
+    chain.add({sim::ResUnit::GpuCompute, 0}, big, {head},
+              sim::OpKind::Compute, 0, "", 1);
+    expectEngineEquivalence(chain, {});
+    EXPECT_EQ(sim::schedule(chain).makespan, 2 * big);
 }
 
 }  // namespace

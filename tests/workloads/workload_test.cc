@@ -10,10 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <ostream>
+#include <sstream>
+#include <string>
 #include <tuple>
 
+#include "sim/trace_export.h"
 #include "workloads/runner.h"
 
 namespace hix::workloads
@@ -142,6 +147,49 @@ TEST(MultiUserTest, HixPaysContextSwitchesBaselineDoesNot)
     // Pre-Volta MPS merges baseline users into one context.
     EXPECT_EQ(base->gpuCtxSwitches, 0u);
     EXPECT_GT(hix->gpuCtxSwitches, 0u);
+}
+
+TEST(MultiUserTest, TraceJsonIsTheSameFromBothRecordingLoops)
+{
+    // Both recording loops export through one scoring tail: the file
+    // a two-phase run writes and the file a streaming run writes are
+    // byte-identical, and both are the export of the kept trace.
+    auto run_to = [](bool streaming, const std::string &path) {
+        RunConfig config;
+        config.factory = [] { return makeRodinia("NN"); };
+        config.users = 2;
+        config.useHix = true;
+        config.streaming = streaming;
+        config.keepTrace = true;
+        config.traceJsonPath = path;
+        return runWorkload(config);
+    };
+    auto slurp = [](const std::string &path) {
+        std::ifstream file(path);
+        std::stringstream text;
+        text << file.rdbuf();
+        return text.str();
+    };
+    const std::string dir = ::testing::TempDir();
+    const std::string two_phase_path = dir + "multiuser_two_phase.json";
+    const std::string streaming_path = dir + "multiuser_streaming.json";
+    auto two_phase = run_to(false, two_phase_path);
+    auto streaming = run_to(true, streaming_path);
+    ASSERT_TRUE(two_phase.isOk()) << two_phase.status().toString();
+    ASSERT_TRUE(streaming.isOk()) << streaming.status().toString();
+
+    auto exported = [](const RunOutcome &outcome) {
+        std::ostringstream os;
+        sim::exportChromeTrace(*outcome.trace, outcome.schedule, os);
+        return os.str();
+    };
+    const std::string written = slurp(two_phase_path);
+    EXPECT_GT(written.size(), 100u);
+    EXPECT_EQ(written, slurp(streaming_path));
+    EXPECT_EQ(written, exported(*two_phase));
+    EXPECT_EQ(written, exported(*streaming));
+    std::remove(two_phase_path.c_str());
+    std::remove(streaming_path.c_str());
 }
 
 TEST(AblationTest, PipeliningHelpsTransfers)
