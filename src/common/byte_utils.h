@@ -1,7 +1,8 @@
 /**
  * @file
  * Little/big-endian loads and stores, hex encoding, and XOR helpers
- * used by the crypto and PCIe packet code.
+ * used by the crypto and PCIe packet code, and a byte-span overlap
+ * test.
  */
 
 #ifndef HIX_COMMON_BYTE_UTILS_H_
@@ -9,12 +10,24 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "common/types.h"
 
 namespace hix
 {
+
+/** True when two non-empty byte spans share at least one byte. */
+inline bool
+spansOverlap(std::span<const std::uint8_t> a,
+             std::span<const std::uint8_t> b)
+{
+    const auto a0 = reinterpret_cast<std::uintptr_t>(a.data());
+    const auto b0 = reinterpret_cast<std::uintptr_t>(b.data());
+    return !a.empty() && !b.empty() && a0 < b0 + b.size() &&
+           b0 < a0 + a.size();
+}
 
 inline std::uint32_t
 loadLE32(const std::uint8_t *p)

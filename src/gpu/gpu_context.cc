@@ -5,13 +5,35 @@
 namespace hix::gpu
 {
 
+namespace
+{
+
+/** Pages spanned by @p bytes (overflow-safe round-up). */
+std::uint64_t
+pagesOf(std::uint64_t bytes)
+{
+    return bytes / mem::PageSize + (bytes % mem::PageSize != 0);
+}
+
+/** True when the @p npages pages from @p base run past 2^64. */
+bool
+wrapsPastTop(Addr base, std::uint64_t npages)
+{
+    return npages > 0 &&
+           mem::pageBase(base) >
+               ~Addr(0) - (npages * mem::PageSize - 1);
+}
+
+}  // namespace
+
 Status
 GpuContext::map(Addr gpu_va, Addr vram_pa, std::uint64_t bytes)
 {
     if (!mem::pageAligned(gpu_va) || !mem::pageAligned(vram_pa))
         return errInvalidArgument("GPU map: unaligned address");
-    const std::uint64_t npages =
-        (bytes + mem::PageSize - 1) / mem::PageSize;
+    const std::uint64_t npages = pagesOf(bytes);
+    if (wrapsPastTop(gpu_va, npages) || wrapsPastTop(vram_pa, npages))
+        return errInvalidArgument("GPU map: range wraps past 2^64");
     for (std::uint64_t i = 0; i < npages; ++i) {
         Addr va = gpu_va + i * mem::PageSize;
         if (pages_.count(va))
@@ -25,8 +47,9 @@ GpuContext::map(Addr gpu_va, Addr vram_pa, std::uint64_t bytes)
 Status
 GpuContext::unmap(Addr gpu_va, std::uint64_t bytes)
 {
-    const std::uint64_t npages =
-        (bytes + mem::PageSize - 1) / mem::PageSize;
+    const std::uint64_t npages = pagesOf(bytes);
+    if (wrapsPastTop(gpu_va, npages))
+        return errInvalidArgument("GPU unmap: range wraps past 2^64");
     for (std::uint64_t i = 0; i < npages; ++i) {
         if (pages_.erase(gpu_va + i * mem::PageSize) == 0)
             return errNotFound("GPU va page not mapped");
@@ -86,6 +109,51 @@ GpuMemAccessor::write(Addr gpu_va, const std::uint8_t *data,
         const std::size_t take = std::min<std::uint64_t>(in_page, len);
         HIX_RETURN_IF_ERROR(vram_->writeAt(*pa, data, take));
         data += take;
+        gpu_va += take;
+        len -= take;
+    }
+    return Status::ok();
+}
+
+Result<std::span<std::uint8_t>>
+GpuMemAccessor::view(Addr gpu_va, std::size_t len) const
+{
+    if (len == 0)
+        return std::span<std::uint8_t>();
+    if (!lend_views_)
+        return errFailedPrecondition("per-page accessor lends no views");
+    if (len > vram_->size())
+        return errInvalidArgument("view larger than " +
+                                  vram_->targetName());
+    HIX_ASSIGN_OR_RETURN(const Addr pa, ctx_->translate(gpu_va));
+    const Addr first = mem::pageBase(gpu_va);
+    const std::uint64_t npages = pagesOf(mem::pageOffset(gpu_va) + len);
+    if (wrapsPastTop(first, npages))
+        return errFailedPrecondition("VRAM view wraps the VA space");
+    for (std::uint64_t i = 1; i < npages; ++i) {
+        HIX_ASSIGN_OR_RETURN(const Addr next,
+                             ctx_->translate(first + i * mem::PageSize));
+        if (next != mem::pageBase(pa) + i * mem::PageSize)
+            return errFailedPrecondition("VRAM range not contiguous");
+    }
+    std::uint8_t *bytes = vram_->view(pa, len);
+    if (!bytes)
+        return errInvalidArgument("view beyond " + vram_->targetName() +
+                                  " size");
+    return std::span<std::uint8_t>(bytes, len);
+}
+
+Status
+GpuMemAccessor::zero(Addr gpu_va, std::uint64_t len) const
+{
+    while (len > 0) {
+        auto pa = ctx_->translate(gpu_va);
+        if (!pa.isOk())
+            return pa.status();
+        const std::uint64_t in_page =
+            mem::PageSize - mem::pageOffset(gpu_va);
+        const std::uint64_t take = std::min(in_page, len);
+        HIX_RETURN_IF_ERROR(vram_->zeroAt(*pa, take));
         gpu_va += take;
         len -= take;
     }

@@ -4,12 +4,20 @@
  * all clients into one context, Section 4.5 of the paper), HIX gives
  * every user enclave its own GPU context; the context page table is
  * what isolates one user's device memory from another's.
+ *
+ * Kernels and the in-GPU OCB op reach VRAM through GpuMemAccessor.
+ * Besides page-by-page read()/write(), it lends view()s: a range of
+ * the context that maps onto adjacent VRAM pages comes back as one
+ * span of VRAM, so the caller works on device memory in place. A
+ * view never crosses an unmapped page, so context isolation holds by
+ * construction; the contiguity check is one translate per page.
  */
 
 #ifndef HIX_GPU_GPU_CONTEXT_H_
 #define HIX_GPU_GPU_CONTEXT_H_
 
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -29,10 +37,11 @@ class GpuContext
 
     GpuContextId id() const { return id_; }
 
-    /** Map @p bytes starting at page-aligned addresses. */
+    /** Map @p bytes starting at page-aligned addresses; a range that
+     * wraps past 2^64 on either side is an InvalidArgument. */
     Status map(Addr gpu_va, Addr vram_pa, std::uint64_t bytes);
 
-    /** Unmap @p bytes starting at @p gpu_va. */
+    /** Unmap @p bytes starting at @p gpu_va (same wrap check). */
     Status unmap(Addr gpu_va, std::uint64_t bytes);
 
     /** Translate one GPU-virtual address. */
@@ -59,9 +68,43 @@ class GpuMemAccessor
         : ctx_(ctx), vram_(vram)
     {}
 
+    /**
+     * The reference accessor: it lends no views, so every kernel
+     * array takes the per-page copy path. Differential tests launch
+     * kernels through it as the oracle for the view path.
+     */
+    static GpuMemAccessor
+    perPage(const GpuContext *ctx, mem::PhysMem *vram)
+    {
+        GpuMemAccessor mem(ctx, vram);
+        mem.lend_views_ = false;
+        return mem;
+    }
+
     Status read(Addr gpu_va, std::uint8_t *data, std::size_t len) const;
     Status write(Addr gpu_va, const std::uint8_t *data,
                  std::size_t len) const;
+
+    /**
+     * [gpu_va, gpu_va + len) as one writable span of VRAM. An empty
+     * range is an empty span; every other range of a perPage()
+     * accessor fails with FailedPrecondition, and one longer than the
+     * VRAM with InvalidArgument. Otherwise the pages are checked in
+     * order: an unmapped page fails like read(); a page that does not
+     * follow its predecessor in VRAM (or a range that wraps the VA
+     * space) fails with FailedPrecondition. The span reads what
+     * read() would and stays valid until the next snapshot, adopt or
+     * scrub of the VRAM.
+     */
+    Result<std::span<std::uint8_t>> view(Addr gpu_va,
+                                         std::size_t len) const;
+
+    /** Zero @p len bytes at @p gpu_va, page by page; on a fault at an
+     * unmapped page the pages before it stay zeroed. */
+    Status zero(Addr gpu_va, std::uint64_t len) const;
+
+    /** Size of the VRAM behind this accessor. */
+    std::uint64_t vramSize() const { return vram_->size(); }
 
     /** Typed helpers for kernel implementations. */
     Result<std::uint32_t> read32(Addr gpu_va) const;
@@ -76,6 +119,7 @@ class GpuMemAccessor
   private:
     const GpuContext *ctx_;
     mem::PhysMem *vram_;
+    bool lend_views_ = true;
 };
 
 }  // namespace hix::gpu

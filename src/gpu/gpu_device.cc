@@ -1,5 +1,6 @@
 #include "gpu/gpu_device.h"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 
@@ -163,7 +164,7 @@ GpuDevice::reset()
 }
 
 GpuDevice::State
-GpuDevice::captureState() const
+GpuDevice::captureState()
 {
     State s;
     s.vram = vram_.snapshot();
@@ -222,13 +223,21 @@ GpuDevice::contextOf(std::uint64_t id)
     return &it->second;
 }
 
+bool
+GpuDevice::bar1InVram(std::uint64_t offset, std::size_t len) const
+{
+    const std::uint64_t size = geometry_.vramSize;
+    return len <= size && window_base_ <= size - len &&
+           offset <= size - len - window_base_;
+}
+
 Status
 GpuDevice::mmioRead(int bar, std::uint64_t offset, std::uint8_t *data,
                     std::size_t len)
 {
     if (bar == 1) {
         // Device-memory aperture.
-        if (window_base_ + offset + len > geometry_.vramSize)
+        if (!bar1InVram(offset, len))
             return errInvalidArgument("BAR1 window beyond VRAM");
         return vram_.readAt(window_base_ + offset, data, len);
     }
@@ -270,7 +279,7 @@ GpuDevice::mmioWrite(int bar, std::uint64_t offset,
                      const std::uint8_t *data, std::size_t len)
 {
     if (bar == 1) {
-        if (window_base_ + offset + len > geometry_.vramSize)
+        if (!bar1InVram(offset, len))
             return errInvalidArgument("BAR1 window beyond VRAM");
         return vram_.writeAt(window_base_ + offset, data, len);
     }
@@ -394,7 +403,8 @@ GpuDevice::execCommand(const std::vector<std::uint64_t> &words,
         auto ctx = contextOf(ctx_id);
         if (!ctx.isOk())
             return ctx.status();
-        if (args[1] + args[2] > geometry_.vramSize)
+        if (args[2] > geometry_.vramSize ||
+            args[1] > geometry_.vramSize - args[2])
             return errInvalidArgument("Map beyond VRAM");
         HIX_RETURN_IF_ERROR((*ctx)->map(args[0], args[1], args[2]));
         record(op, GpuEngine::Control, ctx_id, ControlCost, 0);
@@ -418,17 +428,8 @@ GpuDevice::execCommand(const std::vector<std::uint64_t> &words,
         auto ctx = contextOf(ctx_id);
         if (!ctx.isOk())
             return ctx.status();
-        GpuMemAccessor mem(*ctx, &vram_);
-        Bytes zeros(std::min<std::uint64_t>(args[1], 64 * KiB), 0);
-        std::uint64_t remaining = args[1];
-        Addr va = args[0];
-        while (remaining > 0) {
-            const std::size_t take =
-                std::min<std::uint64_t>(zeros.size(), remaining);
-            HIX_RETURN_IF_ERROR(mem.write(va, zeros.data(), take));
-            va += take;
-            remaining -= take;
-        }
+        HIX_RETURN_IF_ERROR(
+            GpuMemAccessor(*ctx, &vram_).zero(args[0], args[1]));
         stats_.scrubbedBytes += args[1];
         record(op, GpuEngine::Compute, ctx_id,
                transferTicks(args[1], timing_.gpuScrubBps), args[1]);
@@ -611,32 +612,54 @@ GpuDevice::execCommand(const std::vector<std::uint64_t> &words,
         const crypto::OcbNonce nonce = crypto::makeNonce(
             static_cast<std::uint32_t>(args[4]), args[5]);
 
-        // Reused scratch keeps the crypto "kernel" allocation-free
-        // in steady state (the paging path runs it per page).
+        // The op works on VRAM views where it can. The reused scratch
+        // (allocation-free in steady state; the paging path runs the
+        // op per page) takes a side that cannot be viewed, a source
+        // that overlaps its destination, and every decrypted
+        // plaintext, which reaches VRAM only once its tag verifies.
+        const std::uint64_t ct_len = pt_len + crypto::OcbTagSize;
         if (op == GpuOp::OcbEncrypt) {
-            crypto_in_.resize(pt_len);
-            crypto_out_.resize(pt_len + crypto::OcbTagSize);
-            HIX_RETURN_IF_ERROR(
-                mem.read(args[1], crypto_in_.data(), pt_len));
-            slot.ocb->encryptInto(nonce, nullptr, 0, crypto_in_.data(),
-                                  pt_len, crypto_out_.data(),
-                                  crypto_out_.data() + pt_len);
-            HIX_RETURN_IF_ERROR(mem.write(args[2], crypto_out_.data(),
-                                          crypto_out_.size()));
+            auto src = mem.view(args[1], pt_len);
+            auto dst = mem.view(args[2], ct_len);
+            const std::uint8_t *in = src.isOk() ? src->data() : nullptr;
+            if (!src.isOk() || (dst.isOk() && spansOverlap(*src, *dst))) {
+                crypto_in_.resize(pt_len);
+                HIX_RETURN_IF_ERROR(
+                    mem.read(args[1], crypto_in_.data(), pt_len));
+                in = crypto_in_.data();
+            }
+            if (!dst.isOk())
+                crypto_out_.resize(ct_len);
+            std::uint8_t *out =
+                dst.isOk() ? dst->data() : crypto_out_.data();
+            slot.ocb->encryptInto(nonce, nullptr, 0, in, pt_len, out,
+                                  out + pt_len);
+            if (!dst.isOk())
+                HIX_RETURN_IF_ERROR(
+                    mem.write(args[2], crypto_out_.data(), ct_len));
         } else {
-            crypto_in_.resize(pt_len + crypto::OcbTagSize);
+            auto src = mem.view(args[1], ct_len);
+            const std::uint8_t *in = src.isOk() ? src->data() : nullptr;
+            if (!src.isOk()) {
+                crypto_in_.resize(ct_len);
+                HIX_RETURN_IF_ERROR(
+                    mem.read(args[1], crypto_in_.data(), ct_len));
+                in = crypto_in_.data();
+            }
             crypto_out_.resize(pt_len);
-            HIX_RETURN_IF_ERROR(mem.read(args[1], crypto_in_.data(),
-                                         crypto_in_.size()));
-            Status ok = slot.ocb->decryptInto(
-                nonce, nullptr, 0, crypto_in_.data(), pt_len,
-                crypto_in_.data() + pt_len, crypto_out_.data());
+            Status ok = slot.ocb->decryptInto(nonce, nullptr, 0, in,
+                                              pt_len, in + pt_len,
+                                              crypto_out_.data());
             if (!ok.isOk()) {
                 ++stats_.macFailures;
                 return ok;
             }
-            HIX_RETURN_IF_ERROR(
-                mem.write(args[2], crypto_out_.data(), pt_len));
+            auto dst = mem.view(args[2], pt_len);
+            if (dst.isOk())
+                std::copy_n(crypto_out_.data(), pt_len, dst->data());
+            else
+                HIX_RETURN_IF_ERROR(
+                    mem.write(args[2], crypto_out_.data(), pt_len));
         }
         ++stats_.cryptoKernels;
         record(op, GpuEngine::Compute, ctx_id,

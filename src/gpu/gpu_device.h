@@ -134,7 +134,7 @@ class GpuDevice : public pcie::PcieDevice
 
     /**
      * Value snapshot of all mutable device state for machine
-     * snapshot/fork: VRAM as a CoW page-map snapshot (no byte copy),
+     * snapshot/fork: VRAM as a CoW overlay snapshot,
      * contexts, kernel registry, key-slot key material (the OCB
      * engine is re-derived from the key on restore), FIFO/register
      * state, RNG position, config space and ROM image, and counters.
@@ -161,7 +161,7 @@ class GpuDevice : public pcie::PcieDevice
         pcie::ConfigSpace config{pcie::HeaderType::Endpoint, 0, 0, 0};
         std::shared_ptr<const Bytes> rom;
     };
-    State captureState() const;
+    State captureState();
     void restoreState(const State &state);
 
     /** Number of live contexts. */
@@ -192,6 +192,9 @@ class GpuDevice : public pcie::PcieDevice
     Status execCommand(const std::vector<std::uint64_t> &words,
                        std::size_t &cursor);
     Result<GpuContext *> contextOf(std::uint64_t id);
+    /** True when BAR1 bytes [offset, offset + len) of the current
+     * window lie inside VRAM (overflow-safe). */
+    bool bar1InVram(std::uint64_t offset, std::size_t len) const;
     void record(GpuOp op, GpuEngine engine, GpuContextId ctx,
                 Tick duration, std::uint64_t bytes);
     Bytes makeFactoryBios() const;

@@ -100,7 +100,7 @@ Machine::clearTrace()
 }
 
 MachineSnapshot
-Machine::snapshot() const
+Machine::snapshot()
 {
     MachineSnapshot snap;
     snap.config = config_;

@@ -155,11 +155,12 @@ class Machine
 
     /**
      * Capture this machine's full post-boot state. O(pages-touched):
-     * DRAM and VRAM are captured as CoW page-map snapshots, no page
-     * bytes are copied. The trace is NOT part of the snapshot (forks
-     * start recording fresh).
+     * DRAM and VRAM are captured as CoW overlay snapshots (each
+     * private page is copied once into a shared page, which the
+     * machine and the snapshot then share). The trace is NOT part of
+     * the snapshot (forks start recording fresh).
      */
-    MachineSnapshot snapshot() const;
+    MachineSnapshot snapshot();
 
     /**
      * Build a machine indistinguishable from the one @p snap was

@@ -20,6 +20,7 @@
 #include "mem/phys_bus.h"
 #include "mem/phys_mem.h"
 #include "pcie/root_complex.h"
+#include "workloads/rodinia_util.h"
 
 namespace hix::harness
 {
@@ -955,6 +956,194 @@ runMultiGpuRouting(const std::vector<std::uint64_t> &ops)
     return Status::ok();
 }
 
+// ----- device views ----------------------------------------------------
+
+/**
+ * One GPU context over a small VRAM, driven by a stream of map/unmap,
+ * byte writes, view reads and writes, scrubs, kernel launches,
+ * snapshots and forks. Each op runs on two memories that share the
+ * context's page map: the fast side through the default accessor,
+ * which lends views, and the shadow through GpuMemAccessor::perPage()
+ * and page-by-page writes only. Statuses and bytes must agree.
+ */
+Status
+runDeviceViews(const std::vector<std::uint64_t> &ops)
+{
+    constexpr std::uint64_t VramPages = 32;
+    constexpr std::uint64_t VramSize = VramPages * mem::PageSize;
+    constexpr std::uint64_t VaPages = 48;
+    constexpr Addr VaBase = 0x4000000;
+
+    /** A u32 input, a u64 in-out and a u16 output, indexed so any
+     *  contents and sizes are safe. */
+    auto launch = [](const gpu::GpuMemAccessor &mem,
+                     const gpu::KernelArgs &args) {
+        using namespace workloads;
+        return DeviceArrays(mem, arrayIn<std::uint32_t>(args[0], args[1]),
+                            arrayInOut<std::uint64_t>(args[2], args[3]),
+                            arrayOut<std::uint16_t>(args[4], args[5]))
+            .run([](std::span<const std::uint32_t> a,
+                    std::span<std::uint64_t> b,
+                    std::span<std::uint16_t> c) {
+                for (std::size_t i = 0; i < b.size(); ++i)
+                    b[i] = b[i] * 31 + (a.empty() ? i : a[i % a.size()]);
+                for (std::size_t i = 0; i < c.size(); ++i)
+                    c[i] = static_cast<std::uint16_t>(
+                        (a.empty() ? 0 : a[(i * 7) % a.size()]) +
+                        (b.empty() ? i : b[i % b.size()]));
+            });
+    };
+
+    struct Device
+    {
+        gpu::GpuContext ctx{1};
+        std::unique_ptr<mem::PhysMem> fast;
+        std::unique_ptr<mem::PhysMem> shadow;
+    };
+    struct Frozen
+    {
+        gpu::GpuContext ctx{1};
+        mem::PhysMem::Snapshot fast;
+        mem::PhysMem::Snapshot shadow;
+    };
+    Device d;
+    d.fast = std::make_unique<mem::PhysMem>("views", VramSize);
+    d.shadow = std::make_unique<mem::PhysMem>("shadow", VramSize);
+    std::vector<Frozen> frozen;
+    std::vector<std::uint8_t> buf(3 * mem::PageSize), ref(buf.size());
+
+    auto fast = [&] { return gpu::GpuMemAccessor(&d.ctx, d.fast.get()); };
+    auto shadow = [&] {
+        return gpu::GpuMemAccessor::perPage(&d.ctx, d.shadow.get());
+    };
+    // A VA in (or just past) the context's window, page-aligned
+    // half the time and otherwise at any byte.
+    auto pickVa = [&](std::uint64_t bits) {
+        const Addr page = VaBase + (bits % (VaPages + 2)) * mem::PageSize;
+        return (bits >> 8) & 1 ? page : page + ((bits >> 9) % 64) * 3;
+    };
+    auto sameStatus = [](const Status &a, const Status &b,
+                         const char *what) {
+        if (a.toString() == b.toString())
+            return Status::ok();
+        return errInternal(std::string(what) + ": views " + a.toString() +
+                           " vs per-page " + b.toString());
+    };
+
+    for (std::uint64_t op : ops) {
+        const Addr va = pickVa(op >> 8);
+        const std::size_t len = 1 + (op >> 24) % buf.size();
+        switch (op % 9) {
+          case 0: {  // map a run of VA pages onto any VRAM pages
+            const std::uint64_t n = 1 + (op >> 40) % 4;
+            (void)d.ctx.map(mem::pageBase(va),
+                            ((op >> 44) % VramPages) * mem::PageSize,
+                            std::min(n, VramPages - (op >> 44) % VramPages) *
+                                mem::PageSize);
+            break;
+          }
+          case 1:  // unmap
+            (void)d.ctx.unmap(mem::pageBase(va),
+                              (1 + (op >> 40) % 3) * mem::PageSize);
+            break;
+          case 2: {  // byte write through both accessors
+            for (std::size_t i = 0; i < len; ++i)
+                buf[i] = static_cast<std::uint8_t>(op >> (i % 56) ^ i);
+            HIX_RETURN_IF_ERROR(sameStatus(fast().write(va, buf.data(), len),
+                                           shadow().write(va, buf.data(),
+                                                          len),
+                                           "write"));
+            break;
+          }
+          case 3: {  // a view reads what read() reads
+            auto view = fast().view(va, len);
+            Status read = shadow().read(va, ref.data(), len);
+            if (view.isOk()) {
+                if (!read.isOk())
+                    return errInternal("view lent an unreadable range");
+                if (std::memcmp(view->data(), ref.data(), len) != 0)
+                    return errInternal("view bytes differ at " +
+                                       hexWord(va));
+            } else if (view.status().code() == StatusCode::AccessFault) {
+                HIX_RETURN_IF_ERROR(
+                    sameStatus(view.status(), read, "view fault"));
+            } else if (view.status().code() !=
+                       StatusCode::FailedPrecondition) {
+                return errInternal("view: " + view.status().toString());
+            }
+            break;
+          }
+          case 4: {  // a write through a view lands like write()
+            auto view = fast().view(va, len);
+            if (!view.isOk())
+                break;
+            for (std::size_t i = 0; i < len; ++i)
+                (*view)[i] = static_cast<std::uint8_t>((*view)[i] + op);
+            if (!shadow().read(va, ref.data(), len).isOk())
+                return errInternal("view over an unreadable range");
+            for (std::size_t i = 0; i < len; ++i)
+                ref[i] = static_cast<std::uint8_t>(ref[i] + op);
+            if (!shadow().write(va, ref.data(), len).isOk())
+                return errInternal("shadow write failed");
+            break;
+          }
+          case 5: {  // scrub: cleared pages vs written zeros
+            std::fill(ref.begin(), ref.end(), 0);
+            HIX_RETURN_IF_ERROR(
+                sameStatus(fast().zero(va, len),
+                           shadow().write(va, ref.data(), len), "scrub"));
+            break;
+          }
+          case 6:
+          case 7: {  // launch the kernel on both sides
+            const gpu::KernelArgs args = {
+                pickVa(op >> 8),  (op >> 20) % 900,
+                pickVa(op >> 30), (op >> 40) % 300,
+                pickVa(op >> 49), (op >> 58) % 64 * 16};
+            HIX_RETURN_IF_ERROR(sameStatus(launch(fast(), args),
+                                           launch(shadow(), args),
+                                           "launch"));
+            break;
+          }
+          case 8: {  // snapshot, fork, or recycle both memories
+            const std::uint64_t sub = (op >> 40) % 3;
+            if (sub == 0 && frozen.size() < 2) {
+                frozen.push_back(
+                    {d.ctx, d.fast->snapshot(), d.shadow->snapshot()});
+            } else if (sub == 1 && !frozen.empty()) {
+                const Frozen &f = frozen[(op >> 44) % frozen.size()];
+                d.ctx = f.ctx;
+                d.fast = std::make_unique<mem::PhysMem>("fork", VramSize);
+                d.shadow =
+                    std::make_unique<mem::PhysMem>("fork_shadow", VramSize);
+                if (!d.fast->adopt(f.fast).isOk() ||
+                    !d.shadow->adopt(f.shadow).isOk())
+                    return errInternal("fork adopt failed");
+            } else {
+                d.fast.reset();
+                d.shadow.reset();
+                d.fast = std::make_unique<mem::PhysMem>("views", VramSize);
+                d.shadow =
+                    std::make_unique<mem::PhysMem>("shadow", VramSize);
+            }
+            break;
+          }
+        }
+    }
+
+    std::vector<std::uint8_t> a(VramSize), b(VramSize);
+    if (!d.fast->readAt(0, a.data(), VramSize).isOk() ||
+        !d.shadow->readAt(0, b.data(), VramSize).isOk())
+        return errInternal("final VRAM read failed");
+    for (std::uint64_t p = 0; p < VramPages; ++p) {
+        if (std::memcmp(a.data() + p * mem::PageSize,
+                        b.data() + p * mem::PageSize, mem::PageSize) != 0)
+            return errInternal("VRAM page " + std::to_string(p) +
+                               " differs from the per-page shadow");
+    }
+    return Status::ok();
+}
+
 }  // namespace
 
 FuzzTarget
@@ -993,6 +1182,12 @@ multiGpuRoutingFuzzTarget()
     return FuzzTarget{"multi_gpu_routing", 1, 64, runMultiGpuRouting};
 }
 
+FuzzTarget
+deviceViewsFuzzTarget()
+{
+    return FuzzTarget{"device_views", 1, 64, runDeviceViews};
+}
+
 void
 registerBuiltinFuzzTargets(FuzzRunner &runner)
 {
@@ -1002,6 +1197,7 @@ registerBuiltinFuzzTargets(FuzzRunner &runner)
     runner.add(memorySystemFuzzTarget());
     runner.add(cowForkFuzzTarget());
     runner.add(multiGpuRoutingFuzzTarget());
+    runner.add(deviceViewsFuzzTarget());
 }
 
 }  // namespace hix::harness

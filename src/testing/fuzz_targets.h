@@ -54,6 +54,15 @@ FuzzTarget cowForkFuzzTarget();
  */
 FuzzTarget multiGpuRoutingFuzzTarget();
 
+/**
+ * Device views: one GPU context over a small VRAM driven by random
+ * map/unmap, writes, view reads and writes, scrubs, kernel launches
+ * through DeviceArrays, snapshots and forks. Each op runs on a memory
+ * reached through views and on a shadow reached only through the
+ * per-page copy path; statuses and bytes must agree throughout.
+ */
+FuzzTarget deviceViewsFuzzTarget();
+
 }  // namespace hix::harness
 
 #endif  // HIX_TESTING_FUZZ_TARGETS_H_

@@ -96,19 +96,20 @@ class Backprop : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {input, w1, hidden_out, in_f, nominal_in}
                 const std::uint64_t in = args[3];
-                HIX_ASSIGN_OR_RETURN(
-                    auto input, loadArray<float>(mem, args[0], in + 1));
-                HIX_ASSIGN_OR_RETURN(
-                    auto w1, loadArray<float>(mem, args[1],
-                                              (in + 1) * (Hidden + 1)));
-                std::vector<float> hidden(Hidden + 1, 0.0f);
-                for (std::uint64_t j = 1; j <= Hidden; ++j) {
-                    float sum = w1[j];  // bias row 0
-                    for (std::uint64_t i = 1; i <= in; ++i)
-                        sum += input[i] * w1[i * (Hidden + 1) + j];
-                    hidden[j] = squash(sum);
-                }
-                return storeArray(mem, args[2], hidden);
+                return DeviceArrays(
+                           mem, arrayIn<float>(args[0], in + 1),
+                           arrayIn<float>(args[1], (in + 1) * (Hidden + 1)),
+                           arrayOut<float>(args[2], Hidden + 1))
+                    .run([&](std::span<const float> input,
+                             std::span<const float> w1,
+                             std::span<float> hidden) {
+                        for (std::uint64_t j = 1; j <= Hidden; ++j) {
+                            float sum = w1[j];  // bias row 0
+                            for (std::uint64_t i = 1; i <= in; ++i)
+                                sum += input[i] * w1[i * (Hidden + 1) + j];
+                            hidden[j] = squash(sum);
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =
@@ -121,21 +122,22 @@ class Backprop : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {input, w1, delta, in_f, nominal_in}
                 const std::uint64_t in = args[3];
-                HIX_ASSIGN_OR_RETURN(
-                    auto input, loadArray<float>(mem, args[0], in + 1));
-                HIX_ASSIGN_OR_RETURN(
-                    auto w1, loadArray<float>(mem, args[1],
-                                              (in + 1) * (Hidden + 1)));
-                HIX_ASSIGN_OR_RETURN(
-                    auto delta, loadArray<float>(mem, args[2], Hidden + 1));
-                for (std::uint64_t i = 0; i <= in; ++i) {
-                    const float x = i == 0 ? 1.0f : input[i];
-                    for (std::uint64_t j = 1; j <= Hidden; ++j) {
-                        w1[i * (Hidden + 1) + j] +=
-                            0.3f * delta[j] * x;
-                    }
-                }
-                return storeArray(mem, args[1], w1);
+                return DeviceArrays(
+                           mem, arrayIn<float>(args[0], in + 1),
+                           arrayInOut<float>(args[1],
+                                             (in + 1) * (Hidden + 1)),
+                           arrayIn<float>(args[2], Hidden + 1))
+                    .run([&](std::span<const float> input,
+                             std::span<float> w1,
+                             std::span<const float> delta) {
+                        for (std::uint64_t i = 0; i <= in; ++i) {
+                            const float x = i == 0 ? 1.0f : input[i];
+                            for (std::uint64_t j = 1; j <= Hidden; ++j) {
+                                w1[i * (Hidden + 1) + j] +=
+                                    0.3f * delta[j] * x;
+                            }
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =

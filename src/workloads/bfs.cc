@@ -101,27 +101,26 @@ class Bfs : public RodiniaApp
                 // args: {row_start, edges, level, n, edge_count,
                 //        cur_level, nominal_nodes, total_levels}
                 const std::uint64_t n = args[3];
-                const std::uint64_t edge_count = args[4];
                 const std::int32_t cur =
                     static_cast<std::int32_t>(args[5]);
-                HIX_ASSIGN_OR_RETURN(
-                    auto rows, loadArray<std::int32_t>(mem, args[0], n + 1));
-                HIX_ASSIGN_OR_RETURN(auto edges,
-                                     loadArray<std::int32_t>(
-                                         mem, args[1], edge_count));
-                HIX_ASSIGN_OR_RETURN(
-                    auto level, loadArray<std::int32_t>(mem, args[2], n));
-                for (std::uint64_t v = 0; v < n; ++v) {
-                    if (level[v] != cur)
-                        continue;
-                    for (std::int32_t e = rows[v]; e < rows[v + 1];
-                         ++e) {
-                        const std::int32_t to = edges[e];
-                        if (level[to] < 0)
-                            level[to] = cur + 1;
-                    }
-                }
-                return storeArray(mem, args[2], level);
+                return DeviceArrays(mem,
+                                    arrayIn<std::int32_t>(args[0], n + 1),
+                                    arrayIn<std::int32_t>(args[1], args[4]),
+                                    arrayInOut<std::int32_t>(args[2], n))
+                    .run([&](std::span<const std::int32_t> rows,
+                             std::span<const std::int32_t> edges,
+                             std::span<std::int32_t> level) {
+                        for (std::uint64_t v = 0; v < n; ++v) {
+                            if (level[v] != cur)
+                                continue;
+                            for (std::int32_t e = rows[v];
+                                 e < rows[v + 1]; ++e) {
+                                const std::int32_t to = edges[e];
+                                if (level[to] < 0)
+                                    level[to] = cur + 1;
+                            }
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =

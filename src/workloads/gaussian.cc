@@ -77,13 +77,13 @@ class Gaussian : public RodiniaApp
                 // args: {a, m, n, t, nominal_n}
                 const std::uint64_t n = args[2];
                 const std::uint64_t t = args[3];
-                HIX_ASSIGN_OR_RETURN(
-                    auto a, loadArray<float>(mem, args[0], n * n));
-                HIX_ASSIGN_OR_RETURN(
-                    auto m, loadArray<float>(mem, args[1], n * n));
-                for (std::uint64_t i = t + 1; i < n; ++i)
-                    m[i * n + t] = a[i * n + t] / a[t * n + t];
-                return storeArray(mem, args[1], m);
+                return DeviceArrays(mem, arrayIn<float>(args[0], n * n),
+                                    arrayInOut<float>(args[1], n * n))
+                    .run([&](std::span<const float> a,
+                             std::span<float> m) {
+                        for (std::uint64_t i = t + 1; i < n; ++i)
+                            m[i * n + t] = a[i * n + t] / a[t * n + t];
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const std::uint64_t n = args[2];
@@ -101,20 +101,18 @@ class Gaussian : public RodiniaApp
                 // args: {a, b, m, n, t, nominal_n}
                 const std::uint64_t n = args[3];
                 const std::uint64_t t = args[4];
-                HIX_ASSIGN_OR_RETURN(
-                    auto a, loadArray<float>(mem, args[0], n * n));
-                HIX_ASSIGN_OR_RETURN(auto b,
-                                     loadArray<float>(mem, args[1], n));
-                HIX_ASSIGN_OR_RETURN(
-                    auto m, loadArray<float>(mem, args[2], n * n));
-                for (std::uint64_t i = t + 1; i < n; ++i) {
-                    const float mult = m[i * n + t];
-                    for (std::uint64_t j = t; j < n; ++j)
-                        a[i * n + j] -= mult * a[t * n + j];
-                    b[i] -= mult * b[t];
-                }
-                HIX_RETURN_IF_ERROR(storeArray(mem, args[0], a));
-                return storeArray(mem, args[1], b);
+                return DeviceArrays(mem, arrayInOut<float>(args[0], n * n),
+                                    arrayInOut<float>(args[1], n),
+                                    arrayIn<float>(args[2], n * n))
+                    .run([&](std::span<float> a, std::span<float> b,
+                             std::span<const float> m) {
+                        for (std::uint64_t i = t + 1; i < n; ++i) {
+                            const float mult = m[i * n + t];
+                            for (std::uint64_t j = t; j < n; ++j)
+                                a[i * n + j] -= mult * a[t * n + j];
+                            b[i] -= mult * b[t];
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const std::uint64_t n = args[3];

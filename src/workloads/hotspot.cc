@@ -82,29 +82,30 @@ class Hotspot : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {temp_in, power, temp_out, n, nominal_n}
                 const std::uint64_t n = args[3];
-                HIX_ASSIGN_OR_RETURN(
-                    auto temp, loadArray<float>(mem, args[0], n * n));
-                HIX_ASSIGN_OR_RETURN(
-                    auto power, loadArray<float>(mem, args[1], n * n));
-                std::vector<float> out(n * n);
-                const float c = 0.05f;
-                for (std::uint64_t i = 0; i < n; ++i) {
-                    for (std::uint64_t j = 0; j < n; ++j) {
-                        const float t = temp[i * n + j];
-                        const float up =
-                            i > 0 ? temp[(i - 1) * n + j] : t;
-                        const float down =
-                            i + 1 < n ? temp[(i + 1) * n + j] : t;
-                        const float left =
-                            j > 0 ? temp[i * n + j - 1] : t;
-                        const float right =
-                            j + 1 < n ? temp[i * n + j + 1] : t;
-                        out[i * n + j] =
-                            t + c * (up + down + left + right -
-                                     4.0f * t + power[i * n + j]);
-                    }
-                }
-                return storeArray(mem, args[2], out);
+                return DeviceArrays(mem, arrayIn<float>(args[0], n * n),
+                                    arrayIn<float>(args[1], n * n),
+                                    arrayOut<float>(args[2], n * n))
+                    .run([&](std::span<const float> temp,
+                             std::span<const float> power,
+                             std::span<float> out) {
+                        const float c = 0.05f;
+                        for (std::uint64_t i = 0; i < n; ++i) {
+                            for (std::uint64_t j = 0; j < n; ++j) {
+                                const float t = temp[i * n + j];
+                                const float up =
+                                    i > 0 ? temp[(i - 1) * n + j] : t;
+                                const float down =
+                                    i + 1 < n ? temp[(i + 1) * n + j] : t;
+                                const float left =
+                                    j > 0 ? temp[i * n + j - 1] : t;
+                                const float right =
+                                    j + 1 < n ? temp[i * n + j + 1] : t;
+                                out[i * n + j] =
+                                    t + c * (up + down + left + right -
+                                             4.0f * t + power[i * n + j]);
+                            }
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double nominal = static_cast<double>(args[4]);

@@ -60,17 +60,17 @@ class Lud : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {a, n, k_begin, k_end, nominal_n}
                 const std::uint64_t n = args[1];
-                HIX_ASSIGN_OR_RETURN(
-                    auto a, loadArray<float>(mem, args[0], n * n));
-                for (std::uint64_t k = args[2]; k < args[3]; ++k) {
-                    for (std::uint64_t i = k + 1; i < n; ++i) {
-                        a[i * n + k] /= a[k * n + k];
-                        const float lik = a[i * n + k];
-                        for (std::uint64_t j = k + 1; j < n; ++j)
-                            a[i * n + j] -= lik * a[k * n + j];
-                    }
-                }
-                return storeArray(mem, args[0], a);
+                return DeviceArrays(mem, arrayInOut<float>(args[0], n * n))
+                    .run([&](std::span<float> a) {
+                        for (std::uint64_t k = args[2]; k < args[3]; ++k) {
+                            for (std::uint64_t i = k + 1; i < n; ++i) {
+                                a[i * n + k] /= a[k * n + k];
+                                const float lik = a[i * n + k];
+                                for (std::uint64_t j = k + 1; j < n; ++j)
+                                    a[i * n + j] -= lik * a[k * n + j];
+                            }
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =

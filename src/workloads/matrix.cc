@@ -99,16 +99,16 @@ class MatrixWorkload : public Workload
                    const gpu::KernelArgs &args) -> Status {
                     // args: {a, b, c, n_func, n_nominal}
                     const std::uint64_t nf = args[3];
-                    HIX_ASSIGN_OR_RETURN(
-                        auto a,
-                        loadArray<std::uint32_t>(mem, args[0], nf * nf));
-                    HIX_ASSIGN_OR_RETURN(
-                        auto b,
-                        loadArray<std::uint32_t>(mem, args[1], nf * nf));
-                    std::vector<std::uint32_t> c(nf * nf);
-                    for (std::size_t i = 0; i < c.size(); ++i)
-                        c[i] = a[i] + b[i];
-                    return storeArray(mem, args[2], c);
+                    return DeviceArrays(
+                               mem, arrayIn<std::uint32_t>(args[0], nf * nf),
+                               arrayIn<std::uint32_t>(args[1], nf * nf),
+                               arrayOut<std::uint32_t>(args[2], nf * nf))
+                        .run([](std::span<const std::uint32_t> a,
+                                std::span<const std::uint32_t> b,
+                                std::span<std::uint32_t> c) {
+                            for (std::size_t i = 0; i < c.size(); ++i)
+                                c[i] = a[i] + b[i];
+                        });
                 },
                 [perf](const gpu::KernelArgs &args) {
                     // Streaming kernel: 3 matrices through memory.
@@ -121,22 +121,22 @@ class MatrixWorkload : public Workload
                 [](const gpu::GpuMemAccessor &mem,
                    const gpu::KernelArgs &args) -> Status {
                     const std::uint64_t nf = args[3];
-                    HIX_ASSIGN_OR_RETURN(
-                        auto a,
-                        loadArray<std::uint32_t>(mem, args[0], nf * nf));
-                    HIX_ASSIGN_OR_RETURN(
-                        auto b,
-                        loadArray<std::uint32_t>(mem, args[1], nf * nf));
-                    std::vector<std::uint32_t> c(nf * nf, 0);
-                    for (std::uint64_t i = 0; i < nf; ++i) {
-                        for (std::uint64_t k = 0; k < nf; ++k) {
-                            const std::uint32_t aik = a[i * nf + k];
-                            for (std::uint64_t j = 0; j < nf; ++j)
-                                c[i * nf + j] +=
-                                    aik * b[k * nf + j];
-                        }
-                    }
-                    return storeArray(mem, args[2], c);
+                    return DeviceArrays(
+                               mem, arrayIn<std::uint32_t>(args[0], nf * nf),
+                               arrayIn<std::uint32_t>(args[1], nf * nf),
+                               arrayOut<std::uint32_t>(args[2], nf * nf))
+                        .run([&](std::span<const std::uint32_t> a,
+                                 std::span<const std::uint32_t> b,
+                                 std::span<std::uint32_t> c) {
+                            for (std::uint64_t i = 0; i < nf; ++i) {
+                                for (std::uint64_t k = 0; k < nf; ++k) {
+                                    const std::uint32_t aik = a[i * nf + k];
+                                    for (std::uint64_t j = 0; j < nf; ++j)
+                                        c[i * nf + j] +=
+                                            aik * b[k * nf + j];
+                                }
+                            }
+                        });
                 },
                 [perf](const gpu::KernelArgs &args) {
                     // 2*n^3 integer multiply-adds; Fermi 32-bit IMAD

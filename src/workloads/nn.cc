@@ -67,15 +67,16 @@ class NearestNeighbor : public RodiniaApp
                     static_cast<std::uint32_t>(args[4]);
                 std::memcpy(&lat, &lat_bits, 4);
                 std::memcpy(&lng, &lng_bits, 4);
-                HIX_ASSIGN_OR_RETURN(
-                    auto recs, loadArray<float>(mem, args[0], count * 2));
-                std::vector<float> dist(count);
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    const float dlat = recs[2 * i] - lat;
-                    const float dlng = recs[2 * i + 1] - lng;
-                    dist[i] = std::sqrt(dlat * dlat + dlng * dlng);
-                }
-                return storeArray(mem, args[1], dist);
+                return DeviceArrays(mem, arrayIn<float>(args[0], count * 2),
+                                    arrayOut<float>(args[1], count))
+                    .run([&](std::span<const float> recs,
+                             std::span<float> dist) {
+                        for (std::uint64_t i = 0; i < count; ++i) {
+                            const float dlat = recs[2 * i] - lat;
+                            const float dlng = recs[2 * i + 1] - lng;
+                            dist[i] = std::sqrt(dlat * dlat + dlng * dlng);
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =

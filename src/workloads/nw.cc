@@ -96,34 +96,33 @@ class NeedlemanWunsch : public RodiniaApp
                 const std::uint64_t n = args[2];
                 const std::uint64_t diag = args[3];
                 const std::uint64_t blocks = n / Block;
-                HIX_ASSIGN_OR_RETURN(auto score,
-                                     loadArray<std::int32_t>(
-                                         mem, args[0], (n + 1) * (n + 1)));
-                HIX_ASSIGN_OR_RETURN(
-                    auto ref, loadArray<std::int32_t>(mem, args[1], n * n));
                 const std::uint64_t w = n + 1;
-                for (std::uint64_t bi = 0; bi < blocks; ++bi) {
-                    const std::uint64_t bj_signed = diag - bi;
-                    if (bj_signed >= blocks)
-                        continue;  // wrapped: off this diagonal
-                    const std::uint64_t bj = bj_signed;
-                    for (std::uint64_t i = bi * Block + 1;
-                         i <= (bi + 1) * Block; ++i) {
-                        for (std::uint64_t j = bj * Block + 1;
-                             j <= (bj + 1) * Block; ++j) {
-                            const std::int32_t match =
-                                score[(i - 1) * w + j - 1] +
-                                ref[(i - 1) * n + j - 1];
-                            const std::int32_t del =
-                                score[(i - 1) * w + j] - Penalty;
-                            const std::int32_t ins =
-                                score[i * w + j - 1] - Penalty;
-                            score[i * w + j] =
-                                std::max(match, std::max(del, ins));
+                return DeviceArrays(
+                           mem, arrayInOut<std::int32_t>(args[0], w * w),
+                           arrayIn<std::int32_t>(args[1], n * n))
+                    .run([&](std::span<std::int32_t> score,
+                             std::span<const std::int32_t> ref) {
+                        for (std::uint64_t bi = 0; bi < blocks; ++bi) {
+                            const std::uint64_t bj = diag - bi;
+                            if (bj >= blocks)
+                                continue;  // wrapped: off this diagonal
+                            for (std::uint64_t i = bi * Block + 1;
+                                 i <= (bi + 1) * Block; ++i) {
+                                for (std::uint64_t j = bj * Block + 1;
+                                     j <= (bj + 1) * Block; ++j) {
+                                    const std::int32_t match =
+                                        score[(i - 1) * w + j - 1] +
+                                        ref[(i - 1) * n + j - 1];
+                                    const std::int32_t del =
+                                        score[(i - 1) * w + j] - Penalty;
+                                    const std::int32_t ins =
+                                        score[i * w + j - 1] - Penalty;
+                                    score[i * w + j] =
+                                        std::max(match, std::max(del, ins));
+                                }
+                            }
                         }
-                    }
-                }
-                return storeArray(mem, args[0], score);
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const std::uint64_t n = args[2];

@@ -77,26 +77,31 @@ class Pathfinder : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {grid, cost_row, n, row_begin, row_end,
                 //        nominal_n}
+                // The band is grid rows [row_begin, row_end).
                 const std::uint64_t n = args[2];
-                HIX_ASSIGN_OR_RETURN(
-                    auto cost, loadArray<std::int32_t>(mem, args[1], n));
-                for (std::uint64_t r = args[3]; r < args[4]; ++r) {
-                    auto row = loadArray<std::int32_t>(
-                        mem, args[0] + r * n * 4, n);
-                    if (!row.isOk())
-                        return row.status();
-                    std::vector<std::int32_t> next(n);
-                    for (std::uint64_t j = 0; j < n; ++j) {
-                        std::int32_t best = cost[j];
-                        if (j > 0)
-                            best = std::min(best, cost[j - 1]);
-                        if (j + 1 < n)
-                            best = std::min(best, cost[j + 1]);
-                        next[j] = (*row)[j] + best;
-                    }
-                    cost.swap(next);
-                }
-                return storeArray(mem, args[1], cost);
+                const std::uint64_t rows =
+                    args[4] > args[3] ? args[4] - args[3] : 0;
+                return DeviceArrays(
+                           mem, arrayInOut<std::int32_t>(args[1], n),
+                           arrayIn<std::int32_t>(args[0] + args[3] * n * 4,
+                                                 rows * n))
+                    .run([&](std::span<std::int32_t> cost,
+                             std::span<const std::int32_t> band) {
+                        for (std::uint64_t r = 0; r < rows; ++r) {
+                            // In place: `left` keeps the old cost[j-1].
+                            std::int32_t left = 0;
+                            for (std::uint64_t j = 0; j < n; ++j) {
+                                const std::int32_t here = cost[j];
+                                std::int32_t best = here;
+                                if (j > 0)
+                                    best = std::min(best, left);
+                                if (j + 1 < n)
+                                    best = std::min(best, cost[j + 1]);
+                                left = here;
+                                cost[j] = band[r * n + j] + best;
+                            }
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double nominal = static_cast<double>(args[5]);

@@ -1,8 +1,24 @@
 /**
  * @file
- * Shared helpers for the workload implementations: typed device-array
- * accessors, the process-wide fixture cache, transfer padding to hit
- * Table 5 volumes exactly, and the calibrated kernel-cost helper.
+ * Shared helpers for the workload implementations: typed device
+ * arrays for kernels, the process-wide fixture cache, transfer padding
+ * to hit Table 5 volumes exactly, and the calibrated kernel-cost
+ * helper.
+ *
+ * Device arrays: a kernel declares each array it touches as input,
+ * output or in-out (arrayIn/arrayOut/arrayInOut) and runs one body
+ * over std::span<T>s through DeviceArrays::run(). Where it can, the
+ * span is a view of VRAM, so the kernel works on device memory in
+ * place. Otherwise it is a copy: an input that is not contiguous in
+ * VRAM or not aligned for T is loaded with loadArray(); a whole
+ * launch takes the copy path (load in declaration order, run, store
+ * the written arrays in declaration order) when any array has an
+ * unmapped page, a written array cannot be viewed, or two arrays
+ * overlap in VRAM and one of them is written. An output starts as
+ * value-initialized elements on either path. The contract is that
+ * for every argument tuple the VRAM bytes after the launch and the
+ * returned Status equal the copy path's, which a
+ * GpuMemAccessor::perPage() accessor forces.
  *
  * Fixtures: a workload's input, its upload Bytes and its expected
  * output depend only on a fixed seed and the functional size, so each
@@ -23,13 +39,18 @@
 #ifndef HIX_WORKLOADS_RODINIA_UTIL_H_
 #define HIX_WORKLOADS_RODINIA_UTIL_H_
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <span>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/byte_utils.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -63,6 +84,213 @@ storeArray(const gpu::GpuMemAccessor &mem, Addr va,
                      reinterpret_cast<const std::uint8_t *>(data.data()),
                      data.size() * sizeof(T));
 }
+
+/** How a kernel uses one device array. */
+enum class Access
+{
+    In,     //!< read only
+    Out,    //!< written; starts as value-initialized elements
+    InOut,  //!< read and updated in place
+};
+
+/** One device array of a launch: @p count elements of T at @p va. */
+template <typename T, Access A>
+struct DeviceArray
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    using Type = T;
+    static constexpr Access access = A;
+
+    Addr va;
+    std::size_t count;
+};
+
+template <typename T>
+DeviceArray<T, Access::In>
+arrayIn(Addr va, std::size_t count)
+{
+    return {va, count};
+}
+
+template <typename T>
+DeviceArray<T, Access::Out>
+arrayOut(Addr va, std::size_t count)
+{
+    return {va, count};
+}
+
+template <typename T>
+DeviceArray<T, Access::InOut>
+arrayInOut(Addr va, std::size_t count)
+{
+    return {va, count};
+}
+
+namespace detail
+{
+
+/** A declared array bound to one launch: a VRAM view or a copy. */
+template <typename Decl>
+class BoundArray
+{
+  public:
+    using T = typename Decl::Type;
+    static constexpr bool Written = Decl::access != Access::In;
+    using Elem = std::conditional_t<Written, T, const T>;
+
+    explicit BoundArray(Decl decl) : decl_(decl) {}
+
+    Status
+    checkSize(const gpu::GpuMemAccessor &mem) const
+    {
+        if (decl_.count > mem.vramSize() / sizeof(T))
+            return errInvalidArgument("device array larger than VRAM");
+        return Status::ok();
+    }
+
+    /**
+     * Try to view the array in VRAM. False when the whole launch must
+     * take the copy path: an unmapped page, or a written array that
+     * is not contiguous or not aligned for T. An input that only
+     * fails those two checks stays a copy on its own.
+     */
+    bool
+    lend(const gpu::GpuMemAccessor &mem)
+    {
+        auto v = mem.view(decl_.va, decl_.count * sizeof(T));
+        if (!v.isOk())
+            return !Written &&
+                   v.status().code() == StatusCode::FailedPrecondition;
+        if (reinterpret_cast<std::uintptr_t>(v->data()) % alignof(T) != 0)
+            return !Written;
+        view_ = *v;
+        lent_ = true;
+        return true;
+    }
+
+    void drop() { lent_ = false; }
+
+    /** The VRAM bytes this array views (empty for a copy), and
+     * whether the launch writes them. */
+    std::pair<std::span<const std::uint8_t>, bool>
+    footprint() const
+    {
+        return {lent_ ? view_ : std::span<std::uint8_t>(), Written};
+    }
+
+    /** Fill a copy: load an input, value-initialize an output. */
+    Status
+    load(const gpu::GpuMemAccessor &mem)
+    {
+        if (lent_)
+            return Status::ok();
+        if constexpr (Decl::access == Access::Out) {
+            copy_.assign(decl_.count, T{});
+        } else {
+            HIX_ASSIGN_OR_RETURN(copy_,
+                                 loadArray<T>(mem, decl_.va, decl_.count));
+        }
+        return Status::ok();
+    }
+
+    /** Value-initialize a viewed output (all-zero bytes). */
+    void
+    clearOutput()
+    {
+        if (lent_ && Decl::access == Access::Out && !view_.empty())
+            std::memset(view_.data(), 0, view_.size());
+    }
+
+    std::span<Elem>
+    span()
+    {
+        if (!lent_)
+            return copy_;
+        return {reinterpret_cast<Elem *>(view_.data()), decl_.count};
+    }
+
+    /** Write a written copy back. */
+    Status
+    store(const gpu::GpuMemAccessor &mem) const
+    {
+        if (!Written || lent_)
+            return Status::ok();
+        return storeArray(mem, decl_.va, copy_);
+    }
+
+  private:
+    Decl decl_;
+    std::span<std::uint8_t> view_;
+    bool lent_ = false;
+    std::vector<T> copy_;
+};
+
+}  // namespace detail
+
+/**
+ * The device arrays of one kernel launch (see the file comment):
+ *
+ *     return DeviceArrays(mem, arrayIn<float>(args[0], n),
+ *                         arrayOut<float>(args[1], n))
+ *         .run([&](std::span<const float> in, std::span<float> out) {
+ *             ...
+ *         });
+ *
+ * The body receives one span per array, in declaration order, and
+ * cannot fail: kernels check their scalar arguments before this.
+ */
+template <typename... Decls>
+class DeviceArrays
+{
+  public:
+    DeviceArrays(const gpu::GpuMemAccessor &mem, Decls... decls)
+        : mem_(mem), bound_(detail::BoundArray<Decls>(decls)...)
+    {}
+
+    template <typename Body>
+    Status
+    run(Body &&body)
+    {
+        return std::apply(
+            [&](auto &...array) -> Status {
+                Status st = Status::ok();
+                ((st.isOk() ? void(st = array.checkSize(mem_)) : void()),
+                 ...);
+                HIX_RETURN_IF_ERROR(st);
+                if (!(array.lend(mem_) && ...) ||
+                    writtenViewsOverlap({array.footprint()...}))
+                    (array.drop(), ...);
+                ((st.isOk() ? void(st = array.load(mem_)) : void()), ...);
+                HIX_RETURN_IF_ERROR(st);
+                (array.clearOutput(), ...);
+                body(array.span()...);
+                ((st.isOk() ? void(st = array.store(mem_)) : void()),
+                 ...);
+                return st;
+            },
+            bound_);
+    }
+
+  private:
+    using Footprint = std::pair<std::span<const std::uint8_t>, bool>;
+
+    static bool
+    writtenViewsOverlap(
+        const std::array<Footprint, sizeof...(Decls)> &arrays)
+    {
+        for (std::size_t i = 0; i < arrays.size(); ++i) {
+            for (std::size_t j = i + 1; j < arrays.size(); ++j) {
+                if ((arrays[i].second || arrays[j].second) &&
+                    spansOverlap(arrays[i].first, arrays[j].first))
+                    return true;
+            }
+        }
+        return false;
+    }
+
+    const gpu::GpuMemAccessor &mem_;
+    std::tuple<detail::BoundArray<Decls>...> bound_;
+};
 
 template <typename T>
 Bytes

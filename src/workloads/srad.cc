@@ -73,28 +73,33 @@ class Srad : public RodiniaApp
                 // args: {img, coeff, rows, cols, nominal_cells}
                 const std::uint64_t rows = args[2];
                 const std::uint64_t cols = args[3];
-                HIX_ASSIGN_OR_RETURN(
-                    auto img, loadArray<float>(mem, args[0], rows * cols));
-                std::vector<float> c(rows * cols);
-                for (std::uint64_t i = 0; i < rows; ++i) {
-                    for (std::uint64_t j = 0; j < cols; ++j) {
-                        const float v = img[i * cols + j];
-                        const float up =
-                            i > 0 ? img[(i - 1) * cols + j] : v;
-                        const float dn =
-                            i + 1 < rows ? img[(i + 1) * cols + j] : v;
-                        const float lt =
-                            j > 0 ? img[i * cols + j - 1] : v;
-                        const float rt =
-                            j + 1 < cols ? img[i * cols + j + 1] : v;
-                        const float g2 =
-                            (up - v) * (up - v) + (dn - v) * (dn - v) +
-                            (lt - v) * (lt - v) + (rt - v) * (rt - v);
-                        c[i * cols + j] =
-                            1.0f / (1.0f + g2 / (v * v + 1e-6f));
-                    }
-                }
-                return storeArray(mem, args[1], c);
+                return DeviceArrays(mem,
+                                    arrayIn<float>(args[0], rows * cols),
+                                    arrayOut<float>(args[1], rows * cols))
+                    .run([&](std::span<const float> img,
+                             std::span<float> c) {
+                        for (std::uint64_t i = 0; i < rows; ++i) {
+                            for (std::uint64_t j = 0; j < cols; ++j) {
+                                const float v = img[i * cols + j];
+                                const float up =
+                                    i > 0 ? img[(i - 1) * cols + j] : v;
+                                const float dn =
+                                    i + 1 < rows ? img[(i + 1) * cols + j]
+                                                 : v;
+                                const float lt =
+                                    j > 0 ? img[i * cols + j - 1] : v;
+                                const float rt =
+                                    j + 1 < cols ? img[i * cols + j + 1]
+                                                 : v;
+                                const float g2 = (up - v) * (up - v) +
+                                                 (dn - v) * (dn - v) +
+                                                 (lt - v) * (lt - v) +
+                                                 (rt - v) * (rt - v);
+                                c[i * cols + j] =
+                                    1.0f / (1.0f + g2 / (v * v + 1e-6f));
+                            }
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =
@@ -110,36 +115,44 @@ class Srad : public RodiniaApp
                 // args: {img, coeff, rows, cols, nominal_cells}
                 const std::uint64_t rows = args[2];
                 const std::uint64_t cols = args[3];
-                HIX_ASSIGN_OR_RETURN(
-                    auto img, loadArray<float>(mem, args[0], rows * cols));
-                HIX_ASSIGN_OR_RETURN(
-                    auto c, loadArray<float>(mem, args[1], rows * cols));
-                std::vector<float> out(rows * cols);
-                for (std::uint64_t i = 0; i < rows; ++i) {
-                    for (std::uint64_t j = 0; j < cols; ++j) {
-                        const float v = img[i * cols + j];
-                        const float cd =
-                            i + 1 < rows ? c[(i + 1) * cols + j]
-                                         : c[i * cols + j];
-                        const float cr =
-                            j + 1 < cols ? c[i * cols + j + 1]
-                                         : c[i * cols + j];
-                        const float up =
-                            i > 0 ? img[(i - 1) * cols + j] : v;
-                        const float dn =
-                            i + 1 < rows ? img[(i + 1) * cols + j] : v;
-                        const float lt =
-                            j > 0 ? img[i * cols + j - 1] : v;
-                        const float rt =
-                            j + 1 < cols ? img[i * cols + j + 1] : v;
-                        const float div =
-                            cd * (dn - v) + c[i * cols + j] * (up - v) +
-                            cr * (rt - v) + c[i * cols + j] * (lt - v);
-                        out[i * cols + j] =
-                            v + 0.25f * Lambda * div;
-                    }
-                }
-                return storeArray(mem, args[0], out);
+                return DeviceArrays(mem,
+                                    arrayInOut<float>(args[0], rows * cols),
+                                    arrayIn<float>(args[1], rows * cols))
+                    .run([&](std::span<float> img,
+                             std::span<const float> c) {
+                        // The update is in place, so the stencil reads
+                        // the old rows i-1 and i from two row buffers;
+                        // row i+1 is still untouched in img.
+                        std::vector<float> above(cols), row(cols);
+                        for (std::uint64_t i = 0; i < rows; ++i) {
+                            std::copy_n(img.begin() + i * cols, cols,
+                                        row.begin());
+                            for (std::uint64_t j = 0; j < cols; ++j) {
+                                const float v = row[j];
+                                const float cd =
+                                    i + 1 < rows ? c[(i + 1) * cols + j]
+                                                 : c[i * cols + j];
+                                const float cr =
+                                    j + 1 < cols ? c[i * cols + j + 1]
+                                                 : c[i * cols + j];
+                                const float up = i > 0 ? above[j] : v;
+                                const float dn =
+                                    i + 1 < rows ? img[(i + 1) * cols + j]
+                                                 : v;
+                                const float lt = j > 0 ? row[j - 1] : v;
+                                const float rt =
+                                    j + 1 < cols ? row[j + 1] : v;
+                                const float div =
+                                    cd * (dn - v) +
+                                    c[i * cols + j] * (up - v) +
+                                    cr * (rt - v) +
+                                    c[i * cols + j] * (lt - v);
+                                img[i * cols + j] =
+                                    v + 0.25f * Lambda * div;
+                            }
+                            above.swap(row);
+                        }
+                    });
             },
             [](const gpu::KernelArgs &args) {
                 const double ratio =

@@ -88,6 +88,53 @@ class GpuDeviceTest : public ::testing::Test
                   static_cast<std::uint32_t>(CmdStatusCode::Error));
     }
 
+    /**
+     * Agree a session key in @p slot through context 1 (which must
+     * map 0x100000..0x100120) and return the host side's OCB.
+     */
+    crypto::Ocb
+    agreeKey(std::uint32_t slot)
+    {
+        Rng rng(slot + 100);
+        auto host_pair = crypto::X25519KeyPair::generate(rng);
+        EXPECT_TRUE(ram_.writeAt(0x1000, host_pair.publicKey.data(),
+                                 crypto::X25519KeySize)
+                        .isOk());
+        submit(GpuOp::CopyH2D, 1,
+               {0x1000, 0x100000, crypto::X25519KeySize});
+        submit(GpuOp::DhMix, 1, {slot, 0x100000, 0x100100});
+        submit(GpuOp::DhSetKey, 1, {slot, 0x100000});
+        submit(GpuOp::CopyD2H, 1,
+               {0x100100, 0x2000, crypto::X25519KeySize});
+        expectOk();
+        crypto::X25519Key mixed;
+        EXPECT_TRUE(
+            ram_.readAt(0x2000, mixed.data(), mixed.size()).isOk());
+        Bytes secret(mixed.begin(), mixed.end());
+        return crypto::Ocb(crypto::deriveAesKey(secret, "hix-session"));
+    }
+
+    /** Copy @p data into context 1 at @p va through host RAM. */
+    void
+    upload(Addr va, const Bytes &data)
+    {
+        ASSERT_TRUE(
+            ram_.writeAt(0x400000, data.data(), data.size()).isOk());
+        submit(GpuOp::CopyH2D, 1, {0x400000, va, data.size()});
+        expectOk();
+    }
+
+    /** Read @p len bytes of context 1 at @p va back through host RAM. */
+    Bytes
+    download(Addr va, std::size_t len)
+    {
+        submit(GpuOp::CopyD2H, 1, {va, 0x800000, len});
+        expectOk();
+        Bytes out(len);
+        EXPECT_TRUE(ram_.readAt(0x800000, out.data(), len).isOk());
+        return out;
+    }
+
     mem::PhysicalBus bus_;
     mem::PhysMem ram_;
     GpuDevice gpu_;
@@ -405,6 +452,143 @@ TEST_F(GpuDeviceTest, OcbLengthBeyondVramRejected)
             << gpu_.lastError();
     }
     EXPECT_EQ(gpu_.stats().cryptoKernels, 0u);
+}
+
+TEST_F(GpuDeviceTest, OcbOverlappingSourceAndDestination)
+{
+    submit(GpuOp::CtxCreate, 1, {});
+    submit(GpuOp::Map, 1, {0x100000, 0x200000, 1 * MiB});
+    crypto::Ocb host = agreeKey(5);
+    Bytes pt(3000);
+    for (std::size_t i = 0; i < pt.size(); ++i)
+        pt[i] = static_cast<std::uint8_t>(i * 31 + 7);
+
+    // Encrypt in place, then into a destination 100 bytes further on
+    // that overlaps its own source.
+    for (std::uint64_t shift : {0u, 100u}) {
+        upload(0x110000, pt);
+        submit(GpuOp::OcbEncrypt, 1,
+               {5, 0x110000, 0x110000 + shift, pt.size(), 2, shift});
+        expectOk();
+        auto back = host.decrypt(
+            crypto::makeNonce(2, shift), {},
+            download(0x110000 + shift, pt.size() + crypto::OcbTagSize));
+        ASSERT_TRUE(back.isOk()) << "shift " << shift;
+        EXPECT_EQ(*back, pt) << "shift " << shift;
+    }
+
+    // Decrypt over its own ciphertext, shifted by 7 bytes.
+    upload(0x120000, host.encrypt(crypto::makeNonce(2, 9), {}, pt));
+    submit(GpuOp::OcbDecrypt, 1, {5, 0x120000, 0x120007, pt.size(), 2, 9});
+    expectOk();
+    EXPECT_EQ(download(0x120007, pt.size()), pt);
+}
+
+TEST_F(GpuDeviceTest, OcbFailedTagLeavesDestinationUntouched)
+{
+    submit(GpuOp::CtxCreate, 1, {});
+    submit(GpuOp::Map, 1, {0x100000, 0x200000, 1 * MiB});
+    crypto::Ocb host = agreeKey(6);
+    const Bytes pt(5000, 0x41);
+    Bytes ct = host.encrypt(crypto::makeNonce(4, 1), {}, pt);
+    ct[4321] ^= 0x01;
+    const Bytes canary(pt.size(), 0x5a);
+    upload(0x110000, ct);
+    upload(0x120000, canary);
+
+    submit(GpuOp::OcbDecrypt, 1, {6, 0x110000, 0x120000, pt.size(), 4, 1});
+    expectError();
+    EXPECT_EQ(download(0x120000, canary.size()), canary);
+    // In place, the tampered ciphertext itself is left as it was.
+    submit(GpuOp::OcbDecrypt, 1, {6, 0x110000, 0x110000, pt.size(), 4, 1});
+    expectError();
+    EXPECT_EQ(download(0x110000, ct.size()), ct);
+    EXPECT_EQ(gpu_.stats().macFailures, 2u);
+    EXPECT_EQ(gpu_.stats().cryptoKernels, 0u);
+}
+
+TEST_F(GpuDeviceTest, ScrubClearsPagesWithoutMaterialisingThem)
+{
+    submit(GpuOp::CtxCreate, 1, {});
+    submit(GpuOp::Map, 1, {0x100000, 0x200000, 16 * mem::PageSize});
+    expectOk();
+    // Scrubbing never-written pages (a pad buffer) allocates nothing.
+    submit(GpuOp::Scrub, 1, {0x100000, 16 * mem::PageSize});
+    expectOk();
+    EXPECT_EQ(gpu_.vramResidentPages(), 0u);
+    EXPECT_EQ(gpu_.stats().scrubbedBytes, 16 * mem::PageSize);
+
+    // A scrub that runs into an unmapped page clears the mapped
+    // prefix, partial first page included, and then faults.
+    upload(0x10e000, Bytes(2 * mem::PageSize, 0xee));
+    submit(GpuOp::Scrub, 1, {0x10e010, 3 * mem::PageSize});
+    expectError();
+    Bytes back(2 * mem::PageSize);
+    ASSERT_TRUE(
+        gpu_.debugReadVram(0x20e000, back.data(), back.size()).isOk());
+    Bytes want(2 * mem::PageSize, 0);
+    std::fill(want.begin(), want.begin() + 0x10, 0xee);
+    EXPECT_EQ(back, want);
+}
+
+TEST_F(GpuDeviceTest, MapRangeWrappingPastTopIsRejected)
+{
+    // pa + bytes used to wrap to 4096 and pass the VRAM bound, so a
+    // copy into the second page landed at VRAM PA 0, in the device
+    // area below the heap.
+    submit(GpuOp::CtxCreate, 1, {});
+    submit(GpuOp::Map, 1,
+           {0x100000, ~std::uint64_t(0) - (mem::PageSize - 1),
+            2 * mem::PageSize});
+    expectError();
+    const Bytes secret = {0x5e, 0xc7, 0x3e, 0x70};
+    ASSERT_TRUE(ram_.writeAt(0x1000, secret.data(), 4).isOk());
+    submit(GpuOp::CopyH2D, 1, {0x1000, 0x101000, 4});
+    expectError();
+    Bytes back(4, 0xff);
+    ASSERT_TRUE(gpu_.debugReadVram(0, back.data(), 4).isOk());
+    EXPECT_EQ(back, Bytes(4, 0));
+}
+
+TEST_F(GpuDeviceTest, Bar1WindowWrappingPastTopIsRejected)
+{
+    // window_base + offset + len used to wrap, so with the window at
+    // 2^64 - 4096 BAR1 offset 4096 reached VRAM PA 0.
+    const Bytes secret = {0x11, 0x22, 0x33, 0x44};
+    ASSERT_TRUE(gpu_.mmioWrite(1, 0, secret.data(), 4).isOk());
+    std::uint8_t lo[4], hi[4];
+    storeLE32(lo, 0xfffff000);
+    storeLE32(hi, 0xffffffff);
+    ASSERT_TRUE(gpu_.mmioWrite(0, reg::WindowBaseLo, lo, 4).isOk());
+    ASSERT_TRUE(gpu_.mmioWrite(0, reg::WindowBaseHi, hi, 4).isOk());
+    Bytes got(4, 0);
+    EXPECT_EQ(gpu_.mmioRead(1, mem::PageSize, got.data(), 4).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(got, Bytes(4, 0));
+    const Bytes junk(4, 0xee);
+    EXPECT_EQ(gpu_.mmioWrite(1, mem::PageSize, junk.data(), 4).code(),
+              StatusCode::InvalidArgument);
+    Bytes back(4);
+    ASSERT_TRUE(gpu_.debugReadVram(0, back.data(), 4).isOk());
+    EXPECT_EQ(back, secret);
+}
+
+TEST(GpuContextTest, MapWrappingPastTopOfVaIsRejected)
+{
+    // gpu_va + i * PageSize used to wrap, mapping the second page at
+    // VA 0.
+    const Addr top_page = ~Addr(0) - (mem::PageSize - 1);
+    GpuContext ctx(1);
+    EXPECT_EQ(ctx.map(top_page, 0x200000, 2 * mem::PageSize).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(ctx.pageCount(), 0u);
+    EXPECT_FALSE(ctx.translate(0).isOk());
+    EXPECT_EQ(ctx.map(0x100000, top_page, 2 * mem::PageSize).code(),
+              StatusCode::InvalidArgument);
+    ASSERT_TRUE(ctx.map(top_page, 0x200000, mem::PageSize).isOk());
+    EXPECT_EQ(ctx.unmap(top_page, 2 * mem::PageSize).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(ctx.pageCount(), 1u);
 }
 
 TEST_F(GpuDeviceTest, CryptoWithoutKeyFails)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/byte_utils.h"
 #include "common/rng.h"
 #include "hix/baseline_runtime.h"
@@ -315,6 +317,15 @@ struct ChunkEdge
     std::uint64_t chunks;
     std::int64_t delta;
 };
+
+/** Print the case by name. gtest's default byte dump would embed the
+ *  name pointer, so the registered ctest names would change whenever
+ *  the binary's layout does. */
+void
+PrintTo(const ChunkEdge &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class RuntimeChunkEdgeTest : public RuntimeTest,
                              public ::testing::WithParamInterface<ChunkEdge>

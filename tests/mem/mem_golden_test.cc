@@ -16,6 +16,10 @@
  *  - MemGoldenIotlb: IOTLB coherence against the OS-owned table
  *    (unmap/overwrite invalidate before taking effect), counters,
  *    and O(1) flush.
+ *  - MemGoldenCow: PhysMem forks, snapshots, views and recycled
+ *    regions against an eager deep-copy oracle.
+ *  - MemGoldenRegionPool: threads acquiring and releasing PhysMem
+ *    regions through the process-wide free list concurrently.
  *
  * CI gates on this suite (ctest -R MemGolden); the sanitize and tsan
  * jobs run it under ASan/UBSan and TSan.
@@ -25,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -515,9 +520,10 @@ TEST(MemGoldenIotlb, DisabledModeBypassesAndDoesNotCount)
 // and frozen snapshots driven by a randomized op stream, each fork
 // shadowed by an eager deep-copy oracle (a dense byte vector; a
 // "snapshot" of the oracle is a full copy). Whatever interleaving of
-// writes, scrubs, snapshots, adopts, and fork creation the stream
-// produces, every fork must read back exactly its oracle's bytes and
-// every frozen snapshot must still carry the bytes it froze.
+// writes, views, scrubs, snapshots, adopts, fork creation and region
+// recycling the stream produces, every fork must read back exactly
+// its oracle's bytes and every frozen snapshot must still carry the
+// bytes it froze.
 
 namespace
 {
@@ -573,7 +579,7 @@ driveCowStream(std::uint64_t seed, int iterations)
         }
         if (off + len > CowSize)
             len = CowSize - off;
-        switch (r % 8) {
+        switch (r % 11) {
           case 0:
           case 1: {  // write
             for (std::uint64_t b = 0; b < len; ++b)
@@ -582,6 +588,34 @@ driveCowStream(std::uint64_t seed, int iterations)
             ASSERT_TRUE(
                 f.mem->writeAt(off, buf.data(), len).isOk());
             std::memcpy(f.oracle.data() + off, buf.data(), len);
+            break;
+          }
+          case 8: {  // read through a view
+            const std::uint8_t *view = f.mem->view(off, len);
+            ASSERT_NE(view, nullptr);
+            ASSERT_EQ(0, std::memcmp(view, f.oracle.data() + off, len));
+            break;
+          }
+          case 9: {  // write through a view
+            std::uint8_t *view = f.mem->view(off, len);
+            ASSERT_NE(view, nullptr);
+            for (std::uint64_t b = 0; b < len; ++b)
+                view[b] = static_cast<std::uint8_t>(view[b] * 3 + r);
+            for (std::uint64_t b = 0; b < len; ++b)
+                f.oracle[off + b] = static_cast<std::uint8_t>(
+                    f.oracle[off + b] * 3 + r);
+            break;
+          }
+          case 10: {  // destroy a fork, recreate it on a recycled region
+            std::string name = "cow" + std::to_string(next_fork++);
+            f.mem.reset();
+            f.mem = std::make_unique<PhysMem>(name, CowSize);
+            std::fill(f.oracle.begin(), f.oracle.end(), 0);
+            if (!snaps.empty()) {
+                CowSnap &s = snaps[(r >> 16) % snaps.size()];
+                ASSERT_TRUE(f.mem->adopt(s.snap).isOk());
+                f.oracle = s.oracle;
+            }
             break;
           }
           case 2: {  // read + compare
@@ -652,6 +686,65 @@ TEST(MemGoldenCow, RandomizedForkStreamsMatchEagerDeepCopyOracle)
 {
     for (std::uint64_t seed : {0xc0117ull, 0xfaceull, 0x5eedull})
         driveCowStream(seed, 4000);
+}
+
+// ----- MemGoldenRegionPool -----------------------------------------------
+//
+// PhysMem regions are shared process state: a destroyed memory hands
+// its region to a free list that any thread's next memory of the same
+// size takes. Threads churn memories through that list; each must see
+// only its own bytes and zeros, never another instance's.
+
+TEST(MemGoldenRegionPool, ConcurrentAcquireReleaseStaysIsolated)
+{
+    constexpr std::uint64_t Pages = 16;
+    constexpr std::uint64_t Size = Pages * PageSize;
+    constexpr int Threads = 4;
+    constexpr int Rounds = 200;
+    std::vector<std::string> failures(Threads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < Threads; ++t) {
+        workers.emplace_back([t, &failures] {
+            Rng rng{0x9001ull + static_cast<std::uint64_t>(t)};
+            std::vector<std::uint8_t> got(Size);
+            for (int round = 0; round < Rounds; ++round) {
+                PhysMem mem("pool" + std::to_string(t), Size);
+                std::vector<std::uint8_t> oracle(Size, 0);
+                const auto tag = static_cast<std::uint8_t>(
+                    1 + t * Rounds + round);
+                for (int op = 0; op < 6; ++op) {
+                    const std::uint64_t r = rng.next();
+                    const std::uint64_t off = (r >> 8) % Size;
+                    const std::uint64_t len =
+                        std::min<std::uint64_t>(1 + (r >> 32) % PageSize,
+                                                Size - off);
+                    if (r & 1) {
+                        std::vector<std::uint8_t> data(len, tag);
+                        if (!mem.writeAt(off, data.data(), len).isOk())
+                            failures[t] = "write failed";
+                    } else {
+                        std::uint8_t *view = mem.view(off, len);
+                        if (!view) {
+                            failures[t] = "view failed";
+                            return;
+                        }
+                        std::memset(view, tag, len);
+                    }
+                    std::memset(oracle.data() + off, tag, len);
+                }
+                if (!mem.readAt(0, got.data(), Size).isOk() ||
+                    got != oracle) {
+                    failures[t] = "round " + std::to_string(round) +
+                                  " read bytes it never wrote";
+                    return;
+                }
+            }
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    for (int t = 0; t < Threads; ++t)
+        EXPECT_EQ(failures[t], "") << "thread " << t;
 }
 
 TEST(MemGoldenCow, WholePageScrubDropsPagesWithoutDivergence)

@@ -200,6 +200,77 @@ TEST(PhysMemTest, SharedPageZeroScrubDecrefsNotCopies)
     EXPECT_EQ(got, 0xab);
 }
 
+TEST(PhysMemTest, RecycledRegionReadsZero)
+{
+    // A destroyed memory's region goes back to the free list with its
+    // bytes intact; the next memory of the same size reuses it and
+    // must still read zero everywhere it has not written.
+    constexpr std::uint64_t Size = 256 * KiB;
+    const std::uint8_t *recycled = nullptr;
+    {
+        PhysMem old("old", Size);
+        Bytes pattern(Size, 0xa7);
+        ASSERT_TRUE(old.writeAt(0, pattern.data(), Size).isOk());
+        recycled = old.view(0, Size);
+    }
+    PhysMem ram("ram", Size);
+    EXPECT_EQ(ram.residentPages(), 0u);
+    Bytes back(Size, 0xff);
+    ASSERT_TRUE(ram.readAt(0, back.data(), Size).isOk());
+    EXPECT_EQ(back, Bytes(Size, 0));
+    const std::uint8_t *span = ram.readSpan(3 * PageSize + 5, 7);
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(Bytes(span, span + 7), Bytes(7, 0));
+
+    // A view privatises its pages: each starts out as zeros.
+    std::uint8_t *view = ram.view(PageSize + 100, 2 * PageSize);
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(Bytes(view, view + 2 * PageSize), Bytes(2 * PageSize, 0));
+
+    // A partial write keeps the rest of its page zero.
+    const std::uint8_t one = 1;
+    ASSERT_TRUE(ram.writeAt(10 * PageSize + 9, &one, 1).isOk());
+    Bytes page(PageSize);
+    ASSERT_TRUE(ram.readAt(10 * PageSize, page.data(), PageSize).isOk());
+    Bytes want(PageSize, 0);
+    want[9] = 1;
+    EXPECT_EQ(page, want);
+    EXPECT_EQ(ram.residentPages(), 4u);
+    // The same region came back (most recently released first).
+    EXPECT_EQ(ram.view(0, 1), recycled);
+}
+
+TEST(PhysMemTest, ViewIsOneSpanOverPrivatePages)
+{
+    PhysMem ram("ram", 1 * MiB);
+    Bytes data(3 * PageSize);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13);
+    ASSERT_TRUE(ram.writeAt(PageSize, data.data(), data.size()).isOk());
+    auto snap = ram.snapshot();
+    EXPECT_EQ(ram.sharedPages(), 3u);
+
+    // Viewing copies the shared pages in (the snapshot keeps its own)
+    // and lends them as one span.
+    std::uint8_t *view = ram.view(PageSize, data.size());
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(Bytes(view, view + data.size()), data);
+    EXPECT_EQ(ram.sharedPages(), 0u);
+    EXPECT_EQ(ram.residentPages(), 3u);
+    view[0] ^= 0xff;
+    std::uint8_t got = 0;
+    ASSERT_TRUE(ram.readAt(PageSize, &got, 1).isOk());
+    EXPECT_EQ(got, static_cast<std::uint8_t>(data[0] ^ 0xff));
+
+    PhysMem fork("fork", 1 * MiB);
+    ASSERT_TRUE(fork.adopt(snap).isOk());
+    ASSERT_TRUE(fork.readAt(PageSize, &got, 1).isOk());
+    EXPECT_EQ(got, data[0]);
+
+    EXPECT_EQ(ram.view(1 * MiB - 4, 8), nullptr);
+    EXPECT_EQ(ram.view(0, 0), nullptr);
+}
+
 TEST(PhysMemTest, AdoptRejectsSizeMismatch)
 {
     PhysMem ram("ram", 1 * MiB);
