@@ -116,7 +116,7 @@ class BenchJson
                 static_cast<unsigned long long>(row.ticks_),
                 row.host_ms_);
             // %.12g keeps integer-valued metrics (tick counts in the
-            // low billions, e.g. ticks_streaming) exact so gates can
+            // low billions, e.g. ticks_fork) exact so gates can
             // compare them with ==, while still trimming float noise.
             for (const auto &[key, value] : row.metrics_)
                 std::fprintf(f, ", \"%s\": %.12g",

@@ -22,35 +22,16 @@ using namespace hix::workloads;
 namespace
 {
 
-/** Host threads available to the recording pool (the pool sizes
- * itself to min(users, this)): the wall-clock speedup ceiling. */
-unsigned
-hostThreads()
-{
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc == 0 ? 1 : hc;
-}
-
-/** One configuration recorded serially, then in parallel, then as the
- * streaming merge-while-recording pipeline: the ticks must be
- * bit-identical all three ways (the runner's headline guarantee); the
- * host wall-clock ratios are the recording speedup and the pipeline
- * overlap the two parallel modes buy. */
+/** One configuration recorded with cold-booted sessions, then with
+ * sessions forked from a copy-on-write template: the ticks must be
+ * bit-identical both ways; the host wall-clock and boot ratios are
+ * what the fork path buys. */
 struct TimedRun
 {
     Result<RunOutcome> outcome = errInternal("not run");
-    Result<RunOutcome> streaming = errInternal("not run");
     Result<RunOutcome> forked = errInternal("not run");
-    double serialMs = 0;
-    double parallelMs = 0;
-    double streamingMs = 0;
+    double ms = 0;
     double forkedMs = 0;
-
-    double
-    speedup() const
-    {
-        return parallelMs > 0 ? serialMs / parallelMs : 0;
-    }
 
     /** Session-startup speedup the copy-on-write fork path buys:
      * cold per-user boot cost over forked per-user boot cost. */
@@ -61,18 +42,6 @@ struct TimedRun
             forked->hostBootMs <= 0)
             return 0;
         return outcome->hostBootMs / forked->hostBootMs;
-    }
-
-    /** Fraction of the two-phase record+schedule wall the streaming
-     * pipeline hides by overlapping the stages (0 = none). */
-    double
-    overlap() const
-    {
-        if (!outcome.isOk())
-            return 0;
-        const double two_phase =
-            outcome->hostRecordMs + outcome->hostScheduleMs;
-        return two_phase > 0 ? 1 - streamingMs / two_phase : 0;
     }
 };
 
@@ -86,42 +55,18 @@ timedRun(const std::function<std::unique_ptr<Workload>()> &factory,
     config.users = users;
     config.useHix = use_hix;
 
-    config.recordThreads = 1;
-    bench::HostTimer serial_timer;
-    auto serial = runWorkload(config);
-    run.serialMs = serial_timer.ms();
-
-    config.recordThreads = 0;
-    bench::HostTimer parallel_timer;
+    bench::HostTimer timer;
     run.outcome = runWorkload(config);
-    run.parallelMs = parallel_timer.ms();
+    run.ms = timer.ms();
 
-    config.streaming = true;
-    bench::HostTimer streaming_timer;
-    run.streaming = runWorkload(config);
-    run.streamingMs = streaming_timer.ms();
-
-    // Fourth leg: parallel recording with forkSessions on — every
-    // user shard forks the copy-on-write template snapshot instead
-    // of cold-booting a private machine. Must stay bit-identical.
-    config.streaming = false;
+    // Second leg: forkSessions on — every user shard forks the
+    // copy-on-write template snapshot instead of cold-booting a
+    // private machine. Must stay bit-identical.
     config.forkSessions = true;
     bench::HostTimer forked_timer;
     run.forked = runWorkload(config);
     run.forkedMs = forked_timer.ms();
 
-    if (serial.isOk() && run.outcome.isOk() &&
-        serial->ticks != run.outcome->ticks)
-        std::printf("  !! serial/parallel tick mismatch: %llu vs %llu\n",
-                    static_cast<unsigned long long>(serial->ticks),
-                    static_cast<unsigned long long>(
-                        run.outcome->ticks));
-    if (run.outcome.isOk() && run.streaming.isOk() &&
-        run.outcome->ticks != run.streaming->ticks)
-        std::printf(
-            "  !! two-phase/streaming tick mismatch: %llu vs %llu\n",
-            static_cast<unsigned long long>(run.outcome->ticks),
-            static_cast<unsigned long long>(run.streaming->ticks));
     if (run.outcome.isOk() && run.forked.isOk() &&
         run.outcome->ticks != run.forked->ticks)
         std::printf(
@@ -146,11 +91,10 @@ runFigure(int users, bench::BenchJson &json)
             users);
     std::printf(
         " App  | Gdev 1u (ms) | Gdev %du (norm) | HIX %du (norm) |"
-        " HIX/Gdev | ctx switches | rec serial ms | rec parallel ms |"
-        " speedup\n",
+        " HIX/Gdev | ctx switches\n",
         users, users);
 
-    double gdev_sum = 0, hix_sum = 0, speedup_sum = 0;
+    double gdev_sum = 0, hix_sum = 0;
     double gdev_fork_sum = 0, hix_fork_sum = 0;
     int count = 0;
     for (const char *app :
@@ -160,8 +104,7 @@ runFigure(int users, bench::BenchJson &json)
         TimedRun base = timedRun(factory, users, /*use_hix=*/false);
         TimedRun secure = timedRun(factory, users, /*use_hix=*/true);
         if (!one.isOk() || !base.outcome.isOk() ||
-            !secure.outcome.isOk() || !base.streaming.isOk() ||
-            !secure.streaming.isOk() || !base.forked.isOk() ||
+            !secure.outcome.isOk() || !base.forked.isOk() ||
             !secure.forked.isOk()) {
             std::printf("%-5s | FAILED\n", app);
             continue;
@@ -170,36 +113,22 @@ runFigure(int users, bench::BenchJson &json)
             double(base.outcome->ticks) / double(one->ticks);
         const double hix_norm =
             double(secure.outcome->ticks) / double(one->ticks);
-        const double serial_ms = base.serialMs + secure.serialMs;
-        const double parallel_ms =
-            base.parallelMs + secure.parallelMs;
         gdev_sum += gdev_norm;
         hix_sum += hix_norm;
-        speedup_sum += serial_ms / parallel_ms;
         gdev_fork_sum += base.forkSpeedup();
         hix_fork_sum += secure.forkSpeedup();
         ++count;
         std::printf(
-            "%-5s | %12.2f | %14.2f | %13.2f | %+7.1f%% | %12llu | "
-            "%13.1f | %15.1f | %6.2fx\n",
+            "%-5s | %12.2f | %14.2f | %13.2f | %+7.1f%% | %12llu\n",
             app, one->milliseconds(), gdev_norm, hix_norm,
             (hix_norm / gdev_norm - 1) * 100,
             static_cast<unsigned long long>(
-                secure.outcome->gpuCtxSwitches),
-            serial_ms, parallel_ms, serial_ms / parallel_ms);
+                secure.outcome->gpuCtxSwitches));
         const std::string config = std::string("app=") + app +
                                    " users=" + std::to_string(users);
         json.add(config + " runtime=gdev", base.outcome->ticks,
-                 base.parallelMs)
+                 base.ms)
             .metric("norm_vs_1u", gdev_norm)
-            .metric("host_ms_serial", base.serialMs)
-            .metric("host_ms_parallel", base.parallelMs)
-            .metric("record_speedup", base.speedup())
-            .metric("ticks_streaming", double(base.streaming->ticks))
-            .metric("host_ms_streaming", base.streamingMs)
-            .metric("stream_overlap", base.overlap())
-            .metric("stream_queue_depth_max",
-                    double(base.streaming->streamQueueDepthMax))
             .metric("ticks_fork", double(base.forked->ticks))
             .metric("host_ms_fork", base.forkedMs)
             .metric("boot_ms", base.outcome->hostBootMs)
@@ -210,20 +139,10 @@ runFigure(int users, bench::BenchJson &json)
             .metric("resident_pages_per_session_cold",
                     double(base.outcome->residentPages) / users);
         json.add(config + " runtime=hix", secure.outcome->ticks,
-                 secure.parallelMs)
+                 secure.ms)
             .metric("norm_vs_1u", hix_norm)
             .metric("ctx_switches",
                     double(secure.outcome->gpuCtxSwitches))
-            .metric("host_ms_serial", secure.serialMs)
-            .metric("host_ms_parallel", secure.parallelMs)
-            .metric("record_speedup", secure.speedup())
-            .metric("record_workers",
-                    double(std::min<unsigned>(users, hostThreads())))
-            .metric("ticks_streaming", double(secure.streaming->ticks))
-            .metric("host_ms_streaming", secure.streamingMs)
-            .metric("stream_overlap", secure.overlap())
-            .metric("stream_queue_depth_max",
-                    double(secure.streaming->streamQueueDepthMax))
             .metric("ticks_fork", double(secure.forked->ticks))
             .metric("host_ms_fork", secure.forkedMs)
             .metric("boot_ms", secure.outcome->hostBootMs)
@@ -234,30 +153,12 @@ runFigure(int users, bench::BenchJson &json)
             .metric("resident_pages_per_session_cold",
                     double(secure.outcome->residentPages) / users);
 
-        // Streaming acceptance at the 16-user preset: end-to-end wall
-        // within 1.15x of the slower pipeline stage (i.e. the faster
-        // stage rides almost entirely under the slower one).
-        if (users == 16) {
-            for (const TimedRun *run : {&base, &secure}) {
-                const double bound =
-                    1.15 * std::max((*run).outcome->hostRecordMs,
-                                    (*run).outcome->hostScheduleMs);
-                std::printf(
-                    "      stream e2e %.1f ms vs 1.15*max(record "
-                    "%.1f, schedule %.1f) = %.1f ms  [%s]\n",
-                    (*run).streamingMs, (*run).outcome->hostRecordMs,
-                    (*run).outcome->hostScheduleMs, bound,
-                    (*run).streamingMs <= bound ? "ok" : "OVER");
-            }
-        }
     }
     std::printf(
         "\nAverage: Gdev %du %.2fx of 1u;  HIX %du %.2fx of 1u;  "
-        "HIX vs Gdev parallel: %+.1f%%;  recording speedup %.2fx "
-        "(%u worker(s) on %u hardware thread(s))\n",
+        "HIX vs Gdev parallel: %+.1f%%\n",
         users, gdev_sum / count, users, hix_sum / count,
-        (hix_sum / gdev_sum - 1) * 100, speedup_sum / count,
-        std::min<unsigned>(users, hostThreads()), hostThreads());
+        (hix_sum / gdev_sum - 1) * 100);
     std::printf(
         "Session startup (snapshot/fork vs cold boot): Gdev %.2fx, "
         "HIX %.2fx faster per-user boot; forked sessions own 0 "
@@ -310,20 +211,17 @@ runVoltaAblation(int users)
 /**
  * Volta preset as measured rows: per-context compute queues, DMA
  * channels, and HIX enclave dispatch lanes all sized so every user
- * owns a private slice of each engine bank. The streaming run and the
- * forked streaming run must score ticks bit-identical to the
- * two-phase schedule; the CI perf-smoke gate asserts both on every
- * "volta " row.
+ * owns a private slice of each engine bank. The forked run must score
+ * ticks bit-identical to the cold-booted run; the CI perf-smoke gate
+ * asserts it on every "volta " row.
  */
 void
 runVoltaRows(bench::BenchJson &json)
 {
     std::printf(
-        "Volta preset: per-context queues/channels/lanes, streaming "
-        "and fork vs two-phase\n\n");
-    std::printf(
-        " App  | users | runtime | ticks (ms) | stream identical | "
-        "fork identical\n");
+        "Volta preset: per-context queues/channels/lanes, fork vs "
+        "cold boot\n\n");
+    std::printf(" App  | users | runtime | ticks (ms) | fork identical\n");
     for (const char *app : {"BP", "NN"}) {
         for (int users : {2, 4, 8, 16}) {
             for (bool use_hix : {false, true}) {
@@ -340,44 +238,30 @@ runVoltaRows(bench::BenchJson &json)
                 config.machine.timing.gpuDmaChannels = width;
                 config.machine.timing.gpuEnclaveLanes = width;
 
-                auto two_phase = runWorkload(config);
-
-                config.streaming = true;
-                bench::HostTimer streaming_timer;
-                auto streaming = runWorkload(config);
-                const double streaming_ms = streaming_timer.ms();
+                bench::HostTimer timer;
+                auto cold = runWorkload(config);
+                const double cold_ms = timer.ms();
 
                 config.forkSessions = true;
                 auto forked = runWorkload(config);
 
-                if (!two_phase.isOk() || !streaming.isOk() ||
-                    !forked.isOk()) {
+                if (!cold.isOk() || !forked.isOk()) {
                     std::printf("%-5s | %5d | %-7s | FAILED\n", app,
                                 users, use_hix ? "hix" : "gdev");
                     continue;
                 }
-                const bool stream_same =
-                    streaming->ticks == two_phase->ticks;
-                const bool fork_same =
-                    forked->ticks == two_phase->ticks;
-                std::printf(
-                    "%-5s | %5d | %-7s | %10.2f | %16s | %s\n",
-                    app, users, use_hix ? "hix" : "gdev",
-                    two_phase->milliseconds(),
-                    stream_same ? "ok" : "MISMATCH",
-                    fork_same ? "ok" : "MISMATCH");
+                std::printf("%-5s | %5d | %-7s | %10.2f | %s\n", app,
+                            users, use_hix ? "hix" : "gdev",
+                            cold->milliseconds(),
+                            forked->ticks == cold->ticks ? "ok"
+                                                         : "MISMATCH");
                 const std::string config_name =
                     std::string("volta app=") + app +
                     " users=" + std::to_string(users) +
                     " runtime=" + (use_hix ? "hix" : "gdev");
-                json.add(config_name, two_phase->ticks, streaming_ms)
+                json.add(config_name, cold->ticks, cold_ms)
                     .metric("engine_width", double(width))
-                    .metric("ticks_streaming",
-                            double(streaming->ticks))
-                    .metric("ticks_fork", double(forked->ticks))
-                    .metric("host_ms_streaming_volta", streaming_ms)
-                    .metric("stream_queue_depth_max",
-                            double(streaming->streamQueueDepthMax));
+                    .metric("ticks_fork", double(forked->ticks));
             }
         }
     }
@@ -390,10 +274,10 @@ int
 main()
 {
     bench::BenchJson json("multiuser");
-    std::printf(
-        "Recording pool: min(users, %u hardware thread(s)) workers; "
-        "wall-clock speedup is bounded by that width.\n\n",
-        hostThreads());
+    const unsigned hw = std::thread::hardware_concurrency();
+    std::printf("Recording pool: min(users, %u hardware thread(s)) "
+                "workers.\n\n",
+                hw == 0 ? 1 : hw);
     runFigure(2, json);
     runFigure(4, json);
     // Past the paper's figures: contention trends at higher tenancy.

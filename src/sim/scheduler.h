@@ -23,9 +23,9 @@
  *    the executable specification; the golden-equivalence tests
  *    assert the two produce bit-identical results.
  *
- * Both recording loops of the multi-user runner (two-phase and
- * streaming) merge their shards into one Trace and score it with
- * schedule(); there is no incremental or per-shard engine.
+ * The multi-user runner merges every session's shard into one Trace
+ * and scores it with schedule(); there is no incremental or
+ * per-shard engine.
  */
 
 #ifndef HIX_SIM_SCHEDULER_H_

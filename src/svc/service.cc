@@ -249,7 +249,6 @@ runService(const ServiceConfig &config)
         probe.useHix = config.useHix;
         probe.machine.gpuCount = 1;
         probe.forkSessions = false;
-        probe.streaming = false;
         probe.keepTrace = false;
         probe.traceJsonPath.clear();
         auto solo = workloads::runWorkload(probe);

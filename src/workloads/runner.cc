@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -241,58 +238,6 @@ buildSessionTemplate(
     return tpl;
 }
 
-/**
- * Bounded multi-producer single-consumer hand-off between the
- * recording workers and the streaming consumer. Producers block while
- * the queue is at capacity, which bounds peak shard memory; the
- * consumer pops exactly one item per recorded user, so the queue
- * always drains and every producer's final push completes even on a
- * failed run. The high-water mark is exported as
- * RunOutcome::streamQueueDepthMax.
- */
-class ShardQueue
-{
-  public:
-    explicit ShardQueue(std::size_t cap) : cap_(cap > 0 ? cap : 1) {}
-
-    void
-    push(int user, Result<Shard> shard)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        can_push_.wait(lock, [&] { return q_.size() < cap_; });
-        q_.emplace_back(user, std::move(shard));
-        if (q_.size() > high_)
-            high_ = static_cast<std::uint32_t>(q_.size());
-        can_pop_.notify_one();
-    }
-
-    std::pair<int, Result<Shard>>
-    pop()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        can_pop_.wait(lock, [&] { return !q_.empty(); });
-        auto item = std::move(q_.front());
-        q_.pop_front();
-        can_push_.notify_one();
-        return item;
-    }
-
-    std::uint32_t
-    depthMax() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return high_;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::condition_variable can_push_;
-    std::condition_variable can_pop_;
-    std::deque<std::pair<int, Result<Shard>>> q_;
-    std::size_t cap_;
-    std::uint32_t high_ = 0;
-};
-
 /** Recording worker-pool width (RunConfig::recordThreads) for
  *  @p sessions sessions; 1 means the calling thread records. */
 int
@@ -505,40 +450,6 @@ firstFailure(const std::vector<Result<Shard>> &shards)
     return Status::ok();
 }
 
-/**
- * Shared tail of both recording loops. @p shards are every session's
- * shards in session order, all recorded, with their traces already
- * appended into @p merged in that order. Fold the per-shard counters,
- * score the merged trace, export it and keep it on request.
- */
-RunOutcome
-scoreRun(const RunConfig &config,
-         const std::vector<Result<Shard>> &shards, sim::Trace merged)
-{
-    RunOutcome outcome;
-    for (const auto &shard : shards) {
-        outcome.tlbHits += shard->tlbHits;
-        outcome.tlbMisses += shard->tlbMisses;
-        outcome.iotlbHits += shard->iotlbHits;
-        outcome.hostBootMs += shard->bootMs;
-        outcome.residentPages += shard->residentPages;
-    }
-    outcome.schedulerConfig.gpuCtxSwitchTicks =
-        config.machine.timing.gpuCtxSwitch;
-    outcome.schedule = sim::scheduleWith(config.schedulerEngine, merged,
-                                         outcome.schedulerConfig);
-    outcome.ticks = outcome.schedule.makespan;
-    outcome.gpuCtxSwitches = outcome.schedule.gpuCtxSwitches;
-    if (!config.traceJsonPath.empty()) {
-        std::ofstream file(config.traceJsonPath);
-        sim::exportChromeTrace(merged, outcome.schedule, file);
-    }
-    if (config.keepTrace)
-        outcome.trace =
-            std::make_shared<sim::Trace>(std::move(merged));
-    return outcome;
-}
-
 }  // namespace
 
 Result<PoolOutcome>
@@ -638,8 +549,11 @@ runSessionPool(const RunConfig &config,
     const auto record_end = SteadyClock::now();
 
     HIX_RETURN_IF_ERROR(firstFailure(shards));
-    // Merge in session-index order; ranges[i] is session i's
-    // [begin, end) op-id range in the merged trace.
+    // Merge in session-index order and fold the per-shard counters;
+    // ranges[i] is session i's [begin, end) op-id range in the merged
+    // trace.
+    PoolOutcome pool;
+    RunOutcome &run = pool.run;
     sim::Trace merged;
     std::size_t total_ops = 0;
     for (const auto &shard : shards)
@@ -651,14 +565,32 @@ runSessionPool(const RunConfig &config,
         const std::size_t begin = merged.size();
         merged.append(shard->trace, shard->remap);
         ranges.emplace_back(begin, merged.size());
+        run.tlbHits += shard->tlbHits;
+        run.tlbMisses += shard->tlbMisses;
+        run.iotlbHits += shard->iotlbHits;
+        run.hostBootMs += shard->bootMs;
+        run.residentPages += shard->residentPages;
     }
+    run.hostBootMs += template_ms;
+    run.schedulerConfig.gpuCtxSwitchTicks =
+        config.machine.timing.gpuCtxSwitch;
+    run.schedule = sim::scheduleWith(config.schedulerEngine, merged,
+                                     run.schedulerConfig);
+    run.ticks = run.schedule.makespan;
+    run.gpuCtxSwitches = run.schedule.gpuCtxSwitches;
+    if (!config.traceJsonPath.empty()) {
+        std::ofstream file(config.traceJsonPath);
+        sim::exportChromeTrace(merged, run.schedule, file);
+        file.close();
+        if (!file)
+            return errUnavailable("cannot write trace JSON to " +
+                                  config.traceJsonPath);
+    }
+    if (config.keepTrace)
+        run.trace = std::make_shared<sim::Trace>(std::move(merged));
+    run.hostRecordMs = msBetween(record_start, record_end);
+    run.hostScheduleMs = msBetween(record_end, SteadyClock::now());
 
-    PoolOutcome pool;
-    pool.run = scoreRun(config, shards, std::move(merged));
-    pool.run.hostRecordMs = msBetween(record_start, record_end);
-    pool.run.hostScheduleMs =
-        msBetween(record_end, SteadyClock::now());
-    pool.run.hostBootMs += template_ms;
     pool.sessionFinish.assign(n, 0);
     pool.sessionOps.assign(n, 0);
     for (int i = 0; i < n; ++i) {
@@ -666,7 +598,7 @@ runSessionPool(const RunConfig &config,
         pool.sessionOps[i] = end - begin;
         Tick fin = 0;
         for (std::size_t op = begin; op < end; ++op)
-            fin = std::max(fin, pool.run.schedule.finish[op]);
+            fin = std::max(fin, run.schedule.finish[op]);
         pool.sessionFinish[i] = fin;
     }
     return pool;
@@ -675,8 +607,6 @@ runSessionPool(const RunConfig &config,
 Result<RunOutcome>
 runWorkload(const RunConfig &config)
 {
-    if (config.streaming)
-        return runWorkloadStreaming(config);
     if (config.users < 1)
         return errInvalidArgument("users must be >= 1");
     auto pool = runSessionPool(
@@ -684,111 +614,6 @@ runWorkload(const RunConfig &config)
     if (!pool.isOk())
         return pool.status();
     return std::move(pool->run);
-}
-
-Result<RunOutcome>
-runWorkloadStreaming(const RunConfig &config)
-{
-    if (!config.factory)
-        return errInvalidArgument("no workload factory");
-    if (config.users < 1)
-        return errInvalidArgument("users must be >= 1");
-    if (static_cast<std::size_t>(config.users) > MaxSessions)
-        return errInvalidArgument("more than 65535 sessions in one run");
-
-    std::vector<std::unique_ptr<Workload>> jobs;
-    for (int u = 0; u < config.users; ++u) {
-        jobs.push_back(config.factory());
-        if (!jobs.back())
-            return errInvalidArgument("workload factory returned none");
-    }
-    const std::uint64_t scale = jobs[0]->timingScale();
-    const int workers = recordWorkers(config.recordThreads, config.users);
-
-    // Shards arrive here in user-index order (the reorder buffer below
-    // restores it); each recorded trace is appended into the merged
-    // trace at once and its own copy freed, so at most the queue's
-    // shards are held besides the merged trace. A failed shard is kept
-    // for firstFailure(), which reports the lowest-index failure, the
-    // same deterministic error the two-phase path reports.
-    std::vector<Result<Shard>> shards;
-    shards.reserve(config.users);
-    sim::Trace merged;
-    auto consume = [&](Result<Shard> &&shard) {
-        if (shard.isOk()) {
-            merged.append(shard->trace, shard->remap);
-            shard->trace = sim::Trace();
-        }
-        shards.push_back(std::move(shard));
-    };
-
-    const auto record_start = SteadyClock::now();
-    std::optional<SessionTemplate> tpl;
-    if (config.forkSessions) {
-        auto built = buildSessionTemplate(config, scale, 0,
-                                          config.factory);
-        if (!built.isOk())
-            return built.status();
-        tpl.emplace(std::move(*built));
-    }
-    const SessionTemplate *tpl_ptr = tpl ? &*tpl : nullptr;
-    std::uint32_t queue_depth_max = 0;
-    if (workers == 1) {
-        // Serial: record and merge each shard in turn on the calling
-        // thread, so the determinism tests can pin streaming ==
-        // two-phase with the recording pool taken out of the picture.
-        WorkerScratch scratch;
-        for (int u = 0; u < config.users; ++u)
-            consume(recordShard(config, *jobs[u],
-                                SlotSpec{u, 0, u, 0}, scale, tpl_ptr,
-                                &scratch));
-    } else {
-        const std::size_t cap =
-            config.streamingQueueCap > 0
-                ? static_cast<std::size_t>(config.streamingQueueCap)
-                : static_cast<std::size_t>(workers);
-        ShardQueue queue(cap);
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (int w = 0; w < workers; ++w) {
-            threads.emplace_back([&, w] {
-                WorkerScratch scratch;
-                for (int u = w; u < config.users; u += workers)
-                    queue.push(u,
-                               recordShard(config, *jobs[u],
-                                           SlotSpec{u, 0, u, 0},
-                                           scale, tpl_ptr, &scratch));
-            });
-        }
-        // Consumer: pop one completion per user, park out-of-order
-        // arrivals in a reorder buffer, and merge in user-index order
-        // (merged op ids are append-order dependent).
-        std::map<int, Result<Shard>> reorder;
-        int next_user = 0;
-        for (int received = 0; received < config.users; ++received) {
-            auto item = queue.pop();
-            reorder.emplace(item.first, std::move(item.second));
-            while (!reorder.empty() &&
-                   reorder.begin()->first == next_user) {
-                consume(std::move(reorder.begin()->second));
-                reorder.erase(reorder.begin());
-                ++next_user;
-            }
-        }
-        for (auto &thread : threads)
-            thread.join();
-        queue_depth_max = queue.depthMax();
-    }
-    const auto record_end = SteadyClock::now();
-    HIX_RETURN_IF_ERROR(firstFailure(shards));
-
-    RunOutcome outcome = scoreRun(config, shards, std::move(merged));
-    outcome.hostRecordMs = msBetween(record_start, record_end);
-    outcome.hostScheduleMs = msBetween(record_end, SteadyClock::now());
-    if (tpl)
-        outcome.hostBootMs += tpl->buildMs;
-    outcome.streamQueueDepthMax = queue_depth_max;
-    return outcome;
 }
 
 Result<RunOutcome>

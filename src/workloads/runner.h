@@ -14,14 +14,9 @@
  * merged trace is bit-identical to a serial recording.
  *
  * runWorkload() is runSessionPool() over `users` closed-batch
- * sessions on device 0, unless RunConfig::streaming selects the
- * streaming pipeline: completed shards flow through a bounded queue
- * and are merged in user-index order while later users are still
- * recording. Both recording loops end in the same scoring tail
- * (counter fold, one schedule pass, export), so both are
- * bit-identical — same traceDigest(), same ScheduleResult fields —
- * at every recording thread count (see DESIGN.md "Streaming
- * pipeline").
+ * sessions on device 0. That one recording loop records and scores
+ * every run, with the same traceDigest() and ScheduleResult fields at
+ * every recording thread count.
  */
 
 #ifndef HIX_WORKLOADS_RUNNER_H_
@@ -56,7 +51,8 @@ struct RunConfig
     os::MachineConfig machine{};
     /**
      * When non-empty, write the scheduled trace as Chrome trace-event
-     * JSON (chrome://tracing / Perfetto) to this path.
+     * JSON (chrome://tracing / Perfetto) to this path. A path that
+     * cannot be written fails the run with Unavailable.
      */
     std::string traceJsonPath;
     /**
@@ -88,29 +84,11 @@ struct RunConfig
      */
     std::function<void(int user, os::Machine &machine)> shardHook;
     /**
-     * Which scheduling engine scores the merged trace, on either
-     * recording loop. Both engines are bit-identical (the golden
-     * suites enforce it); Reference is the quadratic oracle, for
-     * tests.
+     * Which scheduling engine scores the merged trace. Both engines
+     * are bit-identical (the golden suites enforce it); Reference is
+     * the quadratic oracle, for tests.
      */
     sim::SchedulerEngine schedulerEngine = sim::SchedulerEngine::Fast;
-    /**
-     * Merge completed shards into the trace while later users are
-     * still recording instead of running the two phases back-to-back.
-     * Opt-in; results are bit-identical to the two-phase path (the
-     * streaming golden wall enforces digest and full-ScheduleResult
-     * equality), only host wall-clock changes.
-     */
-    bool streaming = false;
-    /**
-     * Capacity of the bounded shard queue between the recording pool
-     * and the streaming consumer; 0 (the default) sizes it to the
-     * recording worker count so every worker can hand off one shard
-     * without blocking. Producers block when the queue is full, which
-     * bounds peak memory to cap + users-in-flight shards. Any
-     * capacity >= 1 yields the same result.
-     */
-    int streamingQueueCap = 0;
     /**
      * O(1) session startup: boot ONE template machine for this
      * (runtime, config) — kernels registered, the GPU enclave created
@@ -123,9 +101,8 @@ struct RunConfig
      * restore, not a platform boot. The recorded window is
      * bit-identical to the cold-boot path — same traceDigest(), same
      * ticks, at every user count, both runtimes, Fermi and Volta
-     * presets, streaming on or off (the Fork and Streaming
-     * determinism walls enforce it); only host startup wall-clock and
-     * per-session resident memory change.
+     * presets (the Fork determinism wall enforces it); only host
+     * startup wall-clock and per-session resident memory change.
      */
     bool forkSessions = false;
 };
@@ -153,15 +130,12 @@ struct RunOutcome
     /** Scheduler configuration the run was scored with. */
     sim::SchedulerConfig schedulerConfig;
     /**
-     * Host wall-clock of the two pipeline stages: recording (until
-     * the last shard is recorded; the streaming merge interleaves
-     * here) and the scoring tail — merge (two-phase only), schedule,
-     * export.
+     * Host wall-clock of the two stages of a run: recording (until
+     * the last shard is recorded) and the scoring tail — merge,
+     * schedule, export.
      */
     double hostRecordMs = 0;
     double hostScheduleMs = 0;
-    /** Streaming only: high-water mark of the bounded shard queue. */
-    std::uint32_t streamQueueDepthMax = 0;
     /**
      * Host wall-clock spent on session startup: the sum over all user
      * shards of the setup time before each recorded window opens
@@ -251,23 +225,8 @@ Result<PoolOutcome> runSessionPool(
     const std::vector<PoolSession> &sessions);
 
 /** Execute @p config once: runSessionPool() over config.users
- *  closed-batch sessions {device 0, admit 0, appId 0}, or
- *  runWorkloadStreaming() when RunConfig::streaming is set. */
+ *  closed-batch sessions {device 0, admit 0, appId 0}. */
 Result<RunOutcome> runWorkload(const RunConfig &config);
-
-/**
- * Streaming pipeline: record shards on the worker pool and hand each
- * completed shard through a bounded queue to the calling thread,
- * which appends it into the merged trace in user-index order (a
- * reorder buffer restores it). The merged trace is then scored by the
- * same tail as the two-phase path, so the result is bit-identical to
- * runWorkload() with streaming off. Error reporting keeps the
- * lowest-user-index-wins contract and the queue always drains, so
- * recording workers never block on a failed run. The same
- * 65535-session limit and null-workload check as runSessionPool()
- * apply.
- */
-Result<RunOutcome> runWorkloadStreaming(const RunConfig &config);
 
 /** Convenience wrappers. */
 Result<RunOutcome> runBaseline(

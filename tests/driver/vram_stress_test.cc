@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -24,6 +25,15 @@ struct StressCase
     std::uint64_t seed;
     int operations;
 };
+
+/** Print the case by its fields. gtest's default byte dump would
+ *  include the struct's tail padding, so the registered ctest names
+ *  would change from build to build. */
+void
+PrintTo(const StressCase &c, std::ostream *os)
+{
+    *os << "seed=" << c.seed << " ops=" << c.operations;
+}
 
 class VramStressTest : public ::testing::TestWithParam<StressCase>
 {

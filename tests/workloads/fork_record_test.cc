@@ -4,9 +4,9 @@
  * fast path: a run whose user shards fork a copy-on-write template
  * snapshot must be *bit-identical* to a run that cold-boots a private
  * machine per user — same merged trace digest, same ScheduleResult in
- * every field — at every user count, for both runtimes, two-phase and
- * streaming on the Fermi preset, and two-phase on a Volta preset whose
- * compute queues, DMA channels and enclave lanes are all per-context.
+ * every field — at every user count, for both runtimes, on the Fermi
+ * preset and on a Volta preset whose compute queues, DMA channels and
+ * enclave lanes are all per-context.
  * Also pins the copy-on-write isolation properties the fast path
  * rests on: writes in one fork are invisible to its siblings and to
  * the snapshot, the snapshot outlives the machine it was taken of,
@@ -32,12 +32,13 @@ namespace hix::workloads
 namespace
 {
 
-/** One pipeline/preset leg of the wall. */
+/** One preset leg of the wall. gtest prints the value in each ctest
+ *  name's GetParam() suffix, so the values are fixed: renumbering a
+ *  leg would rename its tests. */
 enum Leg
 {
-    TwoPhase,   //!< Fermi preset, record then schedule
-    Streaming,  //!< Fermi preset, RunConfig::streaming
-    Volta,      //!< per-context engines, record then schedule
+    TwoPhase = 0,  //!< Fermi preset
+    Volta = 2,     //!< per-context engines
 };
 
 RunConfig
@@ -47,7 +48,6 @@ makeConfig(bool use_hix, int users, Leg leg, bool fork_sessions)
     config.factory = [] { return makeRodinia("NN"); };
     config.users = users;
     config.useHix = use_hix;
-    config.streaming = leg == Streaming;
     config.forkSessions = fork_sessions;
     if (leg == Volta) {
         // The true Volta preset is 8 queues/channels; 16 users need a
@@ -150,14 +150,12 @@ INSTANTIATE_TEST_SUITE_P(
     ForkWall, ForkRecordTest,
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(1, 2, 4, 8, 16),
-                       ::testing::Values(TwoPhase, Streaming, Volta)),
+                       ::testing::Values(TwoPhase, Volta)),
     [](const auto &info) {
-        const Leg leg = std::get<2>(info.param);
         return std::string(std::get<0>(info.param) ? "hix" : "gdev") +
                "_u" + std::to_string(std::get<1>(info.param)) +
-               (leg == TwoPhase    ? "_twophase"
-                : leg == Streaming ? "_streaming"
-                                   : "_volta");
+               (std::get<2>(info.param) == TwoPhase ? "_twophase"
+                                                    : "_volta");
     });
 
 TEST(ForkCowIsolationTest, ForkWritesAreInvisibleToSiblingsAndSource)

@@ -269,8 +269,15 @@ TEST(ParallelRecordErrorTest, LowestUserIndexErrorWins)
 {
     // Error propagation must be deterministic under parallelism: the
     // lowest failing user's error is reported no matter which shard
-    // thread happened to fail first. User 0 succeeds; 1..3 fail.
-    for (bool parallel : {false, true}) {
+    // thread happened to fail first. User 0 succeeds; all others
+    // fail. Legs: serial, the auto-sized pool (one worker on a
+    // one-core host), and eight forced workers.
+    const struct
+    {
+        int users;
+        int recordThreads;
+    } legs[] = {{4, 1}, {4, 0}, {8, 8}};
+    for (const auto &leg : legs) {
         int next_user = 0;
         RunConfig config;
         config.factory = [&next_user] {
@@ -278,11 +285,11 @@ TEST(ParallelRecordErrorTest, LowestUserIndexErrorWins)
             return std::unique_ptr<Workload>(
                 new FailingWorkload(user, user >= 1));
         };
-        config.users = 4;
+        config.users = leg.users;
         config.useHix = false;
-        config.recordThreads = parallel ? 0 : 1;
+        config.recordThreads = leg.recordThreads;
         auto outcome = runWorkload(config);
-        ASSERT_FALSE(outcome.isOk());
+        ASSERT_FALSE(outcome.isOk()) << "threads " << leg.recordThreads;
         EXPECT_NE(outcome.status().message().find("user 1"),
                   std::string::npos)
             << outcome.status().message();

@@ -103,6 +103,8 @@ TEST(SchedulerGoldenTest, RodiniaBaselineMpsMultiUser)
     // Pre-Volta MPS: users share one merged GPU context.
     runAndCheck(rodiniaConfig("BFS", 2, false));
     runAndCheck(rodiniaConfig("PF", 4, false));
+    runAndCheck(rodiniaConfig("NN", 8, false));
+    runAndCheck(rodiniaConfig("NN", 16, false));
 }
 
 TEST(SchedulerGoldenTest, RodiniaHixMultiUserContextSwitches)
@@ -112,6 +114,8 @@ TEST(SchedulerGoldenTest, RodiniaHixMultiUserContextSwitches)
     runAndCheck(rodiniaConfig("BP", 2, true));
     auto four = runAndCheck(rodiniaConfig("LUD", 4, true));
     EXPECT_GT(four.gpuCtxSwitches, 0u);
+    runAndCheck(rodiniaConfig("NN", 8, true));
+    runAndCheck(rodiniaConfig("NN", 16, true));
 }
 
 TEST(SchedulerGoldenTest, HixDataPathAblations)

@@ -243,20 +243,17 @@ TEST(SessionPoolEdgeTest, MoreThan65535PoolSessionsAreRejected)
 
 TEST(SessionPoolEdgeTest, RunWorkloadRejectsMoreThan65535Users)
 {
-    for (bool streaming : {false, true}) {
-        int factory_calls = 0;
-        workloads::RunConfig config;
-        config.factory = [&factory_calls] {
-            ++factory_calls;
-            return workloads::makeRodinia("NN");
-        };
-        config.users = 65536;
-        config.streaming = streaming;
-        auto out = workloads::runWorkload(config);
-        ASSERT_FALSE(out.isOk()) << "streaming " << streaming;
-        EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
-        EXPECT_EQ(factory_calls, 0) << "streaming " << streaming;
-    }
+    int factory_calls = 0;
+    workloads::RunConfig config;
+    config.factory = [&factory_calls] {
+        ++factory_calls;
+        return workloads::makeRodinia("NN");
+    };
+    config.users = 65536;
+    auto out = workloads::runWorkload(config);
+    ASSERT_FALSE(out.isOk());
+    EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(factory_calls, 0);
 }
 
 TEST(SessionPoolEdgeTest, RunWorkloadRejectsFactoryReturningNoWorkload)
@@ -279,19 +276,6 @@ TEST(SessionPoolEdgeTest, PoolSessionFactoryReturningNoWorkloadIsRejected)
     for (bool fork : {false, true}) {
         config.forkSessions = fork;
         auto out = workloads::runSessionPool(config, {good, bad});
-        ASSERT_FALSE(out.isOk()) << "fork " << fork;
-        EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
-    }
-}
-
-TEST(SessionPoolEdgeTest, StreamingRejectsFactoryReturningNoWorkload)
-{
-    workloads::RunConfig config;
-    config.factory = [] { return workloads::makeRodinia("XX"); };
-    config.users = 2;
-    for (bool fork : {false, true}) {
-        config.forkSessions = fork;
-        auto out = workloads::runWorkloadStreaming(config);
         ASSERT_FALSE(out.isOk()) << "fork " << fork;
         EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
     }

@@ -151,45 +151,43 @@ TEST(MultiUserTest, HixPaysContextSwitchesBaselineDoesNot)
 
 TEST(MultiUserTest, TraceJsonIsTheSameFromBothRecordingLoops)
 {
-    // Both recording loops export through one scoring tail: the file
-    // a two-phase run writes and the file a streaming run writes are
-    // byte-identical, and both are the export of the kept trace.
-    auto run_to = [](bool streaming, const std::string &path) {
-        RunConfig config;
-        config.factory = [] { return makeRodinia("NN"); };
-        config.users = 2;
-        config.useHix = true;
-        config.streaming = streaming;
-        config.keepTrace = true;
-        config.traceJsonPath = path;
-        return runWorkload(config);
-    };
-    auto slurp = [](const std::string &path) {
-        std::ifstream file(path);
-        std::stringstream text;
-        text << file.rdbuf();
-        return text.str();
-    };
-    const std::string dir = ::testing::TempDir();
-    const std::string two_phase_path = dir + "multiuser_two_phase.json";
-    const std::string streaming_path = dir + "multiuser_streaming.json";
-    auto two_phase = run_to(false, two_phase_path);
-    auto streaming = run_to(true, streaming_path);
-    ASSERT_TRUE(two_phase.isOk()) << two_phase.status().toString();
-    ASSERT_TRUE(streaming.isOk()) << streaming.status().toString();
+    // The file a run writes is the export of the trace it kept and
+    // the schedule it was scored with.
+    const std::string path =
+        ::testing::TempDir() + "multiuser_two_phase.json";
+    RunConfig config;
+    config.factory = [] { return makeRodinia("NN"); };
+    config.users = 2;
+    config.useHix = true;
+    config.keepTrace = true;
+    config.traceJsonPath = path;
+    auto outcome = runWorkload(config);
+    ASSERT_TRUE(outcome.isOk()) << outcome.status().toString();
 
-    auto exported = [](const RunOutcome &outcome) {
-        std::ostringstream os;
-        sim::exportChromeTrace(*outcome.trace, outcome.schedule, os);
-        return os.str();
-    };
-    const std::string written = slurp(two_phase_path);
-    EXPECT_GT(written.size(), 100u);
-    EXPECT_EQ(written, slurp(streaming_path));
-    EXPECT_EQ(written, exported(*two_phase));
-    EXPECT_EQ(written, exported(*streaming));
-    std::remove(two_phase_path.c_str());
-    std::remove(streaming_path.c_str());
+    std::ifstream file(path);
+    std::stringstream written;
+    written << file.rdbuf();
+    std::ostringstream exported;
+    sim::exportChromeTrace(*outcome->trace, outcome->schedule, exported);
+    EXPECT_GT(written.str().size(), 100u);
+    EXPECT_EQ(written.str(), exported.str());
+    std::remove(path.c_str());
+}
+
+TEST(MultiUserTest, UnwritableTraceJsonPathFailsTheRun)
+{
+    // A trace the caller asked for but cannot get is an error, not a
+    // silently missing file.
+    RunConfig config;
+    config.factory = [] { return makeRodinia("NN"); };
+    config.traceJsonPath =
+        ::testing::TempDir() + "no_such_dir/multiuser.json";
+    auto outcome = runWorkload(config);
+    ASSERT_FALSE(outcome.isOk());
+    EXPECT_EQ(outcome.status().code(), StatusCode::Unavailable);
+    EXPECT_NE(outcome.status().message().find(config.traceJsonPath),
+              std::string::npos)
+        << outcome.status().message();
 }
 
 TEST(AblationTest, PipeliningHelpsTransfers)
