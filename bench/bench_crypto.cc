@@ -146,7 +146,7 @@ runSweep()
     return results;
 }
 
-void
+bool
 reportSweep(const std::vector<SweepResult> &results)
 {
     std::printf("\nOCB-AES-128 seal/open throughput (host wall-clock)\n");
@@ -177,8 +177,9 @@ reportSweep(const std::vector<SweepResult> &results)
                      " bytes=" + std::to_string(r.bytes),
                  0, r.hostMs)
             .metric("mb_per_sec", r.mbPerSec);
-    json.write();
+    const bool wrote = json.write();
     std::printf("\n");
+    return wrote;
 }
 
 // ----- google-benchmark suite ------------------------------------------
@@ -350,11 +351,11 @@ BENCHMARK(BM_X25519);
 int
 main(int argc, char **argv)
 {
-    reportSweep(runSweep());
+    const bool wrote = reportSweep(runSweep());
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    return 0;
+    return wrote ? 0 : 1;
 }

@@ -93,39 +93,49 @@ class BenchJson
         return row;
     }
 
-    /** Write BENCH_<name>.json to the working directory. */
+    /**
+     * Write BENCH_<name>.json to the working directory. False, with a
+     * message on stderr, when the file cannot be opened, any write
+     * fails or closing it fails; a bench's main() then exits non-zero.
+     */
     bool
     write() const
     {
         const std::string path = "BENCH_" + name_ + ".json";
         std::FILE *f = std::fopen(path.c_str(), "w");
         if (!f) {
-            std::fprintf(stderr, "warning: could not write %s\n",
+            std::fprintf(stderr, "error: could not open %s\n",
                          path.c_str());
             return false;
         }
-        std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n",
-                     escaped(name_).c_str());
+        bool ok = std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n",
+                               escaped(name_).c_str()) >= 0;
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             const Row &row = rows_[i];
-            std::fprintf(
-                f,
-                "    {\"bench\": \"%s\", \"config\": \"%s\", "
-                "\"ticks\": %llu, \"host_ms\": %.3f",
-                escaped(name_).c_str(), escaped(row.config_).c_str(),
-                static_cast<unsigned long long>(row.ticks_),
-                row.host_ms_);
+            ok = ok && std::fprintf(
+                           f,
+                           "    {\"bench\": \"%s\", \"config\": \"%s\", "
+                           "\"ticks\": %llu, \"host_ms\": %.3f",
+                           escaped(name_).c_str(),
+                           escaped(row.config_).c_str(),
+                           static_cast<unsigned long long>(row.ticks_),
+                           row.host_ms_) >= 0;
             // %.12g keeps integer-valued metrics (tick counts in the
             // low billions, e.g. ticks_fork) exact so gates can
             // compare them with ==, while still trimming float noise.
             for (const auto &[key, value] : row.metrics_)
-                std::fprintf(f, ", \"%s\": %.12g",
-                             escaped(key).c_str(), value);
-            std::fprintf(f, "}%s\n",
-                         i + 1 < rows_.size() ? "," : "");
+                ok = ok && std::fprintf(f, ", \"%s\": %.12g",
+                                        escaped(key).c_str(), value) >= 0;
+            ok = ok && std::fprintf(f, "}%s\n",
+                                    i + 1 < rows_.size() ? "," : "") >= 0;
         }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
+        ok = ok && std::fprintf(f, "  ]\n}\n") >= 0;
+        ok = std::fclose(f) == 0 && ok;
+        if (!ok) {
+            std::fprintf(stderr, "error: could not write %s\n",
+                         path.c_str());
+            return false;
+        }
         std::printf("wrote %s\n", path.c_str());
         return true;
     }

@@ -83,6 +83,5 @@ main()
         "\nPaper reference: addition ~2.5x slower under HIX; "
         "multiplication overhead\nshrinks with size, down to 6.34%% "
         "at 11264x11264 (Section 5.3.1).\n");
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

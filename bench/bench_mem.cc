@@ -272,6 +272,5 @@ main()
     std::printf("\nAcceptance: hot translate %.1fx (target >= 10x), "
                 "min bulk speedup %.1fx (target >= 3x)\n",
                 t_fast / t_ref, min_bulk_speedup);
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -285,7 +285,7 @@ main()
     runFigure(16, json);
     runVoltaAblation(4);
     runVoltaRows(json);
-    json.write();
+    const bool wrote = json.write();
     std::printf(
         "Paper reference (Section 5.4): HIX parallel execution is "
         "about 45.2%% worse\nwith two users and 39.7%% worse with four "
@@ -294,5 +294,5 @@ main()
         "underutilization. This model reproduces the direction and "
         "the per-app\nordering; magnitudes for the compute-heavy apps "
         "sit below the paper's.\n");
-    return 0;
+    return wrote ? 0 : 1;
 }

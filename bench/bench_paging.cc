@@ -106,6 +106,5 @@ main()
         "evict/page-in traffic that grows as the\nquota falls — the "
         "cost of extending HIX's guarantees to oversubscribed\nGPU "
         "memory.\n");
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

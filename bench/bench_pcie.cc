@@ -139,9 +139,10 @@ BENCHMARK(BM_DmaWrite4K);
 
 /**
  * Quick wall-clock sweep for BENCH_pcie.json: ns/op of the hot fabric
- * paths, independent of the google-benchmark reporters.
+ * paths, independent of the google-benchmark reporters. False if the
+ * file could not be written.
  */
-void
+bool
 writeJsonSweep()
 {
     bench::BenchJson json("pcie");
@@ -181,7 +182,7 @@ writeJsonSweep()
             fabric.rc.dmaWrite(0x1000, data.data(), data.size());
         benchmark::DoNotOptimize(st);
     });
-    json.write();
+    return json.write();
 }
 
 }  // namespace
@@ -189,11 +190,11 @@ writeJsonSweep()
 int
 main(int argc, char **argv)
 {
-    writeJsonSweep();
+    const bool wrote = writeJsonSweep();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    return 0;
+    return wrote ? 0 : 1;
 }

@@ -99,6 +99,5 @@ main()
         "\nExpected shape: pipelining and single-copy each cut the "
         "data-path cost;\nPIO is slower than DMA for bulk data; "
         "moderate chunks (2-8 MiB) win the sweep.\n");
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

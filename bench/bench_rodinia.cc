@@ -60,11 +60,11 @@ main()
     }
     std::printf("\nAverage HIX overhead: %+.1f%%\n",
                 (ratio_sum / count - 1) * 100);
-    json.write();
+    const bool wrote = json.write();
     std::printf(
         "\nPaper reference (Section 5.3.2): 26.8%% average; BP +81.5%%, "
         "NW +70.1%%,\nPF +154%%; GS comparable; HS/LUD/NN slightly "
         "faster under HIX thanks to\nlower task-initialization "
         "overhead.\n");
-    return 0;
+    return wrote ? 0 : 1;
 }

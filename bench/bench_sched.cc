@@ -251,14 +251,14 @@ runBench(bool small_preset)
     std::printf("\nheadline speedup: %.1fx (target >= 10x at 1M "
                 "ops)\n",
                 headline_speedup);
-    json.write();
+    const bool wrote = json.write();
 
     if (!all_identical) {
         std::fprintf(stderr,
                      "FAIL: engines disagree on a trace\n");
         return 1;
     }
-    return 0;
+    return wrote ? 0 : 1;
 }
 
 }  // namespace

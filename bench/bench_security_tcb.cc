@@ -235,6 +235,6 @@ main()
                 failures == 0
                     ? "All HIX defenses held (Table 2 reproduced)."
                     : "SOME DEFENSES FAILED");
-    json.write();
-    return failures == 0 ? 0 : 1;
+    const bool wrote = json.write();
+    return failures == 0 && wrote ? 0 : 1;
 }

@@ -188,6 +188,5 @@ main()
         for (int users : {2, 4})
             for (bool use_hix : {false, true})
                 gateRow(json, app, users, use_hix);
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -96,19 +96,32 @@ class Backprop : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {input, w1, hidden_out, in_f, nominal_in}
                 const std::uint64_t in = args[3];
-                return DeviceArrays(
-                           mem, arrayIn<float>(args[0], in + 1),
-                           arrayIn<float>(args[1], (in + 1) * (Hidden + 1)),
-                           arrayOut<float>(args[2], Hidden + 1))
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t inputs,
+                                     checkedSize({in}, 1));
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t weights,
+                                     checkedSize({inputs, Hidden + 1}));
+                return DeviceArrays(mem, arrayIn<float>(args[0], inputs),
+                                    arrayIn<float>(args[1], weights),
+                                    arrayOut<float>(args[2], Hidden + 1))
                     .run([&](std::span<const float> input,
                              std::span<const float> w1,
                              std::span<float> hidden) {
-                        for (std::uint64_t j = 1; j <= Hidden; ++j) {
-                            float sum = w1[j];  // bias row 0
-                            for (std::uint64_t i = 1; i <= in; ++i)
-                                sum += input[i] * w1[i * (Hidden + 1) + j];
-                            hidden[j] = squash(sum);
+                        // One pass over the rows with one accumulator
+                        // per hidden unit. Each still adds its terms
+                        // in ascending i, and w * x == x * w, so the
+                        // sums are those of one pass per unit.
+                        std::array<float, Hidden> sum;
+                        for (std::uint32_t j = 0; j < Hidden; ++j)
+                            sum[j] = w1[j + 1];  // bias row 0
+                        for (std::uint64_t i = 1; i <= in; ++i) {
+                            const float x = input[i];
+                            const float *w =
+                                w1.data() + i * (Hidden + 1) + 1;
+                            for (std::uint32_t j = 0; j < Hidden; ++j)
+                                sum[j] += w[j] * x;
                         }
+                        for (std::uint32_t j = 0; j < Hidden; ++j)
+                            hidden[j + 1] = squash(sum[j]);
                     });
             },
             [](const gpu::KernelArgs &args) {
@@ -122,20 +135,26 @@ class Backprop : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {input, w1, delta, in_f, nominal_in}
                 const std::uint64_t in = args[3];
-                return DeviceArrays(
-                           mem, arrayIn<float>(args[0], in + 1),
-                           arrayInOut<float>(args[1],
-                                             (in + 1) * (Hidden + 1)),
-                           arrayIn<float>(args[2], Hidden + 1))
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t inputs,
+                                     checkedSize({in}, 1));
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t weights,
+                                     checkedSize({inputs, Hidden + 1}));
+                return DeviceArrays(mem, arrayIn<float>(args[0], inputs),
+                                    arrayInOut<float>(args[1], weights),
+                                    arrayIn<float>(args[2], Hidden + 1))
                     .run([&](std::span<const float> input,
                              std::span<float> w1,
                              std::span<const float> delta) {
+                        // 0.3f * delta[j] is the product the update
+                        // evaluates first, so it is computed once.
+                        std::array<float, Hidden> step;
+                        for (std::uint32_t j = 0; j < Hidden; ++j)
+                            step[j] = 0.3f * delta[j + 1];
                         for (std::uint64_t i = 0; i <= in; ++i) {
                             const float x = i == 0 ? 1.0f : input[i];
-                            for (std::uint64_t j = 1; j <= Hidden; ++j) {
-                                w1[i * (Hidden + 1) + j] +=
-                                    0.3f * delta[j] * x;
-                            }
+                            float *w = w1.data() + i * (Hidden + 1) + 1;
+                            for (std::uint32_t j = 0; j < Hidden; ++j)
+                                w[j] += step[j] * x;
                         }
                     });
             },

@@ -6,7 +6,9 @@
  * nodes.
  */
 
+#include <memory>
 #include <queue>
+#include <string>
 
 #include "workloads/rodinia_util.h"
 
@@ -103,23 +105,61 @@ class Bfs : public RodiniaApp
                 const std::uint64_t n = args[3];
                 const std::int32_t cur =
                     static_cast<std::int32_t>(args[5]);
+                const std::int32_t next = wrappingAdd(cur, 1);
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t row_count,
+                                     checkedSize({n}, 1));
                 return DeviceArrays(mem,
-                                    arrayIn<std::int32_t>(args[0], n + 1),
+                                    arrayIn<std::int32_t>(args[0], row_count),
                                     arrayIn<std::int32_t>(args[1], args[4]),
                                     arrayInOut<std::int32_t>(args[2], n))
                     .run([&](std::span<const std::int32_t> rows,
                              std::span<const std::int32_t> edges,
-                             std::span<std::int32_t> level) {
+                             std::span<std::int32_t> level) -> Status {
+                        // The nodes at `cur` when the launch starts, in
+                        // order, compacted without a branch.
+                        auto frontier =
+                            std::make_unique_for_overwrite<std::uint64_t[]>(
+                                n);
+                        std::uint64_t size = 0;
                         for (std::uint64_t v = 0; v < n; ++v) {
+                            frontier[size] = v;
+                            size += level[v] == cur;
+                        }
+                        // The graph is VRAM data: a node's edge range
+                        // and each target are checked before they are
+                        // followed. A target in [0, n) is below `limit`
+                        // as uint32.
+                        const auto limit = static_cast<std::uint32_t>(
+                            std::min<std::uint64_t>(n, 1ull << 31));
+                        for (std::uint64_t f = 0; f < size; ++f) {
+                            const std::uint64_t v = frontier[f];
+                            // A node set here gets `next`, never `cur`:
+                            // only when cur < 0 can it be a frontier
+                            // node still to come, which an in-order
+                            // pass over all nodes would skip too.
                             if (level[v] != cur)
                                 continue;
-                            for (std::int32_t e = rows[v];
-                                 e < rows[v + 1]; ++e) {
-                                const std::int32_t to = edges[e];
-                                if (level[to] < 0)
-                                    level[to] = cur + 1;
+                            const std::int32_t lo = rows[v];
+                            const std::int32_t hi = rows[v + 1];
+                            if (lo < 0 || hi < lo ||
+                                std::uint64_t(hi) > edges.size())
+                                return errAccessFault(
+                                    "bfs_level: edge range of node " +
+                                    std::to_string(v) +
+                                    " outside the edge array");
+                            for (std::int32_t e = lo; e < hi; ++e) {
+                                const auto to =
+                                    static_cast<std::uint32_t>(edges[e]);
+                                if (to >= limit)
+                                    return errAccessFault(
+                                        "bfs_level: edge " +
+                                        std::to_string(e) +
+                                        " leaves the level array");
+                                std::int32_t &l = level[to];
+                                l = l < 0 ? next : l;
                             }
                         }
+                        return Status::ok();
                     });
             },
             [](const gpu::KernelArgs &args) {

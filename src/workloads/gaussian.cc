@@ -77,10 +77,16 @@ class Gaussian : public RodiniaApp
                 // args: {a, m, n, t, nominal_n}
                 const std::uint64_t n = args[2];
                 const std::uint64_t t = args[3];
-                return DeviceArrays(mem, arrayIn<float>(args[0], n * n),
-                                    arrayInOut<float>(args[1], n * n))
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                     checkedSize({n, n}));
+                return DeviceArrays(mem, arrayIn<float>(args[0], cells),
+                                    arrayInOut<float>(args[1], cells))
                     .run([&](std::span<const float> a,
                              std::span<float> m) {
+                        // Steps t >= n - 1 update nothing; t + 1
+                        // would wrap to row 0 for the last uint64.
+                        if (t >= n)
+                            return;
                         for (std::uint64_t i = t + 1; i < n; ++i)
                             m[i * n + t] = a[i * n + t] / a[t * n + t];
                     });
@@ -101,11 +107,15 @@ class Gaussian : public RodiniaApp
                 // args: {a, b, m, n, t, nominal_n}
                 const std::uint64_t n = args[3];
                 const std::uint64_t t = args[4];
-                return DeviceArrays(mem, arrayInOut<float>(args[0], n * n),
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                     checkedSize({n, n}));
+                return DeviceArrays(mem, arrayInOut<float>(args[0], cells),
                                     arrayInOut<float>(args[1], n),
-                                    arrayIn<float>(args[2], n * n))
+                                    arrayIn<float>(args[2], cells))
                     .run([&](std::span<float> a, std::span<float> b,
                              std::span<const float> m) {
+                        if (t >= n)
+                            return;  // as in gs_fan1
                         for (std::uint64_t i = t + 1; i < n; ++i) {
                             const float mult = m[i * n + t];
                             for (std::uint64_t j = t; j < n; ++j)

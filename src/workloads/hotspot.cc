@@ -82,9 +82,11 @@ class Hotspot : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {temp_in, power, temp_out, n, nominal_n}
                 const std::uint64_t n = args[3];
-                return DeviceArrays(mem, arrayIn<float>(args[0], n * n),
-                                    arrayIn<float>(args[1], n * n),
-                                    arrayOut<float>(args[2], n * n))
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                     checkedSize({n, n}));
+                return DeviceArrays(mem, arrayIn<float>(args[0], cells),
+                                    arrayIn<float>(args[1], cells),
+                                    arrayOut<float>(args[2], cells))
                     .run([&](std::span<const float> temp,
                              std::span<const float> power,
                              std::span<float> out) {

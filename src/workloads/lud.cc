@@ -60,14 +60,23 @@ class Lud : public RodiniaApp
                const gpu::KernelArgs &args) -> Status {
                 // args: {a, n, k_begin, k_end, nominal_n}
                 const std::uint64_t n = args[1];
-                return DeviceArrays(mem, arrayInOut<float>(args[0], n * n))
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                     checkedSize({n, n}));
+                return DeviceArrays(mem, arrayInOut<float>(args[0], cells))
                     .run([&](std::span<float> a) {
-                        for (std::uint64_t k = args[2]; k < args[3]; ++k) {
+                        // Steps k >= n - 1 update nothing. The row
+                        // update reads row k and writes row i through
+                        // plain pointers, which the vectorizer streams;
+                        // rows i != k never overlap.
+                        const std::uint64_t k_end = std::min(args[3], n);
+                        for (std::uint64_t k = args[2]; k < k_end; ++k) {
+                            const float *ak = a.data() + k * n;
                             for (std::uint64_t i = k + 1; i < n; ++i) {
-                                a[i * n + k] /= a[k * n + k];
-                                const float lik = a[i * n + k];
+                                float *ai = a.data() + i * n;
+                                ai[k] /= ak[k];
+                                const float lik = ai[k];
                                 for (std::uint64_t j = k + 1; j < n; ++j)
-                                    a[i * n + j] -= lik * a[k * n + j];
+                                    ai[j] -= lik * ak[j];
                             }
                         }
                     });

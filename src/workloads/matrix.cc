@@ -99,10 +99,12 @@ class MatrixWorkload : public Workload
                    const gpu::KernelArgs &args) -> Status {
                     // args: {a, b, c, n_func, n_nominal}
                     const std::uint64_t nf = args[3];
+                    HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                         checkedSize({nf, nf}));
                     return DeviceArrays(
-                               mem, arrayIn<std::uint32_t>(args[0], nf * nf),
-                               arrayIn<std::uint32_t>(args[1], nf * nf),
-                               arrayOut<std::uint32_t>(args[2], nf * nf))
+                               mem, arrayIn<std::uint32_t>(args[0], cells),
+                               arrayIn<std::uint32_t>(args[1], cells),
+                               arrayOut<std::uint32_t>(args[2], cells))
                         .run([](std::span<const std::uint32_t> a,
                                 std::span<const std::uint32_t> b,
                                 std::span<std::uint32_t> c) {
@@ -121,10 +123,12 @@ class MatrixWorkload : public Workload
                 [](const gpu::GpuMemAccessor &mem,
                    const gpu::KernelArgs &args) -> Status {
                     const std::uint64_t nf = args[3];
+                    HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                         checkedSize({nf, nf}));
                     return DeviceArrays(
-                               mem, arrayIn<std::uint32_t>(args[0], nf * nf),
-                               arrayIn<std::uint32_t>(args[1], nf * nf),
-                               arrayOut<std::uint32_t>(args[2], nf * nf))
+                               mem, arrayIn<std::uint32_t>(args[0], cells),
+                               arrayIn<std::uint32_t>(args[1], cells),
+                               arrayOut<std::uint32_t>(args[2], cells))
                         .run([&](std::span<const std::uint32_t> a,
                                  std::span<const std::uint32_t> b,
                                  std::span<std::uint32_t> c) {

@@ -67,7 +67,9 @@ class NearestNeighbor : public RodiniaApp
                     static_cast<std::uint32_t>(args[4]);
                 std::memcpy(&lat, &lat_bits, 4);
                 std::memcpy(&lng, &lng_bits, 4);
-                return DeviceArrays(mem, arrayIn<float>(args[0], count * 2),
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t coords,
+                                     checkedSize({count, 2}));
+                return DeviceArrays(mem, arrayIn<float>(args[0], coords),
                                     arrayOut<float>(args[1], count))
                     .run([&](std::span<const float> recs,
                              std::span<float> dist) {

@@ -96,10 +96,16 @@ class NeedlemanWunsch : public RodiniaApp
                 const std::uint64_t n = args[2];
                 const std::uint64_t diag = args[3];
                 const std::uint64_t blocks = n / Block;
-                const std::uint64_t w = n + 1;
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t w,
+                                     checkedSize({n}, 1));
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t score_cells,
+                                     checkedSize({w, w}));
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t ref_cells,
+                                     checkedSize({n, n}));
                 return DeviceArrays(
-                           mem, arrayInOut<std::int32_t>(args[0], w * w),
-                           arrayIn<std::int32_t>(args[1], n * n))
+                           mem,
+                           arrayInOut<std::int32_t>(args[0], score_cells),
+                           arrayIn<std::int32_t>(args[1], ref_cells))
                     .run([&](std::span<std::int32_t> score,
                              std::span<const std::int32_t> ref) {
                         for (std::uint64_t bi = 0; bi < blocks; ++bi) {

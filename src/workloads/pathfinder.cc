@@ -81,25 +81,40 @@ class Pathfinder : public RodiniaApp
                 const std::uint64_t n = args[2];
                 const std::uint64_t rows =
                     args[4] > args[3] ? args[4] - args[3] : 0;
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                     checkedSize({rows, n}));
+                HIX_ASSIGN_OR_RETURN(const Addr band_va,
+                                     checkedSize({args[3], n, 4}, args[0]));
                 return DeviceArrays(
                            mem, arrayInOut<std::int32_t>(args[1], n),
-                           arrayIn<std::int32_t>(args[0] + args[3] * n * 4,
-                                                 rows * n))
+                           arrayIn<std::int32_t>(band_va, cells))
                     .run([&](std::span<std::int32_t> cost,
                              std::span<const std::int32_t> band) {
+                        if (n == 0)
+                            return;
+                        // Each row reads a copy of the previous one,
+                        // so no value carries from one j to the next
+                        // and the loop vectorizes.
+                        std::vector<std::int32_t> prev(n);
                         for (std::uint64_t r = 0; r < rows; ++r) {
-                            // In place: `left` keeps the old cost[j-1].
-                            std::int32_t left = 0;
-                            for (std::uint64_t j = 0; j < n; ++j) {
-                                const std::int32_t here = cost[j];
-                                std::int32_t best = here;
-                                if (j > 0)
-                                    best = std::min(best, left);
-                                if (j + 1 < n)
-                                    best = std::min(best, cost[j + 1]);
-                                left = here;
-                                cost[j] = band[r * n + j] + best;
+                            std::copy(cost.begin(), cost.end(),
+                                      prev.begin());
+                            const std::int32_t *w = band.data() + r * n;
+                            if (n == 1) {
+                                cost[0] = wrappingAdd(w[0], prev[0]);
+                                continue;
                             }
+                            cost[0] = wrappingAdd(
+                                w[0], std::min(prev[0], prev[1]));
+                            for (std::uint64_t j = 1; j + 1 < n; ++j)
+                                cost[j] = wrappingAdd(
+                                    w[j],
+                                    std::min(prev[j - 1],
+                                             std::min(prev[j],
+                                                      prev[j + 1])));
+                            cost[n - 1] = wrappingAdd(
+                                w[n - 1],
+                                std::min(prev[n - 2], prev[n - 1]));
                         }
                     });
             },

@@ -18,7 +18,10 @@
  * value-initialized elements on either path. The contract is that
  * for every argument tuple the VRAM bytes after the launch and the
  * returned Status equal the copy path's, which a
- * GpuMemAccessor::perPage() accessor forces.
+ * GpuMemAccessor::perPage() accessor forces. A kernel computes its
+ * array counts (and any address it derives from its arguments) with
+ * checkedSize(), so a count that wraps past 2^64 fails the launch
+ * instead of passing the size check small.
  *
  * Fixtures: a workload's input, its upload Bytes and its expected
  * output depend only on a fixed seed and the functional size, so each
@@ -42,6 +45,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <span>
@@ -83,6 +87,33 @@ storeArray(const gpu::GpuMemAccessor &mem, Addr va,
     return mem.write(va,
                      reinterpret_cast<const std::uint8_t *>(data.data()),
                      data.size() * sizeof(T));
+}
+
+/**
+ * The product of @p factors plus @p addend: a kernel's array count or
+ * an address it derives from its arguments. InvalidArgument when the
+ * value wraps past 2^64.
+ */
+inline Result<std::uint64_t>
+checkedSize(std::initializer_list<std::uint64_t> factors,
+            std::uint64_t addend = 0)
+{
+    std::uint64_t value = 1;
+    for (const std::uint64_t f : factors) {
+        if (__builtin_mul_overflow(value, f, &value))
+            return errInvalidArgument("kernel array size wraps past 2^64");
+    }
+    if (__builtin_add_overflow(value, addend, &value))
+        return errInvalidArgument("kernel array size wraps past 2^64");
+    return value;
+}
+
+/** @p a + @p b with two's-complement wrap, as a GPU's integer add. */
+inline std::int32_t
+wrappingAdd(std::int32_t a, std::int32_t b)
+{
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                     static_cast<std::uint32_t>(b));
 }
 
 /** How a kernel uses one device array. */
@@ -236,8 +267,11 @@ class BoundArray
  *             ...
  *         });
  *
- * The body receives one span per array, in declaration order, and
- * cannot fail: kernels check their scalar arguments before this.
+ * The body receives one span per array, in declaration order. Kernels
+ * check their scalar arguments before this; a body that also checks
+ * the data it reads returns a Status instead of void. The copy path
+ * stores the written arrays whether or not the body fails, so a
+ * failing launch leaves the same VRAM on both paths.
  */
 template <typename... Decls>
 class DeviceArrays
@@ -263,10 +297,14 @@ class DeviceArrays
                 ((st.isOk() ? void(st = array.load(mem_)) : void()), ...);
                 HIX_RETURN_IF_ERROR(st);
                 (array.clearOutput(), ...);
-                body(array.span()...);
+                Status ran = Status::ok();
+                if constexpr (std::is_void_v<decltype(body(array.span()...))>)
+                    body(array.span()...);
+                else
+                    ran = body(array.span()...);
                 ((st.isOk() ? void(st = array.store(mem_)) : void()),
                  ...);
-                return st;
+                return ran.isOk() ? st : ran;
             },
             bound_);
     }

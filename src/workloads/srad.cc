@@ -73,9 +73,10 @@ class Srad : public RodiniaApp
                 // args: {img, coeff, rows, cols, nominal_cells}
                 const std::uint64_t rows = args[2];
                 const std::uint64_t cols = args[3];
-                return DeviceArrays(mem,
-                                    arrayIn<float>(args[0], rows * cols),
-                                    arrayOut<float>(args[1], rows * cols))
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                     checkedSize({rows, cols}));
+                return DeviceArrays(mem, arrayIn<float>(args[0], cells),
+                                    arrayOut<float>(args[1], cells))
                     .run([&](std::span<const float> img,
                              std::span<float> c) {
                         for (std::uint64_t i = 0; i < rows; ++i) {
@@ -115,9 +116,10 @@ class Srad : public RodiniaApp
                 // args: {img, coeff, rows, cols, nominal_cells}
                 const std::uint64_t rows = args[2];
                 const std::uint64_t cols = args[3];
-                return DeviceArrays(mem,
-                                    arrayInOut<float>(args[0], rows * cols),
-                                    arrayIn<float>(args[1], rows * cols))
+                HIX_ASSIGN_OR_RETURN(const std::uint64_t cells,
+                                     checkedSize({rows, cols}));
+                return DeviceArrays(mem, arrayInOut<float>(args[0], cells),
+                                    arrayIn<float>(args[1], cells))
                     .run([&](std::span<float> img,
                              std::span<const float> c) {
                         // The update is in place, so the stencil reads
