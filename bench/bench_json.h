@@ -121,7 +121,7 @@ class BenchJson
                            static_cast<unsigned long long>(row.ticks_),
                            row.host_ms_) >= 0;
             // %.12g keeps integer-valued metrics (tick counts in the
-            // low billions, e.g. ticks_fork) exact so gates can
+            // low billions, e.g. bench_service's p99) exact so gates can
             // compare them with ==, while still trimming float noise.
             for (const auto &[key, value] : row.metrics_)
                 ok = ok && std::fprintf(f, ", \"%s\": %.12g",

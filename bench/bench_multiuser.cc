@@ -22,27 +22,11 @@ using namespace hix::workloads;
 namespace
 {
 
-/** One configuration recorded with cold-booted sessions, then with
- * sessions forked from a copy-on-write template: the ticks must be
- * bit-identical both ways; the host wall-clock and boot ratios are
- * what the fork path buys. */
+/** One configuration's outcome and its host wall-clock. */
 struct TimedRun
 {
     Result<RunOutcome> outcome = errInternal("not run");
-    Result<RunOutcome> forked = errInternal("not run");
     double ms = 0;
-    double forkedMs = 0;
-
-    /** Session-startup speedup the copy-on-write fork path buys:
-     * cold per-user boot cost over forked per-user boot cost. */
-    double
-    forkSpeedup() const
-    {
-        if (!outcome.isOk() || !forked.isOk() ||
-            forked->hostBootMs <= 0)
-            return 0;
-        return outcome->hostBootMs / forked->hostBootMs;
-    }
 };
 
 TimedRun
@@ -58,21 +42,6 @@ timedRun(const std::function<std::unique_ptr<Workload>()> &factory,
     bench::HostTimer timer;
     run.outcome = runWorkload(config);
     run.ms = timer.ms();
-
-    // Second leg: forkSessions on — every user shard forks the
-    // copy-on-write template snapshot instead of cold-booting a
-    // private machine. Must stay bit-identical.
-    config.forkSessions = true;
-    bench::HostTimer forked_timer;
-    run.forked = runWorkload(config);
-    run.forkedMs = forked_timer.ms();
-
-    if (run.outcome.isOk() && run.forked.isOk() &&
-        run.outcome->ticks != run.forked->ticks)
-        std::printf(
-            "  !! cold/forked tick mismatch: %llu vs %llu\n",
-            static_cast<unsigned long long>(run.outcome->ticks),
-            static_cast<unsigned long long>(run.forked->ticks));
     return run;
 }
 
@@ -95,7 +64,6 @@ runFigure(int users, bench::BenchJson &json)
         users, users);
 
     double gdev_sum = 0, hix_sum = 0;
-    double gdev_fork_sum = 0, hix_fork_sum = 0;
     int count = 0;
     for (const char *app :
          {"BP", "BFS", "GS", "HS", "LUD", "NW", "NN", "PF", "SRAD"}) {
@@ -104,8 +72,7 @@ runFigure(int users, bench::BenchJson &json)
         TimedRun base = timedRun(factory, users, /*use_hix=*/false);
         TimedRun secure = timedRun(factory, users, /*use_hix=*/true);
         if (!one.isOk() || !base.outcome.isOk() ||
-            !secure.outcome.isOk() || !base.forked.isOk() ||
-            !secure.forked.isOk()) {
+            !secure.outcome.isOk()) {
             std::printf("%-5s | FAILED\n", app);
             continue;
         }
@@ -115,8 +82,6 @@ runFigure(int users, bench::BenchJson &json)
             double(secure.outcome->ticks) / double(one->ticks);
         gdev_sum += gdev_norm;
         hix_sum += hix_norm;
-        gdev_fork_sum += base.forkSpeedup();
-        hix_fork_sum += secure.forkSpeedup();
         ++count;
         std::printf(
             "%-5s | %12.2f | %14.2f | %13.2f | %+7.1f%% | %12llu\n",
@@ -129,41 +94,23 @@ runFigure(int users, bench::BenchJson &json)
         json.add(config + " runtime=gdev", base.outcome->ticks,
                  base.ms)
             .metric("norm_vs_1u", gdev_norm)
-            .metric("ticks_fork", double(base.forked->ticks))
-            .metric("host_ms_fork", base.forkedMs)
             .metric("boot_ms", base.outcome->hostBootMs)
-            .metric("boot_ms_fork", base.forked->hostBootMs)
-            .metric("fork_speedup", base.forkSpeedup())
             .metric("resident_pages_per_session",
-                    double(base.forked->residentPages) / users)
-            .metric("resident_pages_per_session_cold",
                     double(base.outcome->residentPages) / users);
         json.add(config + " runtime=hix", secure.outcome->ticks,
                  secure.ms)
             .metric("norm_vs_1u", hix_norm)
             .metric("ctx_switches",
                     double(secure.outcome->gpuCtxSwitches))
-            .metric("ticks_fork", double(secure.forked->ticks))
-            .metric("host_ms_fork", secure.forkedMs)
             .metric("boot_ms", secure.outcome->hostBootMs)
-            .metric("boot_ms_fork", secure.forked->hostBootMs)
-            .metric("fork_speedup", secure.forkSpeedup())
             .metric("resident_pages_per_session",
-                    double(secure.forked->residentPages) / users)
-            .metric("resident_pages_per_session_cold",
                     double(secure.outcome->residentPages) / users);
-
     }
     std::printf(
         "\nAverage: Gdev %du %.2fx of 1u;  HIX %du %.2fx of 1u;  "
-        "HIX vs Gdev parallel: %+.1f%%\n",
+        "HIX vs Gdev parallel: %+.1f%%\n\n",
         users, gdev_sum / count, users, hix_sum / count,
         (hix_sum / gdev_sum - 1) * 100);
-    std::printf(
-        "Session startup (snapshot/fork vs cold boot): Gdev %.2fx, "
-        "HIX %.2fx faster per-user boot; forked sessions own 0 "
-        "private pages at window-open.\n\n",
-        gdev_fork_sum / count, hix_fork_sum / count);
 }
 
 }  // namespace
@@ -211,17 +158,14 @@ runVoltaAblation(int users)
 /**
  * Volta preset as measured rows: per-context compute queues, DMA
  * channels, and HIX enclave dispatch lanes all sized so every user
- * owns a private slice of each engine bank. The forked run must score
- * ticks bit-identical to the cold-booted run; the CI perf-smoke gate
- * asserts it on every "volta " row.
+ * owns a private slice of each engine bank. The CI perf-smoke gate
+ * pins every "volta " row's ticks to the committed reference.
  */
 void
 runVoltaRows(bench::BenchJson &json)
 {
-    std::printf(
-        "Volta preset: per-context queues/channels/lanes, fork vs "
-        "cold boot\n\n");
-    std::printf(" App  | users | runtime | ticks (ms) | fork identical\n");
+    std::printf("Volta preset: per-context queues/channels/lanes\n\n");
+    std::printf(" App  | users | runtime | ticks (ms)\n");
     for (const char *app : {"BP", "NN"}) {
         for (int users : {2, 4, 8, 16}) {
             for (bool use_hix : {false, true}) {
@@ -239,29 +183,22 @@ runVoltaRows(bench::BenchJson &json)
                 config.machine.timing.gpuEnclaveLanes = width;
 
                 bench::HostTimer timer;
-                auto cold = runWorkload(config);
-                const double cold_ms = timer.ms();
+                auto out = runWorkload(config);
+                const double ms = timer.ms();
 
-                config.forkSessions = true;
-                auto forked = runWorkload(config);
-
-                if (!cold.isOk() || !forked.isOk()) {
+                if (!out.isOk()) {
                     std::printf("%-5s | %5d | %-7s | FAILED\n", app,
                                 users, use_hix ? "hix" : "gdev");
                     continue;
                 }
-                std::printf("%-5s | %5d | %-7s | %10.2f | %s\n", app,
-                            users, use_hix ? "hix" : "gdev",
-                            cold->milliseconds(),
-                            forked->ticks == cold->ticks ? "ok"
-                                                         : "MISMATCH");
+                std::printf("%-5s | %5d | %-7s | %10.2f\n", app, users,
+                            use_hix ? "hix" : "gdev", out->milliseconds());
                 const std::string config_name =
                     std::string("volta app=") + app +
                     " users=" + std::to_string(users) +
                     " runtime=" + (use_hix ? "hix" : "gdev");
-                json.add(config_name, cold->ticks, cold_ms)
-                    .metric("engine_width", double(width))
-                    .metric("ticks_fork", double(forked->ticks));
+                json.add(config_name, out->ticks, ms)
+                    .metric("engine_width", double(width));
             }
         }
     }

@@ -38,7 +38,6 @@ openLoopRow(bench::BenchJson &json, Policy policy, bool use_hix)
     cfg.tableCap = 64;
     cfg.appMix = {"NN", "LUD", "BFS"};
     cfg.userPopulation = 64;
-    cfg.run.forkSessions = true;
 
     const std::string config =
         std::string("policy=") + policyName(policy) +
@@ -93,7 +92,6 @@ voltaRow(bench::BenchJson &json, Policy policy, bool use_hix)
     cfg.tableCap = 64;
     cfg.appMix = {"NN", "LUD", "BFS"};
     cfg.userPopulation = 64;
-    cfg.run.forkSessions = true;
     cfg.run.machine.timing.gpuConcurrentContexts = 8;
     cfg.run.machine.timing.gpuDmaChannels = 8;
     cfg.run.machine.timing.gpuEnclaveLanes = 8;

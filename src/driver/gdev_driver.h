@@ -132,33 +132,8 @@ class GdevDriver
         std::uint64_t size = 0;
     };
 
-    /**
-     * Value snapshot of the driver's bookkeeping (machine fork): the
-     * forked enclave reconstructs a driver with the same config
-     * against the forked machine, then restores this state so VA
-     * cursors, allocation maps, and the context counter line up with
-     * the template's.
-     */
-    struct Snapshot
-    {
-        std::map<std::pair<GpuContextId, Addr>, Allocation> allocations;
-        std::map<GpuContextId, Addr> vaCursor;
-        GpuContextId nextCtx = 0;
-    };
-
     GdevDriver(gpu::GpuDevice *device, std::unique_ptr<MmioPort> port,
                sim::TraceRecorder *recorder, GdevConfig config);
-
-    Snapshot captureSnapshot() const
-    {
-        return Snapshot{allocations_, va_cursor_, next_ctx_};
-    }
-    void restoreSnapshot(const Snapshot &snap)
-    {
-        allocations_ = snap.allocations;
-        va_cursor_ = snap.vaCursor;
-        next_ctx_ = snap.nextCtx;
-    }
 
     const GdevConfig &config() const { return config_; }
     gpu::GpuDevice *device() { return device_; }

@@ -93,8 +93,7 @@ class GpuMemAccessor
      * order: an unmapped page fails like read(); a page that does not
      * follow its predecessor in VRAM (or a range that wraps the VA
      * space) fails with FailedPrecondition. The span reads what
-     * read() would and stays valid until the next snapshot, adopt or
-     * scrub of the VRAM.
+     * read() would and stays valid until the next scrub of the VRAM.
      */
     Result<std::span<std::uint8_t>> view(Addr gpu_va,
                                          std::size_t len) const;

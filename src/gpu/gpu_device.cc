@@ -163,57 +163,6 @@ GpuDevice::reset()
            0);
 }
 
-GpuDevice::State
-GpuDevice::captureState()
-{
-    State s;
-    s.vram = vram_.snapshot();
-    s.contexts = contexts_;
-    s.kernels = kernels_;
-    s.keySlots.reserve(key_slots_.size());
-    for (const auto &slot : key_slots_)
-        s.keySlots.push_back({slot.pair, slot.have_pair, slot.key});
-    s.fifo = fifo_;
-    s.cmdStatus = cmd_status_;
-    s.fenceValue = fence_value_;
-    s.windowBase = window_base_;
-    s.rng = rng_;
-    s.stats = stats_;
-    s.lastError = last_error_;
-    s.config = config();
-    s.rom = sharedExpansionRomImage();
-    return s;
-}
-
-void
-GpuDevice::restoreState(const State &state)
-{
-    if (!vram_.adopt(state.vram).isOk())
-        hix_panic("GpuDevice: VRAM snapshot size mismatch");
-    contexts_ = state.contexts;
-    kernels_ = state.kernels;
-    key_slots_.clear();
-    key_slots_.resize(state.keySlots.size());
-    for (std::size_t i = 0; i < state.keySlots.size(); ++i) {
-        KeySlot &slot = key_slots_[i];
-        slot.pair = state.keySlots[i].pair;
-        slot.have_pair = state.keySlots[i].have_pair;
-        slot.key = state.keySlots[i].key;
-        if (slot.key)
-            slot.ocb = std::make_unique<crypto::Ocb>(*slot.key);
-    }
-    fifo_ = state.fifo;
-    cmd_status_ = state.cmdStatus;
-    fence_value_ = state.fenceValue;
-    window_base_ = state.windowBase;
-    rng_ = state.rng;
-    stats_ = state.stats;
-    last_error_ = state.lastError;
-    config() = state.config;
-    setExpansionRomImage(state.rom);
-    costs_.clear();
-}
-
 Result<GpuContext *>
 GpuDevice::contextOf(std::uint64_t id)
 {

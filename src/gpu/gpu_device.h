@@ -132,51 +132,17 @@ class GpuDevice : public pcie::PcieDevice
     /** Direct VRAM peek for tests (not reachable by modelled SW). */
     Status debugReadVram(Addr pa, std::uint8_t *data, std::size_t len);
 
-    /**
-     * Value snapshot of all mutable device state for machine
-     * snapshot/fork: VRAM as a CoW overlay snapshot,
-     * contexts, kernel registry, key-slot key material (the OCB
-     * engine is re-derived from the key on restore), FIFO/register
-     * state, RNG position, config space and ROM image, and counters.
-     */
-    struct State
-    {
-        mem::PhysMem::Snapshot vram;
-        std::map<GpuContextId, GpuContext> contexts;
-        KernelRegistry kernels;
-        struct KeySlotState
-        {
-            crypto::X25519KeyPair pair;
-            bool have_pair = false;
-            std::optional<crypto::AesKey> key;
-        };
-        std::vector<KeySlotState> keySlots;
-        std::vector<std::uint32_t> fifo;
-        std::uint32_t cmdStatus = 0;
-        std::uint32_t fenceValue = 0;
-        Addr windowBase = 0;
-        Rng rng{0};
-        GpuDeviceStats stats;
-        std::string lastError;
-        pcie::ConfigSpace config{pcie::HeaderType::Endpoint, 0, 0, 0};
-        std::shared_ptr<const Bytes> rom;
-    };
-    State captureState();
-    void restoreState(const State &state);
-
     /** Number of live contexts. */
     std::size_t contextCount() const { return contexts_.size(); }
 
     /** True when key slot @p slot currently holds a session key. */
     bool keySlotActive(std::uint32_t slot) const;
 
-    /** VRAM pages privately materialised by this device instance. */
+    /** VRAM pages materialised by this device instance. */
     std::size_t vramResidentPages() const
     {
         return vram_.residentPages();
     }
-    /** VRAM pages shared with a machine snapshot (CoW, not copied). */
-    std::size_t vramSharedPages() const { return vram_.sharedPages(); }
 
   private:
     struct KeySlot

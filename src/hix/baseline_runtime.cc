@@ -40,73 +40,6 @@ BaselineRuntime::BaselineRuntime(os::Machine *machine, std::string name,
         &machine_->recorder(), cfg);
 }
 
-BaselineRuntime::BaselineRuntime(os::Machine *machine, std::string name,
-                                 std::uint16_t cpu_index, ForkTag)
-    : machine_(machine),
-      name_(std::move(name)),
-      cpu_{sim::ResUnit::UserCpu, cpu_index}
-{
-}
-
-Result<BaselineRuntime::Snapshot>
-BaselineRuntime::snapshot() const
-{
-    if (initialized_)
-        return errInvalidArgument(
-            "cannot snapshot an initialized runtime");
-    if (mps_leader_)
-        return errInvalidArgument(
-            "cannot snapshot an MPS follower (leader owns the driver)");
-    Snapshot snap;
-    snap.pid = pid_;
-    snap.actor = actor_;
-    snap.ctx = ctx_;
-    snap.ctxPrecreated = ctx_precreated_;
-    snap.timingScale = driver_->config().timingScale;
-    snap.ctxBase = driver_->config().ctxBase;
-    snap.gpuIndex = gpu_index_;
-    snap.driver = driver_->captureSnapshot();
-    return snap;
-}
-
-std::unique_ptr<BaselineRuntime>
-BaselineRuntime::fork(os::Machine *machine, const Snapshot &snap,
-                      std::string name, std::uint16_t cpu_index)
-{
-    auto rt = std::unique_ptr<BaselineRuntime>(new BaselineRuntime(
-        machine, std::move(name), cpu_index, ForkTag{}));
-    rt->pid_ = snap.pid;
-    rt->actor_ = snap.actor;
-    rt->ctx_ = snap.ctx;
-    rt->ctx_precreated_ = snap.ctxPrecreated;
-    rt->gpu_index_ = snap.gpuIndex;
-    // The template booted under a placeholder process name; give the
-    // forked user its own (nothing recorded depends on it).
-    if (auto *proc = machine->os().process(snap.pid))
-        proc->name = rt->name_;
-    // Stand the driver up against the forked machine exactly as the
-    // boot constructor does, then restore its bookkeeping so VA
-    // cursors and context ids continue from the template's state.
-    const auto &gpu_config = machine->gpuAt(snap.gpuIndex).config();
-    driver::GdevConfig cfg;
-    cfg.timing = machine->config().timing;
-    cfg.scrubOnFree = false;  // stock Gdev: no cleansing on free
-    cfg.timingScale = snap.timingScale;
-    cfg.actor = snap.actor;
-    cfg.cpuResource = rt->cpu_;
-    cfg.sharedVram = &machine->vramAt(snap.gpuIndex);
-    cfg.ctxBase = snap.ctxBase;
-    cfg.deviceIndex = static_cast<std::uint16_t>(snap.gpuIndex);
-    rt->driver_ = std::make_shared<driver::GdevDriver>(
-        &machine->gpuAt(snap.gpuIndex),
-        std::make_unique<driver::HostMmioPort>(
-            &machine->rootComplex(), gpu_config.barBase(0),
-            gpu_config.barBase(1)),
-        &machine->recorder(), cfg);
-    rt->driver_->restoreSnapshot(snap.driver);
-    return rt;
-}
-
 Status
 BaselineRuntime::precreateContext()
 {

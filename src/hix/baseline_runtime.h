@@ -40,42 +40,6 @@ class BaselineRuntime
                     BaselineRuntime *mps_leader = nullptr,
                     GpuContextId ctx_base = 0, int gpu_index = 0);
 
-    /**
-     * Boot-state snapshot for the session-fork fast path: identity
-     * and driver bookkeeping of a runtime whose GPU context has been
-     * precreated but whose recorded window has not opened. Everything
-     * the runtime mutated on its machine (process, page tables, the
-     * context's device state) is captured by Machine::snapshot();
-     * this carries only what lives in the runtime object itself.
-     */
-    struct Snapshot
-    {
-        ProcessId pid = 0;
-        std::uint32_t actor = 0;
-        GpuContextId ctx = 0;
-        bool ctxPrecreated = false;
-        std::uint64_t timingScale = 1;
-        GpuContextId ctxBase = 0;
-        int gpuIndex = 0;
-        driver::GdevDriver::Snapshot driver;
-    };
-
-    /** Capture a snapshot; fails after init() (window already open)
-     * and in MPS-follower mode (the leader owns the driver). */
-    Result<Snapshot> snapshot() const;
-
-    /**
-     * Rebuild the snapshotted runtime on @p machine (a fork of the
-     * machine the snapshot was taken on). @p name / @p cpu_index are
-     * this user's own identity: the process is renamed and the CPU
-     * resource re-pinned, neither of which entered the captured
-     * machine state.
-     */
-    static std::unique_ptr<BaselineRuntime> fork(os::Machine *machine,
-                                                 const Snapshot &snap,
-                                                 std::string name,
-                                                 std::uint16_t cpu_index);
-
     /** Create the GPU context (Gdev task initialization). */
     Status init();
 
@@ -116,14 +80,6 @@ class BaselineRuntime
     const os::DmaBuffer &hostBuffer() const { return host_buf_; }
 
   private:
-    /** fork() shell: members are filled from the snapshot instead of
-     * consuming a fresh pid/actor from the machine. */
-    struct ForkTag
-    {
-    };
-    BaselineRuntime(os::Machine *machine, std::string name,
-                    std::uint16_t cpu_index, ForkTag);
-
     Status ensureHostBuffer(std::uint64_t size);
 
     os::Machine *machine_;

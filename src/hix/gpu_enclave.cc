@@ -209,75 +209,6 @@ GpuEnclave::initialize(const crypto::Sha256Digest &expected_bios)
     return Status::ok();
 }
 
-Result<GpuEnclave::Snapshot>
-GpuEnclave::snapshot() const
-{
-    if (!sessions_.empty())
-        return errInvalidArgument(
-            "GPU enclave snapshot requires zero open sessions");
-    Snapshot snap;
-    snap.config = config_;
-    snap.gpuIndex = gpu_index_;
-    snap.pid = pid_;
-    snap.eid = eid_;
-    snap.execCtx = exec_ctx_;
-    snap.actor = actor_;
-    snap.driver = driver_->captureSnapshot();
-    snap.mgmtCtx = mgmt_ctx_;
-    snap.mgmtStagingVa = mgmt_staging_va_;
-    snap.dhKeys = dh_keys_;
-    snap.configMeasurement = config_measurement_;
-    snap.nextSession = next_session_;
-    snap.nextKeySlot = next_key_slot_;
-    snap.alive = alive_;
-    return snap;
-}
-
-Result<std::unique_ptr<GpuEnclave>>
-GpuEnclave::fork(os::Machine *machine, const Snapshot &snap,
-                 const HixConfig &config)
-{
-    if (snap.gpuIndex < 0 || snap.gpuIndex >= machine->gpuCount())
-        return errInvalidArgument("no such GPU");
-    std::unique_ptr<GpuEnclave> enclave(
-        new GpuEnclave(machine, config, snap.gpuIndex));
-    enclave->pid_ = snap.pid;
-    enclave->eid_ = snap.eid;
-    enclave->exec_ctx_ = snap.execCtx;
-    enclave->actor_ = snap.actor;
-    enclave->mgmt_ctx_ = snap.mgmtCtx;
-    enclave->mgmt_staging_va_ = snap.mgmtStagingVa;
-    enclave->dh_keys_ = snap.dhKeys;
-    enclave->config_measurement_ = snap.configMeasurement;
-    enclave->next_session_ = snap.nextSession;
-    enclave->next_key_slot_ = snap.nextKeySlot;
-    enclave->alive_ = snap.alive;
-
-    // Stand the driver up against the forked machine exactly as
-    // initialize() does, then restore its bookkeeping (allocation
-    // maps, VA cursors, context counter) from the snapshot. The
-    // machine-side state it indexes — GPU contexts, mappings, VRAM
-    // bytes, page tables — was restored by Machine::fork().
-    auto &m = *machine;
-    driver::GdevConfig gcfg;
-    gcfg.timing = m.config().timing;
-    gcfg.scrubOnFree = true;
-    gcfg.timingScale = config.timingScale;
-    gcfg.actor = snap.actor;
-    gcfg.cpuResource = enclave->cpu_;
-    gcfg.pioWindowBytes = 4 * MiB;
-    gcfg.sharedVram = &m.vramAt(snap.gpuIndex);
-    gcfg.ctxBase = config.ctxBase;
-    gcfg.deviceIndex = static_cast<std::uint16_t>(snap.gpuIndex);
-    enclave->driver_ = std::make_unique<driver::GdevDriver>(
-        &m.gpuAt(snap.gpuIndex),
-        std::make_unique<driver::EnclaveMmioPort>(
-            &m.mmu(), snap.execCtx, Bar0Va, Bar1Va),
-        &m.recorder(), gcfg);
-    enclave->driver_->restoreSnapshot(snap.driver);
-    return enclave;
-}
-
 sim::OpId
 GpuEnclave::ipcArrival(sim::OpId user_op, const char *label,
                        std::uint32_t actor, sim::ResourceId lane)

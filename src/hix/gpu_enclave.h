@@ -99,47 +99,6 @@ class GpuEnclave
         os::Machine *machine, const crypto::Sha256Digest &expected_bios,
         const HixConfig &config = HixConfig{}, int gpu_index = 0);
 
-    /**
-     * Value snapshot of a freshly-initialized GPU enclave — no open
-     * sessions — for the session-fork fast path. Everything here is
-     * identity/bookkeeping; the enclave's memory (EPC pages, VRAM,
-     * GECS/TGMR, page tables) lives in the machine and is captured by
-     * Machine::snapshot(). A fork on the matching forked machine is
-     * indistinguishable from an enclave that cold-booted there.
-     */
-    struct Snapshot
-    {
-        HixConfig config;
-        int gpuIndex = 0;
-        ProcessId pid = 0;
-        EnclaveId eid = InvalidEnclaveId;
-        mem::ExecContext execCtx;
-        std::uint32_t actor = 0;
-        driver::GdevDriver::Snapshot driver;
-        GpuContextId mgmtCtx = 0;
-        Addr mgmtStagingVa = 0;
-        crypto::X25519KeyPair dhKeys;
-        crypto::Sha256Digest configMeasurement{};
-        std::uint32_t nextSession = 1;
-        std::uint32_t nextKeySlot = 0;
-        bool alive = false;
-    };
-
-    /** Capture a snapshot; fails while sessions are open. */
-    Result<Snapshot> snapshot() const;
-
-    /**
-     * Rebuild the snapshotted enclave on @p machine (a fork of the
-     * machine the snapshot's enclave booted on). @p config replaces
-     * the enclave's software config so the caller can re-pin the
-     * per-fork session-numbering knobs (sessionCtxBase); it must
-     * agree with the snapshot's config on everything that shaped the
-     * captured state (timingScale, ctxBase).
-     */
-    static Result<std::unique_ptr<GpuEnclave>> fork(
-        os::Machine *machine, const Snapshot &snap,
-        const HixConfig &config);
-
     /** Which machine GPU this enclave owns. */
     int gpuIndex() const { return gpu_index_; }
 

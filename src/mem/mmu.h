@@ -158,10 +158,6 @@ class TlbBase
     /** Live (valid) entry count. */
     virtual std::size_t size() const = 0;
 
-    /** Deep copy (same engine, entries, recency, and counters) — the
-     * machine snapshot/fork path uses this to capture TLB state. */
-    virtual std::unique_ptr<TlbBase> clone() const = 0;
-
     const TlbGeometry &geometry() const { return geom_; }
     std::size_t capacity() const { return geom_.slotCount(); }
 
@@ -197,10 +193,6 @@ class Tlb : public TlbBase
     void flushPid(ProcessId pid) override;
     void flushPage(ProcessId pid, Addr vpage) override;
     std::size_t size() const override { return live_; }
-    std::unique_ptr<TlbBase> clone() const override
-    {
-        return std::make_unique<Tlb>(*this);
-    }
 
     /** Current flush epoch (for tests). */
     std::uint64_t epoch() const { return epoch_; }
@@ -240,10 +232,6 @@ class TlbReference : public TlbBase
     void flushPid(ProcessId pid) override;
     void flushPage(ProcessId pid, Addr vpage) override;
     std::size_t size() const override { return entries_.size(); }
-    std::unique_ptr<TlbBase> clone() const override
-    {
-        return std::make_unique<TlbReference>(*this);
-    }
 
   private:
     // lookup() splices a hit to the back (recency refresh).
@@ -318,10 +306,6 @@ class Mmu
     TlbBase &tlb() { return *tlb_; }
     const TlbBase &tlb() const { return *tlb_; }
 
-    /** Replace the TLB wholesale (machine fork restores a cloned
-     * TLB so a forked machine's translation cache matches the
-     * template's exactly). */
-    void adoptTlb(std::unique_ptr<TlbBase> tlb) { tlb_ = std::move(tlb); }
     TlbEngine engine() const { return engine_; }
     PhysicalBus *bus() { return bus_; }
 

@@ -87,24 +87,6 @@ PhysMem::~PhysMem()
         releaseRegion(regionBytes(size_), base_);
 }
 
-const PhysMem::SharedPage *
-PhysMem::overlayPage(std::uint64_t page) const
-{
-    if (overlay_.empty())
-        return nullptr;
-    auto it = overlay_.find(page);
-    return it == overlay_.end() ? nullptr : &it->second;
-}
-
-const std::uint8_t *
-PhysMem::peekPage(std::uint64_t page) const
-{
-    if (isPrivate(page))
-        return regionPage(page);
-    const SharedPage *shared = overlayPage(page);
-    return shared ? shared->get() : nullptr;
-}
-
 std::uint8_t *
 PhysMem::privatize(std::uint64_t page, bool overwrite_all)
 {
@@ -113,31 +95,10 @@ PhysMem::privatize(std::uint64_t page, bool overwrite_all)
         private_.assign((regionBytes(size_) / PageSize + 63) / 64, 0);
     }
     std::uint8_t *dst = regionPage(page);
-    auto it = overlay_.find(page);
-    if (!overwrite_all) {
-        // A recycled region still holds its last owner's bytes.
-        if (it != overlay_.end())
-            std::memcpy(dst, it->second.get(), PageSize);
-        else
-            std::memset(dst, 0, PageSize);
-    }
-    if (it != overlay_.end())
-        overlay_.erase(it);
+    if (!overwrite_all)
+        std::memset(dst, 0, PageSize);
     private_[page / 64] |= std::uint64_t(1) << (page % 64);
     return dst;
-}
-
-std::uint8_t *
-PhysMem::mutPage(std::uint64_t page, bool overwrite_all)
-{
-    if (isPrivate(page))
-        return regionPage(page);
-    // use_count() == 1 is decisive: nobody else holds a reference, so
-    // nobody can be copying from (or bumping) this page concurrently.
-    const SharedPage *shared = overlayPage(page);
-    if (shared && shared->use_count() == 1)
-        return shared->get();
-    return privatize(page, overwrite_all);
 }
 
 Status
@@ -229,49 +190,15 @@ PhysMem::zeroAt(std::uint64_t offset, std::uint64_t len)
         const std::uint64_t page = offset / PageSize;
         const std::uint64_t in_page = PageSize - pageOffset(offset);
         const std::uint64_t take = std::min<std::uint64_t>(in_page, len);
-        if (take == PageSize) {
-            // Whole page: drop back to absent (zero reads for free,
-            // and a shared page is decrefed, not copied).
-            if (isPrivate(page))
-                private_[page / 64] &= ~(std::uint64_t(1) << (page % 64));
-            overlay_.erase(page);
-        } else if (peekPage(page)) {
-            std::memset(mutPage(page, false) + pageOffset(offset), 0,
-                        take);
-        }
+        // Absent pages already read as zero; a whole private page
+        // drops back to absent instead of being written.
+        if (isPrivate(page) && take == PageSize)
+            private_[page / 64] &= ~(std::uint64_t(1) << (page % 64));
+        else if (isPrivate(page))
+            std::memset(regionPage(page) + pageOffset(offset), 0, take);
         offset += take;
         len -= take;
     }
-    return Status::ok();
-}
-
-PhysMem::Snapshot
-PhysMem::snapshot()
-{
-    for (std::size_t w = 0; w < private_.size(); ++w) {
-        for (std::uint64_t bits = private_[w]; bits != 0;
-             bits &= bits - 1) {
-            const std::uint64_t page = w * 64 + std::countr_zero(bits);
-            SharedPage frozen(new std::uint8_t[PageSize]);
-            std::memcpy(frozen.get(), regionPage(page), PageSize);
-            overlay_.emplace(page, std::move(frozen));
-        }
-        private_[w] = 0;
-    }
-    Snapshot snap;
-    snap.size = size_;
-    snap.pages = overlay_;  // shared_ptr copies: refcount bump only
-    return snap;
-}
-
-Status
-PhysMem::adopt(const Snapshot &snap)
-{
-    if (snap.size != size_)
-        return errInvalidArgument("snapshot size mismatch for " +
-                                  name_);
-    std::fill(private_.begin(), private_.end(), 0);
-    overlay_ = snap.pages;
     return Status::ok();
 }
 
@@ -281,17 +208,6 @@ PhysMem::residentPages() const
     std::size_t n = 0;
     for (std::uint64_t bits : private_)
         n += std::popcount(bits);
-    for (const auto &[page, shared] : overlay_)
-        n += shared.use_count() == 1;
-    return n;
-}
-
-std::size_t
-PhysMem::sharedPages() const
-{
-    std::size_t n = 0;
-    for (const auto &[page, shared] : overlay_)
-        n += shared.use_count() > 1;
     return n;
 }
 

@@ -8,21 +8,34 @@ namespace hix::os
 namespace
 {
 
+/** BARs are 32-bit: the MMIO window must end at or below 4 GiB. */
+constexpr std::uint64_t MmioTop = 0x100000000ull;
+
+/** MMIO window @p config's GPUs need: each claims a 256 MiB BAR1 +
+ *  16 MiB BAR0, 512 MiB with alignment. */
+std::uint64_t
+mmioNeeded(const MachineConfig &config)
+{
+    return 512 * MiB *
+           static_cast<std::uint64_t>(std::max(1, config.gpuCount));
+}
+
 /**
  * Multi-GPU machines need a larger MMIO window than the default
- * 512 MiB (each GPU claims a 256 MiB BAR1 + 16 MiB BAR0). Widen the
- * window downwards — BARs are 32-bit, so it must stay below 4 GiB —
- * and shrink the DRAM claim to make room.
+ * 512 MiB. Widen the window downwards from 4 GiB and shrink the DRAM
+ * claim to make room. Panics with Machine::checkLayout()'s message
+ * when the window would reach into the EPC.
  */
 MachineConfig
 normalized(MachineConfig config)
 {
-    const std::uint64_t per_gpu = 512 * MiB;  // aperture + alignment
-    const std::uint64_t needed =
-        per_gpu * std::max(1, config.gpuCount);
+    const Status layout = Machine::checkLayout(config);
+    if (!layout.isOk())
+        hix_panic(layout.message());
+    const std::uint64_t needed = mmioNeeded(config);
     if (needed > config.mmioSize) {
         config.mmioSize = needed;
-        config.mmioBase = 0x100000000ull - needed;
+        config.mmioBase = MmioTop - needed;
         config.ramSize =
             std::min<std::uint64_t>(config.ramSize, config.mmioBase);
     }
@@ -30,6 +43,20 @@ normalized(MachineConfig config)
 }
 
 }  // namespace
+
+Status
+Machine::checkLayout(const MachineConfig &config)
+{
+    const std::uint64_t epc_end = config.epcBase + config.epcSize;
+    const std::uint64_t needed = mmioNeeded(config);
+    if (epc_end > MmioTop || needed > MmioTop - epc_end)
+        return errInvalidArgument(
+            "Machine: " + std::to_string(config.gpuCount) +
+            " GPUs need a " + std::to_string(needed / MiB) +
+            " MiB MMIO window, which does not fit between the EPC's "
+            "end and 4 GiB");
+    return Status::ok();
+}
 
 Machine::Machine(const MachineConfig &config)
     : config_(normalized(config)),
@@ -58,8 +85,7 @@ Machine::Machine(const MachineConfig &config)
              .isOk())
         hix_panic("Machine: cannot attach MMIO window");
 
-    mmu_ = std::make_unique<mem::Mmu>(&bus_, config_.tlbCapacity,
-                                      config_.tlbEngine);
+    mmu_ = std::make_unique<mem::Mmu>(&bus_, config_.tlbCapacity);
     sgx_ = std::make_unique<sgx::SgxUnit>(
         AddrRange(config_.epcBase, config_.epcSize), mmu_.get(),
         config_.seed);
@@ -99,64 +125,6 @@ Machine::clearTrace()
     // across measurement windows.
 }
 
-MachineSnapshot
-Machine::snapshot()
-{
-    MachineSnapshot snap;
-    snap.config = config_;
-    snap.ram = ram_.snapshot();
-    snap.iommu = iommu_;
-    snap.tlb = mmu_->tlb().clone();
-    snap.rootComplex = rc_->captureState();
-    snap.gpus.reserve(gpus_.size());
-    for (const auto &gpu : gpus_)
-        snap.gpus.push_back(gpu->captureState());
-    snap.sgx = sgx_->captureState();
-    snap.hixExt = hix_ext_->captureState();
-    snap.os = *os_;
-    snap.vramAllocs.reserve(vram_allocs_.size());
-    for (const auto &v : vram_allocs_)
-        snap.vramAllocs.push_back(*v);
-    snap.nextActor = next_actor_;
-    return snap;
-}
-
-void
-Machine::restore(const MachineSnapshot &snap)
-{
-    if (!ram_.adopt(snap.ram).isOk())
-        hix_panic("Machine: DRAM snapshot size mismatch");
-    iommu_ = snap.iommu;  // value type; rc_ keeps pointing at iommu_
-    mmu_->adoptTlb(snap.tlb->clone());
-    rc_->restoreState(snap.rootComplex);
-    if (snap.gpus.size() != gpus_.size())
-        hix_panic("Machine: GPU count mismatch in snapshot");
-    for (std::size_t i = 0; i < gpus_.size(); ++i)
-        gpus_[i]->restoreState(snap.gpus[i]);
-    sgx_->restoreState(snap.sgx);
-    hix_ext_->restoreState(snap.hixExt);
-    // Assignment, not reseating: the MMU's page-table provider lambda
-    // captured this machine and dereferences os_ on every walk.
-    *os_ = snap.os;
-    if (snap.vramAllocs.size() != vram_allocs_.size())
-        hix_panic("Machine: VRAM allocator count mismatch in snapshot");
-    for (std::size_t i = 0; i < vram_allocs_.size(); ++i)
-        *vram_allocs_[i] = snap.vramAllocs[i];
-    next_actor_ = snap.nextActor;
-}
-
-std::unique_ptr<Machine>
-Machine::fork(const MachineSnapshot &snap)
-{
-    // The normal constructor re-runs the deterministic platform
-    // assembly (bus wiring, PCIe enumeration, validator registration
-    // — all pointer plumbing a value snapshot cannot carry), then
-    // restore() overwrites every piece of mutable state.
-    auto machine = std::make_unique<Machine>(snap.config);
-    machine->restore(snap);
-    return machine;
-}
-
 void
 Machine::dumpStats(std::ostream &out) const
 {
@@ -185,20 +153,11 @@ Machine::dumpStats(std::ostream &out) const
         g.dump(out);
     }
     {
-        // Host-side memory footprint of the sparse/CoW page stores:
-        // resident pages are privately owned by this machine, shared
-        // pages ride on a snapshot at zero marginal cost.
+        // Host-side memory footprint of the sparse page stores.
         sim::StatGroup g("mem");
-        std::size_t resident = ram_.residentPages();
-        std::size_t shared = ram_.sharedPages();
+        const std::size_t resident = residentPages();
         g.scalar("dram_resident_pages") += double(ram_.residentPages());
-        g.scalar("dram_shared_pages") += double(ram_.sharedPages());
-        for (const auto &gpu : gpus_) {
-            resident += gpu->vramResidentPages();
-            shared += gpu->vramSharedPages();
-        }
         g.scalar("resident_pages") += double(resident);
-        g.scalar("shared_pages") += double(shared);
         g.scalar("resident_bytes") +=
             double(resident) * double(mem::PageSize);
         g.dump(out);

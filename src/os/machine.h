@@ -47,37 +47,7 @@ struct MachineConfig
     sim::PlatformConfig timing = sim::PlatformConfig::paper();
     std::uint64_t seed = 0x515;
     bool iommuEnabled = false;
-    /** TLB engine (Reference = linear golden oracle, for tests). */
-    mem::TlbEngine tlbEngine = mem::TlbEngine::Fast;
     std::size_t tlbCapacity = 256;
-};
-
-/**
- * A value snapshot of a machine's complete post-boot state: DRAM as a
- * CoW page-map snapshot, IOMMU + IOTLB, TLB, PCIe lockdown state, all
- * GPU device state (VRAM CoW snapshot, contexts, key slots, config
- * space, ROM), the SGX unit (EPC/EPCM, enclaves, platform secret) and
- * HIX extension (GECS/TGMR), the OS model (processes, page tables,
- * frame allocator), VRAM allocators, and the actor-id counter.
- *
- * The snapshot is pure value state (the TLB clone is owned): it stays
- * valid after the source machine is destroyed and may be forked from
- * concurrently — CoW page refcounts are atomic and forks only read
- * the snapshot.
- */
-struct MachineSnapshot
-{
-    MachineConfig config;
-    mem::PhysMem::Snapshot ram;
-    mem::Iommu iommu;
-    std::unique_ptr<mem::TlbBase> tlb;
-    pcie::RootComplex::State rootComplex;
-    std::vector<gpu::GpuDevice::State> gpus;
-    sgx::SgxUnit::State sgx;
-    sgx::HixExtension::State hixExt;
-    OsModel os{0, {}};
-    std::vector<driver::VramAllocator> vramAllocs;
-    std::uint32_t nextActor = 0;
 };
 
 /**
@@ -87,7 +57,16 @@ struct MachineSnapshot
 class Machine
 {
   public:
+    /** Panics when checkLayout(@p config) fails. */
     explicit Machine(const MachineConfig &config = MachineConfig{});
+
+    /**
+     * InvalidArgument when @p config's physical layout cannot be
+     * built: the MMIO window, widened to 512 MiB per GPU, must fit
+     * between the end of the EPC and 4 GiB (BARs are 32-bit). At the
+     * default layout that allows at most five GPUs.
+     */
+    static Status checkLayout(const MachineConfig &config);
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
@@ -126,9 +105,8 @@ class Machine
      * Move the recorded trace out, leaving the machine with a fresh
      * empty trace (the recorder stays bound to the same object). A
      * bare std::move(trace()) leaves the trace without its interned
-     * empty label, so the first real label recorded after a reuse
-     * would collide with NoLabel; shard recording takes its window
-     * this way so a reused (re-restored) machine records correctly.
+     * empty label, so the first real label recorded afterwards would
+     * collide with NoLabel.
      */
     sim::Trace takeTrace()
     {
@@ -153,55 +131,17 @@ class Machine
      */
     void coldBoot();
 
-    /**
-     * Capture this machine's full post-boot state. O(pages-touched):
-     * DRAM and VRAM are captured as CoW overlay snapshots (each
-     * private page is copied once into a shared page, which the
-     * machine and the snapshot then share). The trace is NOT part of
-     * the snapshot (forks start recording fresh).
-     */
-    MachineSnapshot snapshot();
-
-    /**
-     * Build a machine indistinguishable from the one @p snap was
-     * taken of: constructs a fresh machine with the snapshot's config
-     * (re-running the deterministic platform assembly + enumeration),
-     * then overwrites all mutable state from the snapshot. Writes in
-     * the fork copy-on-write; the snapshot and its other forks never
-     * observe them. Thread-safe against concurrent forks of the same
-     * snapshot.
-     */
-    static std::unique_ptr<Machine> fork(const MachineSnapshot &snap);
-
-    /**
-     * Re-point an existing machine at @p snap: overwrite all mutable
-     * state, exactly as fork() does after construction. The machine
-     * must have been built with the same config (sizes/GPU count are
-     * panic-checked). The session-fork fast path reuses one machine
-     * per recording worker this way, skipping even the (cheap)
-     * platform re-assembly; the recorded trace is not touched —
-     * callers clear it before opening the next window.
-     */
-    void restoreSnapshot(const MachineSnapshot &snap)
-    {
-        restore(snap);
-    }
-
     /** Dump hardware counters (GPU, PCIe, TLB) as gem5-style stats. */
     void dumpStats(std::ostream &os) const;
 
     /**
-     * Host pages privately materialised by this machine (DRAM +
-     * VRAM). A fork's count starts near zero and grows only with the
-     * pages it actually writes; a cold-booted machine owns every
-     * touched page. The bench's resident_pages_per_session metric.
+     * Host pages materialised by this machine (DRAM + VRAM): every
+     * page it has written. The bench's resident_pages_per_session
+     * metric.
      */
     std::size_t residentPages() const;
 
   private:
-    /** Overwrite mutable state from @p snap (fork() step two). */
-    void restore(const MachineSnapshot &snap);
-
     MachineConfig config_;
     mem::PhysicalBus bus_;
     mem::PhysMem ram_;

@@ -46,9 +46,8 @@ class PcieDevice
     const Bytes &expansionRomImage() const;
     /**
      * The ROM as a shared immutable buffer. The image never changes
-     * after a flash, so device construction from the BIOS cache and
-     * machine snapshot/fork pass the same allocation around instead
-     * of copying 64 KiB.
+     * after a flash, so devices built from the BIOS cache share one
+     * allocation instead of copying 64 KiB each.
      */
     const std::shared_ptr<const Bytes> &sharedExpansionRomImage() const
     {

@@ -194,29 +194,6 @@ class RootComplex : public mem::BusTarget
     const AddrRange &mmioWindow() const { return mmio_window_; }
     const RootComplexStats &stats() const { return stats_; }
 
-    /**
-     * Value snapshot of post-enumeration mutable state for machine
-     * snapshot/fork (lockdown set, sizing exception, counters). The
-     * tree topology and port/endpoint config spaces are rebuilt by
-     * the forked machine's own deterministic enumerate(); endpoint
-     * config mutations are captured by the device (GpuDevice::State).
-     */
-    struct State
-    {
-        std::vector<Bdf> lockedEndpoints;
-        bool sizingException = false;
-        RootComplexStats stats;
-    };
-    State captureState() const
-    {
-        return State{locked_endpoints_, sizing_exception_, stats_};
-    }
-    void restoreState(const State &state)
-    {
-        locked_endpoints_ = state.lockedEndpoints;
-        sizing_exception_ = state.sizingException;
-        stats_ = state.stats;
-    }
     const std::vector<std::unique_ptr<RootPort>> &ports() const
     {
         return ports_;

@@ -86,8 +86,8 @@ class Epc
      * next_fresh_ (never handed out). Allocation pops the
      * most-recently-freed page first, then fresh pages in ascending
      * address order — the same order a prefilled free list gives —
-     * while keeping the struct O(pages-allocated) to copy, which the
-     * machine snapshot/fork fast path relies on.
+     * while keeping construction O(1): a machine is built per
+     * session, and a prefilled list would cost one entry per EPC page.
      */
     std::size_t next_fresh_ = 0;
     std::vector<Addr> recycled_;

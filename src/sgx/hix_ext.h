@@ -104,19 +104,6 @@ class HixExtension
     /** Cold-boot reset: clears GECS and TGMR (via SgxUnit). */
     void platformReset();
 
-    /** Value snapshot of GECS + TGMR for machine snapshot/fork. */
-    struct State
-    {
-        std::vector<GecsEntry> gecs;
-        std::map<std::pair<EnclaveId, Addr>, TgmrEntry> tgmr;
-    };
-    State captureState() const { return State{gecs_, tgmr_}; }
-    void restoreState(const State &state)
-    {
-        gecs_ = state.gecs;
-        tgmr_ = state.tgmr;
-    }
-
   private:
     const GecsEntry *gecsForMmio(Addr ppage) const;
 

@@ -133,33 +133,6 @@ class SgxUnit : public mem::TlbFillValidator
      */
     void platformReset();
 
-    /**
-     * Value snapshot of the unit's mutable state (EPC/EPCM, RNG
-     * stream position, platform secret, enclave table) for machine
-     * snapshot/fork. EPC page *contents* live in modelled DRAM and
-     * are covered by the RAM snapshot.
-     */
-    struct State
-    {
-        Epc epc{AddrRange{}};
-        Rng rng;
-        Bytes platform_secret;
-        EnclaveId next_id = 1;
-        std::map<EnclaveId, Secs> enclaves;
-    };
-    State captureState() const
-    {
-        return State{epc_, rng_, platform_secret_, next_id_, enclaves_};
-    }
-    void restoreState(const State &state)
-    {
-        epc_ = state.epc;
-        rng_ = state.rng;
-        platform_secret_ = state.platform_secret;
-        next_id_ = state.next_id;
-        enclaves_ = state.enclaves;
-    }
-
     // ----- TlbFillValidator ----------------------------------------------
     Status validateFill(const mem::ExecContext &ctx, Addr vpage,
                         Addr ppage, std::uint8_t perms) override;

@@ -248,7 +248,6 @@ runService(const ServiceConfig &config)
         probe.users = 1;
         probe.useHix = config.useHix;
         probe.machine.gpuCount = 1;
-        probe.forkSessions = false;
         probe.keepTrace = false;
         probe.traceJsonPath.clear();
         auto solo = workloads::runWorkload(probe);

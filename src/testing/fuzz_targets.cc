@@ -592,171 +592,6 @@ runMemorySystem(const std::vector<std::uint64_t> &ops)
     return checkCounters("at end");
 }
 
-// ----- cow_fork --------------------------------------------------------
-
-Status
-runCowFork(const std::vector<std::uint64_t> &ops)
-{
-    constexpr std::uint64_t Pages = 48;
-    constexpr std::uint64_t Size = Pages * mem::PageSize;
-    constexpr std::size_t MaxForks = 4;
-    constexpr std::size_t MaxSnaps = 3;
-
-    /** A CoW fork and its eagerly-copied shadow. */
-    struct ForkPair
-    {
-        std::unique_ptr<mem::PhysMem> mem;
-        std::vector<std::uint8_t> oracle;
-    };
-    /** A frozen snapshot and the full byte image it must preserve. */
-    struct SnapPair
-    {
-        mem::PhysMem::Snapshot snap;
-        std::vector<std::uint8_t> oracle;
-    };
-
-    std::vector<ForkPair> forks;
-    forks.push_back({std::make_unique<mem::PhysMem>("cow0", Size),
-                     std::vector<std::uint8_t>(Size, 0)});
-    std::vector<SnapPair> snaps;
-    int next_fork = 1;
-
-    // Spans up to three pages; bit 50 selects page-aligned whole-page
-    // spans so zeroAt() exercises the sparse page-drop path.
-    auto span = [&](std::uint64_t op) {
-        std::uint64_t off = (op >> 8) % Size;
-        std::uint64_t len = 1 + (op >> 28) % (3 * mem::PageSize);
-        if ((op >> 50) & 1) {
-            off &= ~(mem::PageSize - 1);
-            len = ((len / mem::PageSize) + 1) * mem::PageSize;
-        }
-        if (off + len > Size)
-            len = Size - off;
-        return std::pair<std::uint64_t, std::uint64_t>(off, len);
-    };
-
-    // Unaligned spans top out just under three pages; the page-align
-    // branch rounds up to at most four whole pages.
-    std::vector<std::uint8_t> buf(4 * mem::PageSize);
-
-    for (std::uint64_t op : ops) {
-        ForkPair &f = forks[(op >> 4) % forks.size()];
-        const auto [off, len] = span(op);
-        switch (op % 8) {
-          case 0:
-          case 1: {  // write a patterned span
-            for (std::uint64_t i = 0; i < len; ++i)
-                buf[i] = static_cast<std::uint8_t>(
-                    (op >> (i % 8)) ^ (off + i));
-            Status st = f.mem->writeAt(off, buf.data(), len);
-            if (!st.isOk())
-                return errInternal("cow write failed at " +
-                                   hexWord(off));
-            std::memcpy(f.oracle.data() + off, buf.data(), len);
-            break;
-          }
-          case 2: {  // read and compare against the shadow
-            Status st = f.mem->readAt(off, buf.data(), len);
-            if (!st.isOk())
-                return errInternal("cow read failed at " +
-                                   hexWord(off));
-            if (std::memcmp(buf.data(), f.oracle.data() + off, len) !=
-                0)
-                return errInternal("cow read divergence at " +
-                                   hexWord(off));
-            break;
-          }
-          case 3: {  // scrub (whole-page spans drop back to sparse)
-            Status st = f.mem->zeroAt(off, len);
-            if (!st.isOk())
-                return errInternal("cow zero failed at " +
-                                   hexWord(off));
-            std::memset(f.oracle.data() + off, 0, len);
-            break;
-          }
-          case 4: {  // freeze a snapshot (deep-copying the shadow)
-            if (snaps.size() >= MaxSnaps)
-                break;
-            snaps.push_back({f.mem->snapshot(), f.oracle});
-            // Every page is now shared with the snapshot: the fork
-            // owns nothing privately until its next write.
-            if (f.mem->residentPages() != 0)
-                return errInternal(
-                    "pages still private after snapshot");
-            break;
-          }
-          case 5: {  // rewind a fork onto a snapshot
-            if (snaps.empty())
-                break;
-            SnapPair &s = snaps[(op >> 16) % snaps.size()];
-            Status st = f.mem->adopt(s.snap);
-            if (!st.isOk())
-                return errInternal("adopt failed");
-            f.oracle = s.oracle;
-            if (f.mem->residentPages() != 0)
-                return errInternal("pages private right after adopt");
-            break;
-          }
-          case 6: {  // stand up a sibling fork from a snapshot
-            if (snaps.empty() || forks.size() >= MaxForks)
-                break;
-            SnapPair &s = snaps[(op >> 16) % snaps.size()];
-            ForkPair fresh{
-                std::make_unique<mem::PhysMem>(
-                    "cow" + std::to_string(next_fork++), Size),
-                s.oracle};
-            Status st = fresh.mem->adopt(s.snap);
-            if (!st.isOk())
-                return errInternal("fork adopt failed");
-            forks.push_back(std::move(fresh));
-            break;
-          }
-          case 7: {  // retire a snapshot or a sibling fork
-            if ((op >> 16) & 1 && !snaps.empty())
-                snaps.erase(snaps.begin() +
-                            ((op >> 20) % snaps.size()));
-            else if (forks.size() > 1)
-                forks.erase(forks.begin() +
-                            ((op >> 20) % forks.size()));
-            break;
-          }
-        }
-    }
-
-    // Final sweep: every fork still matches its shadow exactly, and
-    // every frozen snapshot still reads back the bytes it froze (no
-    // fork write ever leaked into shared pages).
-    for (ForkPair &f : forks) {
-        for (std::uint64_t page = 0; page < Pages; ++page) {
-            const std::uint64_t off = page * mem::PageSize;
-            Status st =
-                f.mem->readAt(off, buf.data(), mem::PageSize);
-            if (!st.isOk())
-                return errInternal("final fork read failed");
-            if (std::memcmp(buf.data(), f.oracle.data() + off,
-                            mem::PageSize) != 0)
-                return errInternal("final fork divergence at " +
-                                   hexWord(off));
-        }
-    }
-    for (SnapPair &s : snaps) {
-        mem::PhysMem probe("probe", Size);
-        Status st = probe.adopt(s.snap);
-        if (!st.isOk())
-            return errInternal("final snapshot adopt failed");
-        for (std::uint64_t page = 0; page < Pages; ++page) {
-            const std::uint64_t off = page * mem::PageSize;
-            if (!probe.readAt(off, buf.data(), mem::PageSize).isOk())
-                return errInternal("final snapshot read failed");
-            if (std::memcmp(buf.data(), s.oracle.data() + off,
-                            mem::PageSize) != 0)
-                return errInternal("snapshot bytes mutated at " +
-                                   hexWord(off));
-        }
-    }
-    return Status::ok();
-}
-
 // ----- multi-GPU routing ----------------------------------------------
 
 /**
@@ -960,8 +795,8 @@ runMultiGpuRouting(const std::vector<std::uint64_t> &ops)
 
 /**
  * One GPU context over a small VRAM, driven by a stream of map/unmap,
- * byte writes, view reads and writes, scrubs, kernel launches,
- * snapshots and forks. Each op runs on two memories that share the
+ * byte writes, view reads and writes, scrubs, kernel launches and
+ * recycled memories. Each op runs on two memories that share the
  * context's page map: the fast side through the default accessor,
  * which lends views, and the shadow through GpuMemAccessor::perPage()
  * and page-by-page writes only. Statuses and bytes must agree.
@@ -1000,16 +835,9 @@ runDeviceViews(const std::vector<std::uint64_t> &ops)
         std::unique_ptr<mem::PhysMem> fast;
         std::unique_ptr<mem::PhysMem> shadow;
     };
-    struct Frozen
-    {
-        gpu::GpuContext ctx{1};
-        mem::PhysMem::Snapshot fast;
-        mem::PhysMem::Snapshot shadow;
-    };
     Device d;
     d.fast = std::make_unique<mem::PhysMem>("views", VramSize);
     d.shadow = std::make_unique<mem::PhysMem>("shadow", VramSize);
-    std::vector<Frozen> frozen;
     std::vector<std::uint8_t> buf(3 * mem::PageSize), ref(buf.size());
 
     auto fast = [&] { return gpu::GpuMemAccessor(&d.ctx, d.fast.get()); };
@@ -1105,29 +933,12 @@ runDeviceViews(const std::vector<std::uint64_t> &ops)
                                            "launch"));
             break;
           }
-          case 8: {  // snapshot, fork, or recycle both memories
-            const std::uint64_t sub = (op >> 40) % 3;
-            if (sub == 0 && frozen.size() < 2) {
-                frozen.push_back(
-                    {d.ctx, d.fast->snapshot(), d.shadow->snapshot()});
-            } else if (sub == 1 && !frozen.empty()) {
-                const Frozen &f = frozen[(op >> 44) % frozen.size()];
-                d.ctx = f.ctx;
-                d.fast = std::make_unique<mem::PhysMem>("fork", VramSize);
-                d.shadow =
-                    std::make_unique<mem::PhysMem>("fork_shadow", VramSize);
-                if (!d.fast->adopt(f.fast).isOk() ||
-                    !d.shadow->adopt(f.shadow).isOk())
-                    return errInternal("fork adopt failed");
-            } else {
-                d.fast.reset();
-                d.shadow.reset();
-                d.fast = std::make_unique<mem::PhysMem>("views", VramSize);
-                d.shadow =
-                    std::make_unique<mem::PhysMem>("shadow", VramSize);
-            }
+          case 8:  // recycle both memories: fresh, on stale regions
+            d.fast.reset();
+            d.shadow.reset();
+            d.fast = std::make_unique<mem::PhysMem>("views", VramSize);
+            d.shadow = std::make_unique<mem::PhysMem>("shadow", VramSize);
             break;
-          }
         }
     }
 
@@ -1171,12 +982,6 @@ memorySystemFuzzTarget()
 }
 
 FuzzTarget
-cowForkFuzzTarget()
-{
-    return FuzzTarget{"cow_fork", 1, 64, runCowFork};
-}
-
-FuzzTarget
 multiGpuRoutingFuzzTarget()
 {
     return FuzzTarget{"multi_gpu_routing", 1, 64, runMultiGpuRouting};
@@ -1195,7 +1000,6 @@ registerBuiltinFuzzTargets(FuzzRunner &runner)
     runner.add(authChannelFuzzTarget());
     runner.add(mappingStateFuzzTarget());
     runner.add(memorySystemFuzzTarget());
-    runner.add(cowForkFuzzTarget());
     runner.add(multiGpuRoutingFuzzTarget());
     runner.add(deviceViewsFuzzTarget());
 }

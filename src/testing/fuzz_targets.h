@@ -34,17 +34,6 @@ FuzzTarget mappingStateFuzzTarget();
 FuzzTarget memorySystemFuzzTarget();
 
 /**
- * Copy-on-write snapshot/fork differential: a family of PhysMem
- * forks and frozen snapshots driven by one op stream (writes, reads,
- * whole-page scrubs, snapshot, adopt, fork creation/destruction),
- * each fork shadowed by an eager deep-copy oracle. Every read must
- * match the oracle byte-for-byte, adopting a snapshot must leave the
- * fork with zero privately-owned pages, and no write may ever leak
- * into a sibling fork or a frozen snapshot.
- */
-FuzzTarget cowForkFuzzTarget();
-
-/**
  * Multi-GPU routing: a 2-4 GPU PCIe fabric with per-device IOMMU
  * protection domains, driven against a per-device ownership shadow
  * model. DMA issued under device k's requester identity must resolve
@@ -57,9 +46,10 @@ FuzzTarget multiGpuRoutingFuzzTarget();
 /**
  * Device views: one GPU context over a small VRAM driven by random
  * map/unmap, writes, view reads and writes, scrubs, kernel launches
- * through DeviceArrays, snapshots and forks. Each op runs on a memory
- * reached through views and on a shadow reached only through the
- * per-page copy path; statuses and bytes must agree throughout.
+ * through DeviceArrays, and recycling both memories. Each op runs on
+ * a memory reached through views and on a shadow reached only
+ * through the per-page copy path; statuses and bytes must agree
+ * throughout.
  */
 FuzzTarget deviceViewsFuzzTarget();
 

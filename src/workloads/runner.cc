@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <map>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -140,10 +138,7 @@ msBetween(SteadyClock::time_point from, SteadyClock::time_point to)
         .count();
 }
 
-/** HIX software config for one session's shard (and the fork
- *  template, which uses its device's ordinal-0 config —
- *  sessionCtxBase shapes no boot-time state, only session numbering
- *  at openSession). */
+/** HIX software config for one session's shard. */
 core::HixConfig
 shardHixConfig(const RunConfig &config, std::uint64_t scale,
                const SlotSpec &slot)
@@ -157,85 +152,6 @@ shardHixConfig(const RunConfig &config, std::uint64_t scale,
     hix_config.sessionCtxBase =
         canonicalSessionCtx(slot.device, slot.ordinal);
     return hix_config;
-}
-
-/**
- * The RunConfig::forkSessions boot template: one machine booted
- * exactly as a cold shard boots — kernels registered, and the GPU
- * enclave created (HIX) or the MPS follower context precreated
- * (baseline) — captured as copy-on-write snapshots every user shard
- * forks from. Pure value state: the boot machine is gone by the time
- * forks happen, and concurrent forks only read the snapshots (page
- * refcounts are atomic).
- */
-struct SessionTemplate
-{
-    /** Registered kernel closures could reference the registering
-     * workload, so the template's instance outlives every fork. */
-    std::unique_ptr<Workload> job;
-    /** Post-boot state every shard starts from: for HIX this
-     * includes the created enclave's machine-side state; for the
-     * baseline it is the MPS leader's start state (the leader
-     * creates its context inside the recorded window). */
-    os::MachineSnapshot base;
-    /** HIX: the booted GPU enclave (no sessions yet). */
-    std::optional<core::GpuEnclave::Snapshot> enclave;
-    /** Baseline MPS followers: `base` advanced by the runtime boot
-     * and context precreation, both of which followers pay outside
-     * the recorded window. */
-    std::optional<os::MachineSnapshot> follower;
-    std::optional<core::BaselineRuntime::Snapshot> followerRt;
-    /** One-time boot cost, charged to RunOutcome::hostBootMs. */
-    double buildMs = 0;
-};
-
-Result<SessionTemplate>
-buildSessionTemplate(
-    const RunConfig &config, std::uint64_t scale, int device,
-    const std::function<std::unique_ptr<Workload>()> &factory)
-{
-    const auto start = SteadyClock::now();
-    SessionTemplate tpl;
-    tpl.job = factory();
-    os::Machine machine(config.machine);
-    tpl.job->registerKernels(machine.gpuAt(device));
-    if (config.useHix) {
-        SlotSpec slot0;
-        slot0.device = device;
-        auto ge = core::GpuEnclave::create(
-            &machine, machine.gpuAt(device).factoryBiosDigest(),
-            shardHixConfig(config, scale, slot0), device);
-        if (!ge.isOk())
-            return ge.status();
-        auto enclave_snap = (*ge)->snapshot();
-        if (!enclave_snap.isOk())
-            return enclave_snap.status();
-        tpl.enclave = std::move(*enclave_snap);
-        tpl.base = machine.snapshot();
-    } else {
-        tpl.base = machine.snapshot();
-        // Pre-Volta MPS only: advance the same machine to the
-        // follower start state (context precreated outside the
-        // window). In Volta mode every session creates its own
-        // isolated context inside its recorded window, so there is no
-        // follower state to share — all ordinals fork `base`. The
-        // placeholder name never enters recorded state; forks rename
-        // the process to their own user.
-        if (!voltaMps(config)) {
-            core::BaselineRuntime rt(&machine, "mps-follower-template",
-                                     scale, 0, nullptr,
-                                     canonicalBaselineCtx(device),
-                                     device);
-            HIX_RETURN_IF_ERROR(rt.precreateContext());
-            auto rt_snap = rt.snapshot();
-            if (!rt_snap.isOk())
-                return rt_snap.status();
-            tpl.followerRt = std::move(*rt_snap);
-            tpl.follower = machine.snapshot();
-        }
-    }
-    tpl.buildMs = msBetween(start, SteadyClock::now());
-    return tpl;
 }
 
 /** Recording worker-pool width (RunConfig::recordThreads) for
@@ -259,23 +175,6 @@ recordWorkers(int record_threads, int sessions)
 }
 
 /**
- * One recording worker's reusable forked machine. After a shard
- * completes, the worker restores the machine back to the template
- * snapshot it ran from (session teardown, the fork-path analogue of
- * the cold path's machine destructor) and remembers which snapshot
- * the machine is now clean for — the next shard from the same
- * snapshot then starts on an already-clean pooled machine and its
- * timed session startup is O(1): runtime fork plus trace clear.
- */
-struct WorkerScratch
-{
-    std::unique_ptr<os::Machine> machine;
-    /** Snapshot `machine` is bit-exactly in the state of, or null
-     * while a shard is running on it (dirty). */
-    const os::MachineSnapshot *cleanFor = nullptr;
-};
-
-/**
  * Build user @p user's private machine and runtimes, run the
  * workload, and return the recorded window. The recorded op stream
  * matches what the same user records on a shared machine: per-user
@@ -283,43 +182,20 @@ struct WorkerScratch
  * ids) never enters recorded op fields, and setup work that a shared
  * machine amortizes (enclave boot, MPS follower context creation)
  * happens before the window is opened.
- *
- * With @p tpl set (RunConfig::forkSessions), the machine is not
- * cold-booted: the template snapshot is forked into @p scratch —
- * reused across this worker's users — and the runtimes are forked
- * from the template's boot state. The machine state at the moment
- * the window opens is identical either way, so the recorded window
- * is bit-identical (the Fork determinism wall pins it).
  */
 Result<Shard>
 recordShard(const RunConfig &config, Workload &job,
-            const SlotSpec &slot, std::uint64_t scale,
-            const SessionTemplate *tpl, WorkerScratch *scratch)
+            const SlotSpec &slot)
 {
+    const std::uint64_t scale = job.timingScale();
     Shard shard;
     const auto boot_start = SteadyClock::now();
-    std::unique_ptr<os::Machine> cold;
-    os::Machine *machine_ptr = nullptr;
-    const os::MachineSnapshot *fork_snap = nullptr;
-    if (tpl) {
-        fork_snap =
-            (!config.useHix && !voltaMps(config) && slot.ordinal > 0)
-                ? &*tpl->follower
-                : &tpl->base;
-        if (!scratch->machine)
-            scratch->machine = os::Machine::fork(*fork_snap);
-        else if (scratch->cleanFor != fork_snap)
-            scratch->machine->restoreSnapshot(*fork_snap);
-        // else: the teardown after the previous shard already left
-        // the machine in exactly this snapshot's state.
-        scratch->cleanFor = nullptr;  // dirty until torn down again
-        machine_ptr = scratch->machine.get();
-    } else {
-        cold = std::make_unique<os::Machine>(config.machine);
-        job.registerKernels(cold->gpuAt(slot.device));
-        machine_ptr = cold.get();
-    }
-    os::Machine &machine = *machine_ptr;
+    // On the heap, not on the recording thread's stack: a stack
+    // Machine ran svc-gdev 8-11% slower (paired bench/e2e runs on a
+    // 4-vCPU Xeon), with identical work.
+    auto machine_owner = std::make_unique<os::Machine>(config.machine);
+    os::Machine &machine = *machine_owner;
+    job.registerKernels(machine.gpuAt(slot.device));
     const auto cpu_index = static_cast<std::uint16_t>(slot.user);
     const std::string name = "user" + std::to_string(slot.user);
     const sim::ResourceId cpu_res{sim::ResUnit::UserCpu, cpu_index};
@@ -342,8 +218,7 @@ recordShard(const RunConfig &config, Workload &job,
         // single merged GPU context inside the measured window;
         // followers join it. A follower shard therefore creates its
         // (private) context during setup so its window records only
-        // the task init — from the follower template when forking,
-        // else by hand. In Volta mode (gpuConcurrentContexts > 1)
+        // the task init. In Volta mode (gpuConcurrentContexts > 1)
         // there is no merged context: every session creates its own
         // isolated context inside its window, with its canonical
         // device-blocked id.
@@ -351,18 +226,10 @@ recordShard(const RunConfig &config, Workload &job,
         const GpuContextId canonical_ctx =
             volta ? canonicalVoltaCtx(slot.device, slot.ordinal)
                   : canonicalBaselineCtx(slot.device);
-        std::unique_ptr<core::BaselineRuntime> rt_owner;
-        if (tpl && !volta && slot.ordinal > 0) {
-            rt_owner = core::BaselineRuntime::fork(
-                &machine, *tpl->followerRt, name, cpu_index);
-        } else {
-            rt_owner = std::make_unique<core::BaselineRuntime>(
-                &machine, name, scale, cpu_index, nullptr,
-                canonical_ctx, slot.device);
-            if (!volta && slot.ordinal > 0)
-                HIX_RETURN_IF_ERROR(rt_owner->precreateContext());
-        }
-        core::BaselineRuntime &rt = *rt_owner;
+        core::BaselineRuntime rt(&machine, name, scale, cpu_index,
+                                 nullptr, canonical_ctx, slot.device);
+        if (!volta && slot.ordinal > 0)
+            HIX_RETURN_IF_ERROR(rt.precreateContext());
         shard.bootMs = msBetween(boot_start, SteadyClock::now());
         shard.residentPages = machine.residentPages();
         machine.clearTrace();
@@ -377,14 +244,6 @@ recordShard(const RunConfig &config, Workload &job,
         shard.tlbMisses = machine.mmu().tlbMisses();
         shard.iotlbHits = machine.iommu().iotlbHits();
         shard.trace = machine.takeTrace();
-        // Session teardown: drop this session's privately-written
-        // pages now, so the next shard starts on an already-clean
-        // machine — the cold path pays the same teardown in its
-        // machine destructor, equally after the window closes.
-        if (fork_snap) {
-            machine.restoreSnapshot(*fork_snap);
-            scratch->cleanFor = fork_snap;
-        }
         return shard;
     }
 
@@ -392,18 +251,10 @@ recordShard(const RunConfig &config, Workload &job,
     // per-machine one-time cost outside the window (matching the
     // paper's per-application timing), so only session setup and the
     // workload are recorded — the same ops a shared enclave records
-    // for this user. Forked shards skip the boot itself (ECREATE
-    // through BIOS verification and MMIO EGADDs) and rehydrate the
-    // booted enclave from the template.
-    core::HixConfig hix_config = shardHixConfig(config, scale, slot);
-
-    auto ge =
-        tpl ? core::GpuEnclave::fork(&machine, *tpl->enclave,
-                                     hix_config)
-            : core::GpuEnclave::create(
-                  &machine,
-                  machine.gpuAt(slot.device).factoryBiosDigest(),
-                  hix_config, slot.device);
+    // for this user.
+    auto ge = core::GpuEnclave::create(
+        &machine, machine.gpuAt(slot.device).factoryBiosDigest(),
+        shardHixConfig(config, scale, slot), slot.device);
     if (!ge.isOk())
         return ge.status();
 
@@ -430,12 +281,6 @@ recordShard(const RunConfig &config, Workload &job,
     shard.tlbMisses = machine.mmu().tlbMisses();
     shard.iotlbHits = machine.iommu().iotlbHits();
     shard.trace = machine.takeTrace();
-    // Session teardown, outside the next session's timed window (the
-    // cold path's equivalent is the machine destructor).
-    if (fork_snap) {
-        machine.restoreSnapshot(*fork_snap);
-        scratch->cleanFor = fork_snap;
-    }
     return shard;
 }
 
@@ -460,6 +305,7 @@ runSessionPool(const RunConfig &config,
         return errInvalidArgument("no sessions to run");
     if (sessions.size() > MaxSessions)
         return errInvalidArgument("more than 65535 sessions in one run");
+    HIX_RETURN_IF_ERROR(os::Machine::checkLayout(config.machine));
     const int devices = std::max(1, config.machine.gpuCount);
     for (const auto &s : sessions) {
         if (s.device < 0 || s.device >= devices)
@@ -486,33 +332,6 @@ runSessionPool(const RunConfig &config,
     }
 
     const auto record_start = SteadyClock::now();
-    // Fork fast path: one boot template per (device, appId) in use.
-    // Built serially up front — template construction order must not
-    // depend on recording-thread timing — and only read afterwards.
-    std::map<std::pair<int, int>, SessionTemplate> templates;
-    double template_ms = 0;
-    if (config.forkSessions) {
-        for (int i = 0; i < n; ++i) {
-            const auto key =
-                std::make_pair(sessions[i].device, sessions[i].appId);
-            if (templates.count(key))
-                continue;
-            auto built = buildSessionTemplate(
-                config, jobs[i]->timingScale(), sessions[i].device,
-                sessions[i].factory ? sessions[i].factory
-                                    : config.factory);
-            if (!built.isOk())
-                return built.status();
-            template_ms += built->buildMs;
-            templates.emplace(key, std::move(*built));
-        }
-    }
-    auto template_for = [&](int i) -> const SessionTemplate * {
-        if (!config.forkSessions)
-            return nullptr;
-        return &templates.at({sessions[i].device, sessions[i].appId});
-    };
-
     std::vector<Result<Shard>> shards;
     shards.reserve(n);
     for (int i = 0; i < n; ++i)
@@ -523,18 +342,10 @@ runSessionPool(const RunConfig &config,
     // and opens its transfers on its own worker thread), and each
     // worker writes only its own shard slots, so the vector needs no
     // synchronization beyond the joins.
-    // In fork mode all workers fork from the shared templates
-    // concurrently (page refcounts are atomic); a worker's scratch
-    // machine re-forks whenever consecutive sessions use different
-    // templates (WorkerScratch::cleanFor tracks which snapshot the
-    // machine currently matches).
     const int workers = recordWorkers(config.recordThreads, n);
     auto record = [&](int w) {
-        WorkerScratch scratch;
         for (int i = w; i < n; i += workers)
-            shards[i] = recordShard(config, *jobs[i], slots[i],
-                                    jobs[i]->timingScale(),
-                                    template_for(i), &scratch);
+            shards[i] = recordShard(config, *jobs[i], slots[i]);
     };
     if (workers == 1) {
         record(0);
@@ -571,7 +382,6 @@ runSessionPool(const RunConfig &config,
         run.hostBootMs += shard->bootMs;
         run.residentPages += shard->residentPages;
     }
-    run.hostBootMs += template_ms;
     run.schedulerConfig.gpuCtxSwitchTicks =
         config.machine.timing.gpuCtxSwitch;
     run.schedule = sim::scheduleWith(config.schedulerEngine, merged,

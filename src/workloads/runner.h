@@ -89,22 +89,6 @@ struct RunConfig
      * the quadratic oracle, for tests.
      */
     sim::SchedulerEngine schedulerEngine = sim::SchedulerEngine::Fast;
-    /**
-     * O(1) session startup: boot ONE template machine for this
-     * (runtime, config) — kernels registered, the GPU enclave created
-     * (HIX) or the MPS follower context precreated (baseline) — take
-     * a copy-on-write MachineSnapshot of it, and start every user
-     * shard by forking the snapshot instead of cold-booting a private
-     * machine per user. Each recording worker additionally reuses one
-     * forked machine across its users (re-restoring the snapshot
-     * between shards), so steady-state session startup is a page-map
-     * restore, not a platform boot. The recorded window is
-     * bit-identical to the cold-boot path — same traceDigest(), same
-     * ticks, at every user count, both runtimes, Fermi and Volta
-     * presets (the Fork determinism wall enforces it); only host
-     * startup wall-clock and per-session resident memory change.
-     */
-    bool forkSessions = false;
 };
 
 /** Result of one run. */
@@ -139,20 +123,16 @@ struct RunOutcome
     /**
      * Host wall-clock spent on session startup: the sum over all user
      * shards of the setup time before each recorded window opens
-     * (machine boot or snapshot fork, kernel registration, enclave
-     * create/fork, context precreation), plus — in fork mode — the
-     * one-time template boot. The bench's fork_speedup column is the
-     * cold/fork ratio of this number.
+     * (machine boot, kernel registration, enclave create or MPS
+     * follower context precreation).
      */
     double hostBootMs = 0;
     /**
-     * Host pages privately materialised by the user shards' machines
-     * (DRAM + VRAM), summed over shards and measured as each shard's
-     * recorded window opens — the memory cost of standing the session
-     * up. Cold-booted shards own every page boot touched; forked
-     * shards share all boot-time pages with the template snapshot and
-     * own only what they wrote since the fork (near zero). Divide by
-     * users for the bench's resident_pages_per_session.
+     * Host pages materialised by the user shards' machines (DRAM +
+     * VRAM), summed over shards and measured as each shard's recorded
+     * window opens — the memory cost of standing the session up: every
+     * page boot touched. Divide by users for the bench's
+     * resident_pages_per_session.
      */
     std::uint64_t residentPages = 0;
 
@@ -181,9 +161,8 @@ struct PoolSession
      */
     Tick admitTick = 0;
     /**
-     * Template key for RunConfig::forkSessions: sessions sharing an
-     * appId (and device) fork from one boot template, so the key must
-     * identify the workload configuration. Ignored without fork mode.
+     * Caller's label for the session's application (the service layer
+     * stores its app-mix index). runSessionPool() does not read it.
      */
     int appId = 0;
     /** Per-session workload; null falls back to RunConfig::factory. */
@@ -208,17 +187,19 @@ struct PoolOutcome
  * to its placed device: per-device BARs, VRAM allocator, IOMMU
  * domain, timing resources, and canonical GPU context block (device
  * d's management context is d<<20, its sessions d<<20 + 1 + ordinal;
- * device 0 reproduces the single-GPU canonical ids exactly). HIX
- * sessions fork one GPU enclave template per (device, appId);
- * baseline sessions share one MPS context pool per device (the
- * device's first session is its MPS leader). Deterministic: same
- * config + placement => same digest, ticks, and per-session finishes
- * at any worker count. More than 65535 sessions is an
- * InvalidArgument, rejected before any workload is built: session
- * indices name 16-bit UserCpu resources, and a device-0 HIX session
- * ordinal of 65535 would collide with the shard management context.
- * A factory that returns no workload is an InvalidArgument too,
- * rejected before any template build or session boot.
+ * device 0 reproduces the single-GPU canonical ids exactly). Every
+ * session cold-boots its own machine: a HIX session creates its own
+ * GPU enclave; baseline sessions model one MPS context pool per
+ * device (the device's first session is its MPS leader).
+ * Deterministic: same config + placement => same digest, ticks, and
+ * per-session finishes at any worker count. More than 65535 sessions
+ * is an InvalidArgument, rejected before any workload is built:
+ * session indices name 16-bit UserCpu resources, and a device-0 HIX
+ * session ordinal of 65535 would collide with the shard management
+ * context. So is a machine whose MMIO window cannot hold
+ * config.machine.gpuCount GPUs (os::Machine::checkLayout), also
+ * before any workload is built, and a factory that returns no
+ * workload, before any session boots.
  */
 Result<PoolOutcome> runSessionPool(
     const RunConfig &config,

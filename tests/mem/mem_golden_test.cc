@@ -16,8 +16,8 @@
  *  - MemGoldenIotlb: IOTLB coherence against the OS-owned table
  *    (unmap/overwrite invalidate before taking effect), counters,
  *    and O(1) flush.
- *  - MemGoldenCow: PhysMem forks, snapshots, views and recycled
- *    regions against an eager deep-copy oracle.
+ *  - MemGoldenPhysMem: PhysMem writes, reads, views, scrubs and
+ *    recycled regions against a dense byte-vector oracle.
  *  - MemGoldenRegionPool: threads acquiring and releasing PhysMem
  *    regions through the process-wide free list concurrently.
  *
@@ -514,178 +514,111 @@ TEST(MemGoldenIotlb, DisabledModeBypassesAndDoesNotCount)
     EXPECT_EQ(iommu.iotlbSize(), 0u);
 }
 
-// ----- MemGoldenCow ----------------------------------------------------
+// ----- MemGoldenPhysMem -------------------------------------------------
 //
-// Copy-on-write snapshot/fork differential: a family of PhysMem forks
-// and frozen snapshots driven by a randomized op stream, each fork
-// shadowed by an eager deep-copy oracle (a dense byte vector; a
-// "snapshot" of the oracle is a full copy). Whatever interleaving of
-// writes, views, scrubs, snapshots, adopts, fork creation and region
-// recycling the stream produces, every fork must read back exactly
-// its oracle's bytes and every frozen snapshot must still carry the
-// bytes it froze.
+// The sparse page store against a dense byte vector: a randomized op
+// stream of writes, reads, view reads and writes, scrubs, and
+// destroy-and-recreate on a recycled region (whose stale bytes must
+// read as zero). Every read and view must see exactly the oracle's
+// bytes.
 
 namespace
 {
 
-constexpr std::uint64_t CowPages = 32;
-constexpr std::uint64_t CowSize = CowPages * PageSize;
-
-struct CowFork
-{
-    std::unique_ptr<PhysMem> mem;
-    std::vector<std::uint8_t> oracle;
-};
-
-struct CowSnap
-{
-    PhysMem::Snapshot snap;
-    std::vector<std::uint8_t> oracle;
-};
+constexpr std::uint64_t StreamPages = 32;
+constexpr std::uint64_t StreamSize = StreamPages * PageSize;
 
 void
-expectForkMatchesOracle(const CowFork &fork, const char *where)
+expectMatchesOracle(PhysMem &mem, const std::vector<std::uint8_t> &oracle,
+                    const char *where)
 {
     std::vector<std::uint8_t> page(PageSize);
-    for (std::uint64_t p = 0; p < CowPages; ++p) {
+    for (std::uint64_t p = 0; p < StreamPages; ++p) {
         const std::uint64_t off = p * PageSize;
-        ASSERT_TRUE(
-            fork.mem->readAt(off, page.data(), PageSize).isOk());
-        ASSERT_EQ(0, std::memcmp(page.data(), fork.oracle.data() + off,
-                                 PageSize))
-            << where << ": fork diverged from oracle at page " << p;
+        ASSERT_TRUE(mem.readAt(off, page.data(), PageSize).isOk());
+        ASSERT_EQ(0,
+                  std::memcmp(page.data(), oracle.data() + off, PageSize))
+            << where << ": memory diverged from oracle at page " << p;
     }
 }
 
 void
-driveCowStream(std::uint64_t seed, int iterations)
+drivePhysMemStream(std::uint64_t seed, int iterations)
 {
     Rng rng{seed};
-    std::vector<CowFork> forks;
-    forks.push_back({std::make_unique<PhysMem>("cow0", CowSize),
-                     std::vector<std::uint8_t>(CowSize, 0)});
-    std::vector<CowSnap> snaps;
+    auto mem = std::make_unique<PhysMem>("mem0", StreamSize);
+    std::vector<std::uint8_t> oracle(StreamSize, 0);
     std::vector<std::uint8_t> buf(2 * PageSize);
-    int next_fork = 1;
+    int next_mem = 1;
 
     for (int i = 0; i < iterations; ++i) {
         const std::uint64_t r = rng.next();
-        CowFork &f = forks[(r >> 4) % forks.size()];
-        std::uint64_t off = (r >> 8) % CowSize;
+        std::uint64_t off = (r >> 8) % StreamSize;
         std::uint64_t len = 1 + (r >> 32) % (2 * PageSize - 1);
         if ((r >> 52) & 1) {  // page-aligned, whole pages
             off &= ~(PageSize - 1);
             len = ((len / PageSize) + 1) * PageSize;
         }
-        if (off + len > CowSize)
-            len = CowSize - off;
-        switch (r % 11) {
+        if (off + len > StreamSize)
+            len = StreamSize - off;
+        switch (r % 10) {
           case 0:
-          case 1: {  // write
+          case 1:
+          case 2: {  // write
             for (std::uint64_t b = 0; b < len; ++b)
                 buf[b] = static_cast<std::uint8_t>((r >> (b % 8)) ^
                                                    (off + b));
-            ASSERT_TRUE(
-                f.mem->writeAt(off, buf.data(), len).isOk());
-            std::memcpy(f.oracle.data() + off, buf.data(), len);
+            ASSERT_TRUE(mem->writeAt(off, buf.data(), len).isOk());
+            std::memcpy(oracle.data() + off, buf.data(), len);
             break;
           }
-          case 8: {  // read through a view
-            const std::uint8_t *view = f.mem->view(off, len);
+          case 3:
+          case 4: {  // read + compare
+            ASSERT_TRUE(mem->readAt(off, buf.data(), len).isOk());
+            ASSERT_EQ(0,
+                      std::memcmp(buf.data(), oracle.data() + off, len));
+            break;
+          }
+          case 5: {  // scrub
+            ASSERT_TRUE(mem->zeroAt(off, len).isOk());
+            std::memset(oracle.data() + off, 0, len);
+            break;
+          }
+          case 6: {  // read through a view
+            const std::uint8_t *view = mem->view(off, len);
             ASSERT_NE(view, nullptr);
-            ASSERT_EQ(0, std::memcmp(view, f.oracle.data() + off, len));
+            ASSERT_EQ(0, std::memcmp(view, oracle.data() + off, len));
             break;
           }
-          case 9: {  // write through a view
-            std::uint8_t *view = f.mem->view(off, len);
+          case 7:
+          case 8: {  // write through a view
+            std::uint8_t *view = mem->view(off, len);
             ASSERT_NE(view, nullptr);
             for (std::uint64_t b = 0; b < len; ++b)
                 view[b] = static_cast<std::uint8_t>(view[b] * 3 + r);
             for (std::uint64_t b = 0; b < len; ++b)
-                f.oracle[off + b] = static_cast<std::uint8_t>(
-                    f.oracle[off + b] * 3 + r);
+                oracle[off + b] =
+                    static_cast<std::uint8_t>(oracle[off + b] * 3 + r);
             break;
           }
-          case 10: {  // destroy a fork, recreate it on a recycled region
-            std::string name = "cow" + std::to_string(next_fork++);
-            f.mem.reset();
-            f.mem = std::make_unique<PhysMem>(name, CowSize);
-            std::fill(f.oracle.begin(), f.oracle.end(), 0);
-            if (!snaps.empty()) {
-                CowSnap &s = snaps[(r >> 16) % snaps.size()];
-                ASSERT_TRUE(f.mem->adopt(s.snap).isOk());
-                f.oracle = s.oracle;
-            }
-            break;
-          }
-          case 2: {  // read + compare
-            ASSERT_TRUE(f.mem->readAt(off, buf.data(), len).isOk());
-            ASSERT_EQ(0, std::memcmp(buf.data(),
-                                     f.oracle.data() + off, len));
-            break;
-          }
-          case 3: {  // scrub
-            ASSERT_TRUE(f.mem->zeroAt(off, len).isOk());
-            std::memset(f.oracle.data() + off, 0, len);
-            break;
-          }
-          case 4: {  // freeze a snapshot
-            if (snaps.size() >= 3)
-                break;
-            snaps.push_back({f.mem->snapshot(), f.oracle});
-            // All pages became shared: nothing private remains.
-            EXPECT_EQ(f.mem->residentPages(), 0u);
-            break;
-          }
-          case 5: {  // rewind onto a snapshot
-            if (snaps.empty())
-                break;
-            CowSnap &s = snaps[(r >> 16) % snaps.size()];
-            ASSERT_TRUE(f.mem->adopt(s.snap).isOk());
-            f.oracle = s.oracle;
-            EXPECT_EQ(f.mem->residentPages(), 0u);
-            break;
-          }
-          case 6: {  // sibling fork off a snapshot
-            if (snaps.empty() || forks.size() >= 4)
-                break;
-            CowSnap &s = snaps[(r >> 16) % snaps.size()];
-            CowFork fresh{std::make_unique<PhysMem>(
-                              "cow" + std::to_string(next_fork++),
-                              CowSize),
-                          s.oracle};
-            ASSERT_TRUE(fresh.mem->adopt(s.snap).isOk());
-            forks.push_back(std::move(fresh));
-            break;
-          }
-          case 7: {  // retire a snapshot or fork
-            if ((r >> 16) & 1 && !snaps.empty())
-                snaps.erase(snaps.begin() + ((r >> 20) % snaps.size()));
-            else if (forks.size() > 1)
-                forks.erase(forks.begin() + ((r >> 20) % forks.size()));
+          case 9: {  // destroy, recreate on the recycled region
+            mem.reset();
+            mem = std::make_unique<PhysMem>(
+                "mem" + std::to_string(next_mem++), StreamSize);
+            std::fill(oracle.begin(), oracle.end(), 0);
             break;
           }
         }
     }
-
-    for (const CowFork &f : forks)
-        expectForkMatchesOracle(f, "final sweep");
-    // Frozen snapshots still read back the exact bytes they froze:
-    // no fork write ever reached a shared page in place.
-    for (const CowSnap &s : snaps) {
-        CowFork probe{std::make_unique<PhysMem>("probe", CowSize),
-                      s.oracle};
-        ASSERT_TRUE(probe.mem->adopt(s.snap).isOk());
-        expectForkMatchesOracle(probe, "snapshot probe");
-    }
+    expectMatchesOracle(*mem, oracle, "final sweep");
 }
 
 }  // namespace
 
-TEST(MemGoldenCow, RandomizedForkStreamsMatchEagerDeepCopyOracle)
+TEST(MemGoldenPhysMem, RandomizedStreamsMatchDenseOracle)
 {
     for (std::uint64_t seed : {0xc0117ull, 0xfaceull, 0x5eedull})
-        driveCowStream(seed, 4000);
+        drivePhysMemStream(seed, 4000);
 }
 
 // ----- MemGoldenRegionPool -----------------------------------------------
@@ -747,17 +680,17 @@ TEST(MemGoldenRegionPool, ConcurrentAcquireReleaseStaysIsolated)
         EXPECT_EQ(failures[t], "") << "thread " << t;
 }
 
-TEST(MemGoldenCow, WholePageScrubDropsPagesWithoutDivergence)
+TEST(MemGoldenPhysMem, WholePageScrubDropsPagesWithoutDivergence)
 {
     // Page-aligned heavy stream: biased toward the zeroAt() sparse
-    // page-drop and snapshot/adopt paths rather than byte writes.
-    PhysMem mem("scrub", CowSize);
-    std::vector<std::uint8_t> oracle(CowSize, 0);
+    // page-drop path rather than byte writes.
+    PhysMem mem("scrub", StreamSize);
+    std::vector<std::uint8_t> oracle(StreamSize, 0);
     Rng rng{0xd10ull};
     std::vector<std::uint8_t> page(PageSize, 0x5a);
     for (int i = 0; i < 2000; ++i) {
         const std::uint64_t r = rng.next();
-        const std::uint64_t off = ((r >> 8) % CowPages) * PageSize;
+        const std::uint64_t off = ((r >> 8) % StreamPages) * PageSize;
         if (r % 3 == 0) {
             ASSERT_TRUE(mem.zeroAt(off, PageSize).isOk());
             std::memset(oracle.data() + off, 0, PageSize);
@@ -769,14 +702,7 @@ TEST(MemGoldenCow, WholePageScrubDropsPagesWithoutDivergence)
             std::memcpy(oracle.data() + off, page.data(), PageSize);
         }
     }
-    std::vector<std::uint8_t> got(PageSize);
-    for (std::uint64_t p = 0; p < CowPages; ++p) {
-        ASSERT_TRUE(
-            mem.readAt(p * PageSize, got.data(), PageSize).isOk());
-        ASSERT_EQ(0, std::memcmp(got.data(),
-                                 oracle.data() + p * PageSize,
-                                 PageSize));
-    }
+    expectMatchesOracle(mem, oracle, "scrub stream");
 }
 
 }  // namespace

@@ -113,93 +113,6 @@ TEST(PhysMemTest, ZeroAtWholePageDropsToSparse)
         EXPECT_EQ(b, 0);
 }
 
-TEST(PhysMemTest, SnapshotForkSharesPagesWithoutCopying)
-{
-    PhysMem ram("ram", 1 * MiB);
-    Bytes data(3 * PageSize, 0x42);
-    ASSERT_TRUE(ram.writeAt(0, data.data(), data.size()).isOk());
-    EXPECT_EQ(ram.residentPages(), 3u);
-    EXPECT_EQ(ram.sharedPages(), 0u);
-
-    auto snap = ram.snapshot();
-    // Snapshotting freezes the pages: they are now shared.
-    EXPECT_EQ(ram.residentPages(), 0u);
-    EXPECT_EQ(ram.sharedPages(), 3u);
-
-    PhysMem fork("fork", 1 * MiB);
-    ASSERT_TRUE(fork.adopt(snap).isOk());
-    EXPECT_EQ(fork.residentPages(), 0u);
-    EXPECT_EQ(fork.sharedPages(), 3u);
-    Bytes back(data.size());
-    ASSERT_TRUE(fork.readAt(0, back.data(), back.size()).isOk());
-    EXPECT_EQ(back, data);
-}
-
-TEST(PhysMemTest, CopyOnWriteIsolatesForksAndTemplate)
-{
-    PhysMem ram("ram", 1 * MiB);
-    Bytes ones(PageSize, 0x11);
-    ASSERT_TRUE(ram.writeAt(0, ones.data(), ones.size()).isOk());
-    auto snap = ram.snapshot();
-
-    PhysMem a("a", 1 * MiB), b("b", 1 * MiB);
-    ASSERT_TRUE(a.adopt(snap).isOk());
-    ASSERT_TRUE(b.adopt(snap).isOk());
-
-    std::uint8_t poke = 0x99;
-    ASSERT_TRUE(a.writeAt(5, &poke, 1).isOk());
-    // a privatised one page; b and the template still see 0x11.
-    EXPECT_EQ(a.residentPages(), 1u);
-    EXPECT_EQ(b.residentPages(), 0u);
-    std::uint8_t got = 0;
-    ASSERT_TRUE(b.readAt(5, &got, 1).isOk());
-    EXPECT_EQ(got, 0x11);
-    ASSERT_TRUE(ram.readAt(5, &got, 1).isOk());
-    EXPECT_EQ(got, 0x11);
-    ASSERT_TRUE(a.readAt(5, &got, 1).isOk());
-    EXPECT_EQ(got, 0x99);
-    // ...and the rest of a's privatised page kept its bytes.
-    ASSERT_TRUE(a.readAt(6, &got, 1).isOk());
-    EXPECT_EQ(got, 0x11);
-}
-
-TEST(PhysMemTest, SoleOwnerWritesStayInPlace)
-{
-    PhysMem ram("ram", 1 * MiB);
-    std::uint8_t v = 1;
-    ASSERT_TRUE(ram.writeAt(0, &v, 1).isOk());
-    {
-        auto snap = ram.snapshot();
-        EXPECT_EQ(ram.sharedPages(), 1u);
-    }
-    // Snapshot gone: refcount back to one, writes are in-place again.
-    EXPECT_EQ(ram.sharedPages(), 0u);
-    EXPECT_EQ(ram.residentPages(), 1u);
-    const std::uint8_t *before = ram.readSpan(0, 1);
-    v = 2;
-    ASSERT_TRUE(ram.writeAt(0, &v, 1).isOk());
-    EXPECT_EQ(ram.readSpan(0, 1), before);
-}
-
-TEST(PhysMemTest, SharedPageZeroScrubDecrefsNotCopies)
-{
-    PhysMem ram("ram", 1 * MiB);
-    Bytes data(PageSize, 0xab);
-    ASSERT_TRUE(ram.writeAt(0, data.data(), data.size()).isOk());
-    auto snap = ram.snapshot();
-    PhysMem fork("fork", 1 * MiB);
-    ASSERT_TRUE(fork.adopt(snap).isOk());
-    ASSERT_TRUE(fork.zeroAt(0, PageSize).isOk());
-    EXPECT_EQ(fork.residentPages(), 0u);
-    EXPECT_EQ(fork.sharedPages(), 0u);
-    std::uint8_t got = 0xff;
-    ASSERT_TRUE(fork.readAt(9, &got, 1).isOk());
-    EXPECT_EQ(got, 0);
-    // Template unaffected.
-    ASSERT_TRUE(ram.readAt(9, &got, 1).isOk());
-    EXPECT_EQ(got, 0xab);
-}
-
 TEST(PhysMemTest, RecycledRegionReadsZero)
 {
     // A destroyed memory's region goes back to the free list with its
@@ -247,36 +160,23 @@ TEST(PhysMemTest, ViewIsOneSpanOverPrivatePages)
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<std::uint8_t>(i * 13);
     ASSERT_TRUE(ram.writeAt(PageSize, data.data(), data.size()).isOk());
-    auto snap = ram.snapshot();
-    EXPECT_EQ(ram.sharedPages(), 3u);
+    EXPECT_EQ(ram.residentPages(), 3u);
 
-    // Viewing copies the shared pages in (the snapshot keeps its own)
-    // and lends them as one span.
-    std::uint8_t *view = ram.view(PageSize, data.size());
+    // The written pages plus one absent page, lent as one span: the
+    // absent page becomes private and reads as zeros.
+    std::uint8_t *view = ram.view(PageSize, data.size() + PageSize);
     ASSERT_NE(view, nullptr);
     EXPECT_EQ(Bytes(view, view + data.size()), data);
-    EXPECT_EQ(ram.sharedPages(), 0u);
-    EXPECT_EQ(ram.residentPages(), 3u);
+    EXPECT_EQ(Bytes(view + data.size(), view + data.size() + PageSize),
+              Bytes(PageSize, 0));
+    EXPECT_EQ(ram.residentPages(), 4u);
     view[0] ^= 0xff;
     std::uint8_t got = 0;
     ASSERT_TRUE(ram.readAt(PageSize, &got, 1).isOk());
     EXPECT_EQ(got, static_cast<std::uint8_t>(data[0] ^ 0xff));
 
-    PhysMem fork("fork", 1 * MiB);
-    ASSERT_TRUE(fork.adopt(snap).isOk());
-    ASSERT_TRUE(fork.readAt(PageSize, &got, 1).isOk());
-    EXPECT_EQ(got, data[0]);
-
     EXPECT_EQ(ram.view(1 * MiB - 4, 8), nullptr);
     EXPECT_EQ(ram.view(0, 0), nullptr);
-}
-
-TEST(PhysMemTest, AdoptRejectsSizeMismatch)
-{
-    PhysMem ram("ram", 1 * MiB);
-    auto snap = ram.snapshot();
-    PhysMem other("other", 2 * MiB);
-    EXPECT_FALSE(other.adopt(snap).isOk());
 }
 
 TEST(PhysBusTest, RoutesByRange)

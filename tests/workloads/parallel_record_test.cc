@@ -3,19 +3,23 @@
  * The determinism wall for parallel per-user trace recording: a
  * parallel (thread-per-user) recording must be *bit-identical* to a
  * serial recording of the same configuration — same merged trace
- * digest, same scheduled ticks — across user counts, runtimes, and
- * pipeline ablations, and for every workload when its recording
- * threads race to build its shared fixture. Also pins the
- * recording-thread contract for per-shard TraceRecorder observers.
+ * digest, same scheduled ticks — across user counts, runtimes, the
+ * pipeline ablation and the Volta preset (per-context compute
+ * queues, DMA channels and enclave lanes), and for every workload
+ * when its recording threads race to build its shared fixture. Also
+ * pins the recording-thread contract for per-shard TraceRecorder
+ * observers.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sim/trace.h"
@@ -26,14 +30,53 @@ namespace hix::workloads
 namespace
 {
 
+/** Machine and data-path preset of a determinism-wall leg. */
+enum class Preset
+{
+    NoPipeline,  //!< Fermi, chunk pipelining off
+    Pipeline,    //!< Fermi, the default data path
+    Volta,       //!< pipelined, per-context engines
+};
+
+const char *
+presetName(Preset preset)
+{
+    switch (preset) {
+      case Preset::NoPipeline:
+        return "nopipeline";
+      case Preset::Pipeline:
+        return "pipeline";
+      case Preset::Volta:
+        return "volta";
+    }
+    return "?";
+}
+
+/** gtest prints parameters in each ctest name's GetParam() suffix. */
+void
+PrintTo(Preset preset, std::ostream *os)
+{
+    *os << presetName(preset);
+}
+
 RunConfig
-makeConfig(bool use_hix, int users, bool pipeline, bool parallel)
+makeConfig(bool use_hix, int users, Preset preset, bool parallel)
 {
     RunConfig config;
     config.factory = [] { return makeRodinia("NN"); };
     config.users = users;
     config.useHix = use_hix;
-    config.pipeline = pipeline;
+    config.pipeline = preset != Preset::NoPipeline;
+    if (preset == Preset::Volta) {
+        // The true Volta preset is 8 queues/channels; 16 users need a
+        // 16-wide config for every session to own its engines
+        // (pigeonhole). Widths are powers of two.
+        const auto width =
+            static_cast<std::uint32_t>(std::max(8, users));
+        config.machine.timing.gpuConcurrentContexts = width;
+        config.machine.timing.gpuDmaChannels = width;
+        config.machine.timing.gpuEnclaveLanes = width;
+    }
     // Serial records every shard on the calling thread. Parallel
     // forces one recording thread per user (the auto pool sizes to
     // the host and may collapse to one worker on small CI machines):
@@ -53,10 +96,10 @@ struct Recording
 };
 
 Recording
-record(bool use_hix, int users, bool pipeline, bool parallel)
+record(bool use_hix, int users, Preset preset, bool parallel)
 {
     auto outcome =
-        runWorkload(makeConfig(use_hix, users, pipeline, parallel));
+        runWorkload(makeConfig(use_hix, users, preset, parallel));
     EXPECT_TRUE(outcome.isOk()) << outcome.status().message();
     Recording r;
     r.digest = sim::traceDigest(*outcome->trace);
@@ -67,15 +110,15 @@ record(bool use_hix, int users, bool pipeline, bool parallel)
 }
 
 class ParallelRecordTest
-    : public ::testing::TestWithParam<std::tuple<bool, int, bool>>
+    : public ::testing::TestWithParam<std::tuple<bool, int, Preset>>
 {
 };
 
 TEST_P(ParallelRecordTest, ParallelRecordingIsBitIdenticalToSerial)
 {
-    const auto [use_hix, users, pipeline] = GetParam();
-    const Recording serial = record(use_hix, users, pipeline, false);
-    const Recording parallel = record(use_hix, users, pipeline, true);
+    const auto [use_hix, users, preset] = GetParam();
+    const Recording serial = record(use_hix, users, preset, false);
+    const Recording parallel = record(use_hix, users, preset, true);
 
     ASSERT_GT(serial.ops, 0u);
     EXPECT_EQ(parallel.ops, serial.ops);
@@ -87,9 +130,9 @@ TEST_P(ParallelRecordTest, ParallelRecordingIsBitIdenticalToSerial)
 TEST_P(ParallelRecordTest, ParallelRecordingIsStableAcrossRepeats)
 {
     // Thread interleavings differ run to run; recordings must not.
-    const auto [use_hix, users, pipeline] = GetParam();
-    const Recording first = record(use_hix, users, pipeline, true);
-    const Recording second = record(use_hix, users, pipeline, true);
+    const auto [use_hix, users, preset] = GetParam();
+    const Recording first = record(use_hix, users, preset, true);
+    const Recording second = record(use_hix, users, preset, true);
     EXPECT_EQ(first.digest, second.digest);
     EXPECT_EQ(first.ticks, second.ticks);
 }
@@ -98,11 +141,13 @@ INSTANTIATE_TEST_SUITE_P(
     UsersByRuntimeByPipeline, ParallelRecordTest,
     ::testing::Combine(::testing::Bool(),  // useHix
                        ::testing::Values(1, 2, 4, 8, 16),
-                       ::testing::Bool()),  // pipeline
+                       ::testing::Values(Preset::NoPipeline,
+                                         Preset::Pipeline,
+                                         Preset::Volta)),
     [](const auto &info) {
         return std::string(std::get<0>(info.param) ? "hix" : "gdev") +
                "_users" + std::to_string(std::get<1>(info.param)) +
-               (std::get<2>(info.param) ? "_pipeline" : "_nopipeline");
+               "_" + presetName(std::get<2>(info.param));
     });
 
 /** The nine Rodinia apps by abbreviation, plus the two matrix
@@ -158,13 +203,13 @@ TEST(ParallelRecordTestAutoPool, AutoSizedPoolIsBitIdenticalToo)
     // worker recording several shards back to back must change
     // nothing.
     RunConfig config = makeConfig(/*use_hix=*/true, /*users=*/8,
-                                  /*pipeline=*/true, /*parallel=*/true);
+                                  Preset::Pipeline, /*parallel=*/true);
     config.recordThreads = 0;
     auto autoPool = runWorkload(config);
     ASSERT_TRUE(autoPool.isOk()) << autoPool.status().message();
 
     const Recording serial =
-        record(/*use_hix=*/true, 8, /*pipeline=*/true, false);
+        record(/*use_hix=*/true, 8, Preset::Pipeline, false);
     EXPECT_EQ(sim::traceDigest(*autoPool->trace), serial.digest);
     EXPECT_EQ(autoPool->ticks, serial.ticks);
 
@@ -190,7 +235,7 @@ TEST(ParallelRecordObserverTest, ObserversFireOnTheRecordingThread)
     std::vector<ShardLog> logs(kUsers);
 
     RunConfig config = makeConfig(/*use_hix=*/true, kUsers,
-                                  /*pipeline=*/true, /*parallel=*/true);
+                                  Preset::Pipeline, /*parallel=*/true);
     config.shardHook = [&logs](int user, os::Machine &machine) {
         logs[user].hookThread = std::this_thread::get_id();
         machine.recorder().addObserver(
@@ -230,7 +275,7 @@ TEST(ParallelRecordObserverTest, SerialModeRunsShardsOnCallingThread)
     constexpr int kUsers = 2;
     std::vector<std::thread::id> hook_threads(kUsers);
     RunConfig config = makeConfig(/*use_hix=*/false, kUsers,
-                                  /*pipeline=*/true, /*parallel=*/false);
+                                  Preset::Pipeline, /*parallel=*/false);
     config.shardHook = [&hook_threads](int user, os::Machine &) {
         hook_threads[user] = std::this_thread::get_id();
     };

@@ -45,10 +45,9 @@ makeServiceConfig(Policy policy, bool use_hix, int devices,
     cfg.appMix = {"NN"};
     cfg.userPopulation = 4;
     cfg.run.keepTrace = true;
-    cfg.run.forkSessions = true;
     // Force a multi-worker recording pool (the auto pool may collapse
     // to one worker on small CI machines) so the wall — and TSan —
-    // sees concurrent shard recording against the shared templates.
+    // sees concurrent cold boots, shard recording and region reuse.
     if (sessions > 1)
         cfg.run.recordThreads = std::min(sessions, 8);
     return cfg;
@@ -141,9 +140,8 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<3>(info.param));
     });
 
-/** Mixed app mix: sessions on one device fork different templates
- * (per-(device, appId) snapshots); the run must stay deterministic
- * and every session must finish. */
+/** Mixed app mix: sessions on one device run different workloads;
+ * the run must stay deterministic and every session must finish. */
 TEST(ServiceMixedAppTest, MixedAppPoolIsDeterministic)
 {
     ServiceConfig cfg = makeServiceConfig(Policy::LeastLoaded, true,
@@ -273,12 +271,54 @@ TEST(SessionPoolEdgeTest, PoolSessionFactoryReturningNoWorkloadIsRejected)
     workloads::PoolSession good;
     workloads::PoolSession bad;
     bad.factory = [] { return workloads::makeRodinia("XX"); };
-    for (bool fork : {false, true}) {
-        config.forkSessions = fork;
-        auto out = workloads::runSessionPool(config, {good, bad});
-        ASSERT_FALSE(out.isOk()) << "fork " << fork;
-        EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+    auto out = workloads::runSessionPool(config, {good, bad});
+    ASSERT_FALSE(out.isOk());
+    EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+}
+
+TEST(SessionPoolEdgeTest, MachineWithoutRoomForItsGpusIsRejected)
+{
+    // Each GPU widens the MMIO window below 4 GiB by 512 MiB. From six
+    // GPUs on it reaches into the EPC at [1 GiB, 1.125 GiB); eight
+    // leave no DRAM, and nine wrap past address zero. The pool must
+    // refuse before building any workload, not abort the process.
+    for (int gpus : {6, 8, 9}) {
+        int factory_calls = 0;
+        workloads::RunConfig config;
+        config.factory = [&factory_calls] {
+            ++factory_calls;
+            return workloads::makeRodinia("NN");
+        };
+        config.machine.gpuCount = gpus;
+        auto out = workloads::runSessionPool(config, {{}});
+        ASSERT_FALSE(out.isOk()) << gpus << " GPUs";
+        EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument)
+            << gpus << " GPUs";
+        EXPECT_EQ(factory_calls, 0) << gpus << " GPUs";
     }
+}
+
+TEST(SessionPoolEdgeTest, FiveGpuHixPoolRuns)
+{
+    // The largest pool the default layout holds: a HIX session on the
+    // last device boots its enclave clear of the EPC.
+    workloads::RunConfig config;
+    config.factory = [] { return workloads::makeRodinia("NN"); };
+    config.useHix = true;
+    config.machine.gpuCount = 5;
+    workloads::PoolSession last;
+    last.device = 4;
+    auto out = workloads::runSessionPool(config, {{}, last});
+    ASSERT_TRUE(out.isOk()) << out.status().message();
+    EXPECT_GT(out->run.ticks, 0u);
+}
+
+TEST(SessionPoolEdgeTest, ServiceOnEightDevicesIsRejected)
+{
+    ServiceConfig cfg = makeServiceConfig(Policy::RoundRobin, true, 8, 16);
+    auto out = runService(cfg);
+    ASSERT_FALSE(out.isOk());
+    EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
 }
 
 }  // namespace
