@@ -9,7 +9,10 @@
  *  - AesEngine::Fast (default): the best path the host supports.
  *    Uses AES-NI (runtime-detected, per-function target attributes,
  *    so no global -maes build flag) when available, else the T-table
- *    path. This is the production host path.
+ *    path. This is the production host path. On AES-NI it also runs
+ *    OCB's bulk loop as one fused pass (ocbEncryptBatches /
+ *    ocbDecryptBatches), so OCB's mode work rides in the registers
+ *    beside the AES rounds.
  *  - AesEngine::TTable: precomputed 4x256 u32 T-tables for both
  *    directions, built once at static initialization from the
  *    derived S-box, plus a multi-block API that processes four
@@ -97,6 +100,28 @@ class Aes128
     /** Decrypt @p n contiguous 16-byte blocks; @p out may alias @p in. */
     void decryptBlocks(const std::uint8_t *in, std::uint8_t *out,
                        std::size_t n) const;
+
+    /**
+     * OCB's bulk encryption (RFC 7253 Section 4.2) on AES
+     * instructions, for Ocb; only when usesHw(). Encrypts blocks
+     * 1 .. 8·@p batches of a message in one fused pass: the round
+     * keys, offsets and checksum stay in registers, and each block is
+     * loaded once and stored once. @p l_table is L_0, L_1, ...;
+     * @p offset enters as Offset_0 and leaves as Offset_{8·batches},
+     * and the plaintext is XORed into @p checksum. @p out may alias
+     * @p in.
+     */
+    void ocbEncryptBatches(const AesBlock *l_table, const std::uint8_t *in,
+                           std::uint8_t *out, std::size_t batches,
+                           AesBlock &offset, AesBlock &checksum) const;
+
+    /**
+     * The decryption counterpart of ocbEncryptBatches(): the recovered
+     * plaintext is what goes into @p checksum.
+     */
+    void ocbDecryptBatches(const AesBlock *l_table, const std::uint8_t *in,
+                           std::uint8_t *out, std::size_t batches,
+                           AesBlock &offset, AesBlock &checksum) const;
 
     /** Convenience: encrypt an AesBlock value. */
     AesBlock

@@ -5,11 +5,15 @@
  * for all inter-enclave and DMA data protection (Section 5.2).
  *
  * The encryptInto/decryptInto paths are allocation-free: the L-table
- * is fully precomputed at construction and the bulk loops run eight
- * AES blocks at a time through one Aes128::encryptBlocks /
- * decryptBlocks call, doing the offset chain, checksum and whitening
- * on native 64-bit words around it. Sealing a message costs
- * |M|/16 + O(1) AES calls and zero heap allocations, on every engine.
+ * is fully precomputed at construction, and the bulk loops take eight
+ * blocks at a time. On AES-NI each batch is one fused pass
+ * (Aes128::ocbEncryptBatches / ocbDecryptBatches) with the round
+ * keys, offsets and checksum in registers, at close to the cipher's
+ * ECB speed. The T-table and reference engines run each batch through
+ * one Aes128::encryptBlocks / decryptBlocks call, doing the offset
+ * chain, checksum and whitening on native 64-bit words around it.
+ * Sealing a message costs |M|/16 + O(1) AES calls and zero heap
+ * allocations, on every engine.
  */
 
 #ifndef HIX_CRYPTO_OCB_H_

@@ -565,7 +565,9 @@ GpuDevice::execCommand(const std::vector<std::uint64_t> &words,
         // (allocation-free in steady state; the paging path runs the
         // op per page) takes a side that cannot be viewed, a source
         // that overlaps its destination, and every decrypted
-        // plaintext, which reaches VRAM only once its tag verifies.
+        // plaintext, which reaches VRAM only once its tag verifies:
+        // mem.write() then takes whole pages without zero-filling
+        // them first.
         const std::uint64_t ct_len = pt_len + crypto::OcbTagSize;
         if (op == GpuOp::OcbEncrypt) {
             auto src = mem.view(args[1], pt_len);
@@ -603,12 +605,8 @@ GpuDevice::execCommand(const std::vector<std::uint64_t> &words,
                 ++stats_.macFailures;
                 return ok;
             }
-            auto dst = mem.view(args[2], pt_len);
-            if (dst.isOk())
-                std::copy_n(crypto_out_.data(), pt_len, dst->data());
-            else
-                HIX_RETURN_IF_ERROR(
-                    mem.write(args[2], crypto_out_.data(), pt_len));
+            HIX_RETURN_IF_ERROR(
+                mem.write(args[2], crypto_out_.data(), pt_len));
         }
         ++stats_.cryptoKernels;
         record(op, GpuEngine::Compute, ctx_id,

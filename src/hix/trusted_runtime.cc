@@ -67,6 +67,17 @@ TrustedRuntime::recordUser(Tick duration, sim::OpKind kind,
                                        sim::NoGpuContext, deps);
 }
 
+Result<std::uint8_t *>
+TrustedRuntime::ringSlot(std::uint64_t ring_off, std::uint64_t len)
+{
+    mem::PhysMem &ram = machine_->ram();
+    std::uint8_t *bytes = ram.view(shared_.paddr + ring_off, len);
+    if (!bytes)
+        return errInvalidArgument("ring slot beyond " + ram.targetName() +
+                                  " size");
+    return bytes;
+}
+
 Status
 TrustedRuntime::connect()
 {
@@ -245,7 +256,6 @@ TrustedRuntime::memcpyHtoD(Addr dst_gpu_va, const Bytes &data)
     HIX_RETURN_IF_ERROR(statusFromResponse(resp));
 
     const std::uint32_t stream = GpuEnclave::streamHtoD(session_id_);
-    const std::uint64_t ct_stride = chunk + crypto::OcbTagSize;
 
     sim::OpId last_done = sim::InvalidOpId;
     std::uint64_t off = 0;
@@ -257,15 +267,12 @@ TrustedRuntime::memcpyHtoD(Addr dst_gpu_va, const Bytes &data)
         const std::uint64_t ring_off = slot * slot_size_;
         const std::uint64_t ctr = ++ctr_h2d_;
 
-        // Functional: encrypt this chunk into the shared ring.
-        seal_scratch_.resize(ct_stride);
+        // Functional: seal this chunk straight into its ring slot.
+        HIX_ASSIGN_OR_RETURN(std::uint8_t *const sealed,
+                             ringSlot(ring_off, len + crypto::OcbTagSize));
         data_ocb_->encryptInto(crypto::makeNonce(stream, ctr), nullptr, 0,
-                               data.data() + off, len,
-                               seal_scratch_.data(),
-                               seal_scratch_.data() + len);
-        HIX_RETURN_IF_ERROR(machine_->ram().writeAt(
-            shared_.paddr + ring_off, seal_scratch_.data(),
-            len + crypto::OcbTagSize));
+                               data.data() + off, len, sealed,
+                               sealed + len);
 
         // Timing: the encryption pass. It must wait for the ring
         // slot's previous consumer; without pipelining it also waits
@@ -309,6 +316,12 @@ TrustedRuntime::memcpyDtoH(Addr src_gpu_va, std::uint64_t len)
     const auto &t = machine_->config().timing;
     const std::uint64_t scale = ge_->hixConfig().timingScale;
     const bool pipeline = ge_->hixConfig().pipeline;
+    // No transfer can be larger than the GPU's VRAM; refuse before
+    // asking the enclave or allocating the result.
+    if (len > machine_->gpuAt(ge_->gpuIndex()).geometry().vramSize ||
+        len > ~src_gpu_va)
+        return errInvalidArgument(
+            "DtoH length exceeds the GPU's VRAM or wraps the VA space");
     const std::uint64_t chunk = chunkFor(src_gpu_va, len);
 
     Request req;
@@ -319,7 +332,6 @@ TrustedRuntime::memcpyDtoH(Addr src_gpu_va, std::uint64_t len)
     const sim::OpId begin_op = machine_->recorder().chainTail(actor_);
 
     const std::uint32_t stream = GpuEnclave::streamDtoH(session_id_);
-    const std::uint64_t ct_stride = chunk + crypto::OcbTagSize;
 
     Bytes out(len);
     std::uint64_t off = 0;
@@ -341,17 +353,16 @@ TrustedRuntime::memcpyDtoH(Addr src_gpu_va, std::uint64_t len)
         if (!result.isOk())
             return result.status();
 
-        // Functional: fetch the chunk and open it into place. A
-        // failed tag ends the transfer; decryptInto has zeroed the
-        // chunk it was opening.
-        seal_scratch_.resize(ct_stride);
-        HIX_RETURN_IF_ERROR(machine_->ram().readAt(
-            shared_.paddr + ring_off, seal_scratch_.data(),
-            clen + crypto::OcbTagSize));
+        // Functional: open the chunk straight out of its ring slot.
+        // OCB reads each ciphertext block and the tag once, so the
+        // untrusted slot is fetched once and the plaintext lands only
+        // in `out`. A failed tag ends the transfer; decryptInto has
+        // zeroed the chunk it was opening.
+        HIX_ASSIGN_OR_RETURN(std::uint8_t *const sealed,
+                             ringSlot(ring_off, clen + crypto::OcbTagSize));
         HIX_RETURN_IF_ERROR(data_ocb_->decryptInto(
-            crypto::makeNonce(stream, ctr), nullptr, 0,
-            seal_scratch_.data(), clen, seal_scratch_.data() + clen,
-            out.data() + off));
+            crypto::makeNonce(stream, ctr), nullptr, 0, sealed, clen,
+            sealed + clen, out.data() + off));
 
         // Timing: CPU decryption depends on the chunk's arrival.
         prev_decrypt = recordUser(

@@ -89,13 +89,17 @@ class TrustedRuntime
     Status memFree(Addr gpu_va);
 
     /**
-     * cuMemcpyHtoD: encrypt @p data chunk-by-chunk into the shared
-     * ring; the GPU enclave single-copies each chunk into the GPU
-     * where it is decrypted (Section 4.4.3's flow).
+     * cuMemcpyHtoD: seal @p data chunk-by-chunk straight into the
+     * shared ring's slots; the GPU enclave single-copies each chunk
+     * into the GPU where it is decrypted (Section 4.4.3's flow).
      */
     Status memcpyHtoD(Addr dst_gpu_va, const Bytes &data);
 
-    /** cuMemcpyDtoH. */
+    /**
+     * cuMemcpyDtoH: each chunk is opened straight out of its ring
+     * slot. InvalidArgument, before any request, when @p len exceeds
+     * the GPU's VRAM or @p src_gpu_va + @p len wraps.
+     */
     Result<Bytes> memcpyDtoH(Addr src_gpu_va, std::uint64_t len);
 
     /** cuModuleGetFunction analogue. */
@@ -125,6 +129,9 @@ class TrustedRuntime
                                                      deps.size()));
     }
     std::uint64_t functionalChunk() const;
+    /** The ring's bytes [ring_off, ring_off + len), in place in RAM. */
+    Result<std::uint8_t *> ringSlot(std::uint64_t ring_off,
+                                    std::uint64_t len);
     /** Chunk size for a transfer touching [va, va+len): managed
      * buffers move page-by-page so paging fits any quota. */
     std::uint64_t chunkFor(Addr va, std::uint64_t len) const;
@@ -147,7 +154,6 @@ class TrustedRuntime
     /** Reused scratch so steady-state transfers never allocate. */
     crypto::SealedMessage sealed_scratch_;
     Bytes plain_scratch_;
-    Bytes seal_scratch_;
     /** Op after which each ring slot may be reused. */
     sim::OpId ring_busy_[2] = {sim::InvalidOpId, sim::InvalidOpId};
     crypto::Sha256Digest pinned_ge_measurement_{};

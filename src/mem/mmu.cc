@@ -189,9 +189,7 @@ makeTlb(TlbEngine engine, std::size_t capacity, std::size_t ways)
 
 Mmu::Mmu(PhysicalBus *bus, std::size_t tlb_capacity, TlbEngine engine,
          std::size_t tlb_ways)
-    : bus_(bus),
-      engine_(engine),
-      tlb_(makeTlb(engine, tlb_capacity, tlb_ways))
+    : bus_(bus), tlb_(makeTlb(engine, tlb_capacity, tlb_ways))
 {
 }
 

@@ -306,12 +306,10 @@ class Mmu
     TlbBase &tlb() { return *tlb_; }
     const TlbBase &tlb() const { return *tlb_; }
 
-    TlbEngine engine() const { return engine_; }
     PhysicalBus *bus() { return bus_; }
 
   private:
     PhysicalBus *bus_;
-    TlbEngine engine_;
     std::unique_ptr<TlbBase> tlb_;
     PageTableProvider provider_;
     std::vector<TlbFillValidator *> validators_;

@@ -44,16 +44,12 @@ class PcieDevice
 
     /** Expansion ROM (device BIOS) image; empty when none. */
     const Bytes &expansionRomImage() const;
-    /**
-     * The ROM as a shared immutable buffer. The image never changes
-     * after a flash, so devices built from the BIOS cache share one
-     * allocation instead of copying 64 KiB each.
-     */
-    const std::shared_ptr<const Bytes> &sharedExpansionRomImage() const
-    {
-        return rom_image_;
-    }
     void setExpansionRomImage(Bytes image);
+    /**
+     * Install the ROM as a shared immutable buffer. The image never
+     * changes after a flash, so devices built from the BIOS cache
+     * share one allocation instead of copying 64 KiB each.
+     */
     void setExpansionRomImage(std::shared_ptr<const Bytes> image)
     {
         rom_image_ = std::move(image);

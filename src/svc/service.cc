@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/rng.h"
+#include "os/machine.h"
 #include "workloads/workload.h"
 
 namespace hix::svc
@@ -234,6 +235,10 @@ runService(const ServiceConfig &config)
     for (const auto &app : config.appMix)
         if (!workloads::makeRodinia(app))
             return errInvalidArgument("unknown app in mix: " + app);
+    // Refuse a pool the machine cannot hold before any probe runs.
+    os::MachineConfig pool_machine = config.run.machine;
+    pool_machine.gpuCount = config.devices;
+    HIX_RETURN_IF_ERROR(os::Machine::checkLayout(pool_machine));
 
     ServiceOutcome out;
 

@@ -2,13 +2,15 @@
  * @file
  * OCB-AES-128 tests: RFC 7253 Appendix A known-answer vectors (the
  * sample results and the iterated vector), a block-at-a-time oracle
- * written from RFC 7253 Section 4 that checks the wide loops byte for
- * byte, plus round-trip, tamper-detection, and nonce-sensitivity
- * properties.
+ * written from RFC 7253 Section 4 that checks the wide loops of all
+ * three engines byte for byte (every length through three eight-block
+ * batches, misaligned buffers, AD lengths around the block), plus
+ * round-trip, tamper-detection, and nonce-sensitivity properties.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -272,6 +274,31 @@ class OcbOracle
     std::vector<AesBlock> l_;
 };
 
+/** The three engines on one key. */
+std::array<Ocb, 3>
+allEngines(const AesKey &key)
+{
+    return {Ocb(key, AesEngine::Fast), Ocb(key, AesEngine::TTable),
+            Ocb(key, AesEngine::Reference)};
+}
+
+/** Seal with every engine and open the oracle's bytes back. */
+void
+expectEnginesMatchOracle(const std::array<Ocb, 3> &engines,
+                         OcbOracle &oracle, const OcbNonce &n,
+                         const Bytes &ad, const Bytes &pt)
+{
+    const Bytes expected = oracle.encrypt(n, ad, pt);
+    for (const Ocb &ocb : engines) {
+        SCOPED_TRACE(static_cast<int>(ocb.engine()));
+        EXPECT_TRUE(ocb.encrypt(n, ad, pt) == expected)
+            << "ciphertext differs from oracle";
+        auto back = ocb.decrypt(n, ad, expected);
+        ASSERT_TRUE(back.isOk()) << back.status().toString();
+        EXPECT_TRUE(*back == pt) << "decrypt differs from plaintext";
+    }
+}
+
 TEST(OcbTest, WideLoopMatchesBlockAtATimeOracle)
 {
     // Every length here reaches the eight-block wide loop (128 bytes
@@ -280,23 +307,93 @@ TEST(OcbTest, WideLoopMatchesBlockAtATimeOracle)
     AesKey key;
     rng.fill(key.data(), key.size());
     OcbOracle oracle(key);
-    const Ocb engines[] = {Ocb(key, AesEngine::Fast),
-                           Ocb(key, AesEngine::TTable),
-                           Ocb(key, AesEngine::Reference)};
+    const auto engines = allEngines(key);
     for (std::size_t len : {128u, 129u, 255u, 256u, 4096u, 4113u, 65536u,
                             65551u, 1u << 20}) {
         SCOPED_TRACE(len);
         const Bytes pt = rng.bytes(len);
         const Bytes ad = rng.bytes(len % 53);
-        const OcbNonce n = makeNonce(3, len);
-        const Bytes expected = oracle.encrypt(n, ad, pt);
+        expectEnginesMatchOracle(engines, oracle, makeNonce(3, len), ad, pt);
+    }
+}
+
+TEST(OcbTest, EveryLengthThroughThreeBatchesMatchesOracle)
+{
+    // Every length from empty to three whole eight-block batches plus
+    // a block and a partial one: each batch count (0-3) with every
+    // full-block and partial tail behind it.
+    Rng rng(28);
+    AesKey key;
+    rng.fill(key.data(), key.size());
+    OcbOracle oracle(key);
+    const auto engines = allEngines(key);
+    const Bytes ad = rng.bytes(17);
+    for (std::size_t len = 0; len <= 3 * 128 + 17; ++len) {
+        SCOPED_TRACE(len);
+        expectEnginesMatchOracle(engines, oracle, makeNonce(4, len), ad,
+                                 rng.bytes(len));
+    }
+}
+
+TEST(OcbTest, AdLengthsAroundTheBlockMatchOracle)
+{
+    // hashAd's whole blocks and its padded partial block, beside a
+    // message that takes two batches and both tails.
+    Rng rng(29);
+    AesKey key;
+    rng.fill(key.data(), key.size());
+    OcbOracle oracle(key);
+    const auto engines = allEngines(key);
+    const Bytes pt = rng.bytes(2 * 128 + 16 + 9);
+    for (std::size_t ad_len : {0u, 1u, 15u, 16u, 17u, 129u}) {
+        SCOPED_TRACE(ad_len);
+        expectEnginesMatchOracle(engines, oracle, makeNonce(5, ad_len),
+                                 rng.bytes(ad_len), pt);
+    }
+}
+
+/** A pointer into @p buf @p misalign bytes past a 16-byte boundary. */
+std::uint8_t *
+misaligned(Bytes &buf, std::size_t misalign)
+{
+    const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+    return buf.data() + (16 - addr % 16) % 16 + misalign;
+}
+
+TEST(OcbTest, MisalignedBuffersMatchOracle)
+{
+    // encryptInto/decryptInto with input, output and tag pointers 1-15
+    // bytes off a 16-byte boundary, input and output off by different
+    // amounts.
+    Rng rng(30);
+    AesKey key;
+    rng.fill(key.data(), key.size());
+    OcbOracle oracle(key);
+    const auto engines = allEngines(key);
+    const std::size_t len = 2 * 128 + 16 + 5;
+    const Bytes pt = rng.bytes(len);
+    const Bytes ad = rng.bytes(3);
+    const OcbNonce n = makeNonce(6, 1);
+    const Bytes expected = oracle.encrypt(n, ad, pt);
+    for (std::size_t shift = 1; shift < 16; ++shift) {
+        SCOPED_TRACE(shift);
+        Bytes in_buf(len + OcbTagSize + 32);
+        Bytes out_buf(len + OcbTagSize + 32);
+        std::uint8_t *in = misaligned(in_buf, shift);
+        std::uint8_t *out = misaligned(out_buf, 16 - shift);
         for (const Ocb &ocb : engines) {
             SCOPED_TRACE(static_cast<int>(ocb.engine()));
-            const Bytes ct = ocb.encrypt(n, ad, pt);
-            EXPECT_TRUE(ct == expected) << "ciphertext differs from oracle";
-            auto back = ocb.decrypt(n, ad, expected);
-            ASSERT_TRUE(back.isOk());
-            EXPECT_TRUE(*back == pt) << "decrypt differs from plaintext";
+            std::memcpy(in, pt.data(), len);
+            ocb.encryptInto(n, ad.data(), ad.size(), in, len, out,
+                            out + len);
+            EXPECT_EQ(std::memcmp(out, expected.data(), len + OcbTagSize),
+                      0);
+
+            std::memcpy(in, expected.data(), len + OcbTagSize);
+            ASSERT_TRUE(ocb.decryptInto(n, ad.data(), ad.size(), in, len,
+                                        in + len, out)
+                            .isOk());
+            EXPECT_EQ(std::memcmp(out, pt.data(), len), 0);
         }
     }
 }

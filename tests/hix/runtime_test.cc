@@ -259,6 +259,28 @@ TEST_F(RuntimeTest, HixTraceContainsCryptoAndTransferOps)
     EXPECT_EQ(trace.totalBytes(sim::OpKind::CryptoCpu), 1 * MiB);
 }
 
+TEST_F(RuntimeTest, OversizedDtoHIsRejectedBeforeAllocating)
+{
+    // A length past the GPU's VRAM (or one that wraps the VA space)
+    // is refused before the DtoHBegin request and before the result
+    // buffer is allocated, and the session stays usable.
+    TrustedRuntime user(&machine_, ge_.get(), "app");
+    ASSERT_TRUE(user.connect().isOk());
+    auto va = user.memAlloc(4096);
+    ASSERT_TRUE(va.isOk());
+    for (std::uint64_t len : {1ull << 40, ~0ull - 4095}) {
+        SCOPED_TRACE(len);
+        auto back = user.memcpyDtoH(*va, len);
+        ASSERT_FALSE(back.isOk());
+        EXPECT_EQ(back.status().code(), StatusCode::InvalidArgument);
+    }
+    const Bytes data = patternBytes(4096, 5);
+    ASSERT_TRUE(user.memcpyHtoD(*va, data).isOk());
+    auto back = user.memcpyDtoH(*va, data.size());
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(*back, data);
+}
+
 TEST_F(RuntimeTest, OutOfBoundsChunkRejectedBeforeDma)
 {
     // A chunk whose ciphertext overflows a GPU staging slot, or whose

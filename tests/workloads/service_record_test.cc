@@ -18,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "os/machine.h"
 #include "sim/trace.h"
 #include "svc/service.h"
 
@@ -315,10 +317,15 @@ TEST(SessionPoolEdgeTest, FiveGpuHixPoolRuns)
 
 TEST(SessionPoolEdgeTest, ServiceOnEightDevicesIsRejected)
 {
+    // The layout is refused before the demand probe records anything:
+    // no shard, probe or pool, ever starts.
     ServiceConfig cfg = makeServiceConfig(Policy::RoundRobin, true, 8, 16);
+    std::atomic<int> shards{0};
+    cfg.run.shardHook = [&shards](int, os::Machine &) { ++shards; };
     auto out = runService(cfg);
     ASSERT_FALSE(out.isOk());
     EXPECT_EQ(out.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(shards.load(), 0);
 }
 
 }  // namespace
