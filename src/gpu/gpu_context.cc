@@ -81,38 +81,22 @@ Status
 GpuMemAccessor::read(Addr gpu_va, std::uint8_t *data,
                      std::size_t len) const
 {
-    while (len > 0) {
-        auto pa = ctx_->translate(gpu_va);
-        if (!pa.isOk())
-            return pa.status();
-        const std::uint64_t in_page =
-            mem::PageSize - mem::pageOffset(gpu_va);
-        const std::size_t take = std::min<std::uint64_t>(in_page, len);
-        HIX_RETURN_IF_ERROR(vram_->readAt(*pa, data, take));
-        data += take;
-        gpu_va += take;
-        len -= take;
-    }
-    return Status::ok();
+    return mem::movePhysicalRuns(
+        gpu_va, len, [&](Addr va) { return ctx_->translate(va); },
+        [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+            return vram_->readAt(pa, data + done, n);
+        });
 }
 
 Status
 GpuMemAccessor::write(Addr gpu_va, const std::uint8_t *data,
                       std::size_t len) const
 {
-    while (len > 0) {
-        auto pa = ctx_->translate(gpu_va);
-        if (!pa.isOk())
-            return pa.status();
-        const std::uint64_t in_page =
-            mem::PageSize - mem::pageOffset(gpu_va);
-        const std::size_t take = std::min<std::uint64_t>(in_page, len);
-        HIX_RETURN_IF_ERROR(vram_->writeAt(*pa, data, take));
-        data += take;
-        gpu_va += take;
-        len -= take;
-    }
-    return Status::ok();
+    return mem::movePhysicalRuns(
+        gpu_va, len, [&](Addr va) { return ctx_->translate(va); },
+        [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+            return vram_->writeAt(pa, data + done, n);
+        });
 }
 
 Result<std::span<std::uint8_t>>
@@ -146,18 +130,11 @@ GpuMemAccessor::view(Addr gpu_va, std::size_t len) const
 Status
 GpuMemAccessor::zero(Addr gpu_va, std::uint64_t len) const
 {
-    while (len > 0) {
-        auto pa = ctx_->translate(gpu_va);
-        if (!pa.isOk())
-            return pa.status();
-        const std::uint64_t in_page =
-            mem::PageSize - mem::pageOffset(gpu_va);
-        const std::uint64_t take = std::min(in_page, len);
-        HIX_RETURN_IF_ERROR(vram_->zeroAt(*pa, take));
-        gpu_va += take;
-        len -= take;
-    }
-    return Status::ok();
+    return mem::movePhysicalRuns(
+        gpu_va, len, [&](Addr va) { return ctx_->translate(va); },
+        [&](Addr pa, std::uint64_t, std::uint64_t n) {
+            return vram_->zeroAt(pa, n);
+        });
 }
 
 Result<std::uint32_t>
@@ -172,24 +149,6 @@ GpuMemAccessor::read32(Addr gpu_va) const
 
 Status
 GpuMemAccessor::write32(Addr gpu_va, std::uint32_t value) const
-{
-    std::uint8_t b[4];
-    std::memcpy(b, &value, 4);
-    return write(gpu_va, b, 4);
-}
-
-Result<float>
-GpuMemAccessor::readF32(Addr gpu_va) const
-{
-    std::uint8_t b[4];
-    HIX_RETURN_IF_ERROR(read(gpu_va, b, 4));
-    float v;
-    std::memcpy(&v, b, 4);
-    return v;
-}
-
-Status
-GpuMemAccessor::writeF32(Addr gpu_va, float value) const
 {
     std::uint8_t b[4];
     std::memcpy(b, &value, 4);

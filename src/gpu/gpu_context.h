@@ -6,10 +6,12 @@
  * what isolates one user's device memory from another's.
  *
  * Kernels and the in-GPU OCB op reach VRAM through GpuMemAccessor.
- * Besides page-by-page read()/write(), it lends view()s: a range of
- * the context that maps onto adjacent VRAM pages comes back as one
- * span of VRAM, so the caller works on device memory in place. A
- * view never crosses an unmapped page, so context isolation holds by
+ * Its read()/write()/zero() translate once per page and move each
+ * physically contiguous run with one VRAM call
+ * (mem::movePhysicalRuns). It also lends view()s: a range of the
+ * context that maps onto adjacent VRAM pages comes back as one span
+ * of VRAM, so the caller works on device memory in place. A view
+ * never crosses an unmapped page, so context isolation holds by
  * construction; the contiguity check is one translate per page.
  */
 
@@ -98,8 +100,8 @@ class GpuMemAccessor
     Result<std::span<std::uint8_t>> view(Addr gpu_va,
                                          std::size_t len) const;
 
-    /** Zero @p len bytes at @p gpu_va, page by page; on a fault at an
-     * unmapped page the pages before it stay zeroed. */
+    /** Zero @p len bytes at @p gpu_va; on a fault at an unmapped
+     * page the pages before it stay zeroed. */
     Status zero(Addr gpu_va, std::uint64_t len) const;
 
     /** Size of the VRAM behind this accessor. */
@@ -108,8 +110,6 @@ class GpuMemAccessor
     /** Typed helpers for kernel implementations. */
     Result<std::uint32_t> read32(Addr gpu_va) const;
     Status write32(Addr gpu_va, std::uint32_t value) const;
-    Result<float> readF32(Addr gpu_va) const;
-    Status writeF32(Addr gpu_va, float value) const;
 
     /** Bulk vector helpers. */
     Result<Bytes> readBytes(Addr gpu_va, std::size_t len) const;

@@ -3,11 +3,7 @@
 namespace hix::mem
 {
 
-Iommu::Iommu(std::size_t iotlb_capacity)
-    : geom_(TlbGeometry::forCapacity(iotlb_capacity)),
-      slots_(geom_.slotCount())
-{
-}
+Iommu::Iommu(std::size_t iotlb_capacity) : iotlb_(iotlb_capacity) {}
 
 Status
 Iommu::map(IommuDomain domain, Addr device_addr, Addr phys_addr)
@@ -29,7 +25,7 @@ Iommu::unmap(IommuDomain domain, Addr device_addr)
     const Addr dpage = pageBase(device_addr);
     if (table_.erase(keyFor(domain, dpage)) == 0)
         return errNotFound("device page not mapped");
-    invalidatePage(domain, dpage);
+    iotlb_.flushPage(domain, dpage);
     return Status::ok();
 }
 
@@ -37,29 +33,8 @@ void
 Iommu::overwrite(IommuDomain domain, Addr device_addr, Addr phys_addr)
 {
     const Addr dpage = pageBase(device_addr);
-    invalidatePage(domain, dpage);
+    iotlb_.flushPage(domain, dpage);
     table_[keyFor(domain, dpage)] = pageBase(phys_addr);
-}
-
-void
-Iommu::invalidatePage(IommuDomain domain, Addr dpage)
-{
-    const std::uint64_t key = keyFor(domain, dpage);
-    IoSlot *base = &slots_[geom_.setIndex(domain, dpage) * geom_.ways];
-    for (std::size_t w = 0; w < geom_.ways; ++w) {
-        IoSlot &s = base[w];
-        if (s.epoch == epoch_ && s.key == key) {
-            s.epoch = 0;
-            --live_;
-        }
-    }
-}
-
-void
-Iommu::flushIotlb()
-{
-    ++epoch_;
-    live_ = 0;
 }
 
 Result<Addr>
@@ -68,40 +43,17 @@ Iommu::translate(IommuDomain domain, Addr device_addr) const
     if (!enabled_)
         return device_addr;
     const Addr dpage = pageBase(device_addr);
-    const std::uint64_t key = keyFor(domain, dpage);
-    IoSlot *base = &slots_[geom_.setIndex(domain, dpage) * geom_.ways];
-    for (std::size_t w = 0; w < geom_.ways; ++w) {
-        IoSlot &s = base[w];
-        if (s.epoch == epoch_ && s.key == key) {
-            s.stamp = ++tick_;
-            ++iotlb_hits_;
-            return s.ppage + pageOffset(device_addr);
-        }
+    if (const TlbEntry *hit =
+            iotlb_.lookup(domain, InvalidEnclaveId, dpage)) {
+        iotlb_.countHit();
+        return hit->ppage + pageOffset(device_addr);
     }
-    ++iotlb_misses_;
-    auto it = table_.find(key);
+    iotlb_.countMiss();
+    auto it = table_.find(keyFor(domain, dpage));
     if (it == table_.end())
         return errAccessFault("IOMMU fault: device page not mapped");
-    // Fill: prefer an invalid slot, else evict within-set LRU.
-    IoSlot *free_slot = nullptr;
-    IoSlot *victim = nullptr;
-    for (std::size_t w = 0; w < geom_.ways; ++w) {
-        IoSlot &s = base[w];
-        if (s.epoch != epoch_) {
-            if (!free_slot)
-                free_slot = &s;
-        } else if (!victim || s.stamp < victim->stamp) {
-            victim = &s;
-        }
-    }
-    IoSlot *dst = free_slot ? free_slot : victim;
-    if (free_slot) {
-        ++live_;
-        dst->epoch = epoch_;
-    }
-    dst->key = key;
-    dst->ppage = it->second;
-    dst->stamp = ++tick_;
+    iotlb_.insert(
+        TlbEntry{domain, InvalidEnclaveId, dpage, it->second, PermNone});
     return it->second + pageOffset(device_addr);
 }
 

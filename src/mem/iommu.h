@@ -14,20 +14,20 @@
  * single-GPU setups all use the default domain 0 and behave exactly
  * as the single-domain model did.
  *
- * Translation is cached in a set-associative IOTLB (same geometry
- * engine as the CPU TLB), tagged by (domain, device page). Caching
- * cannot change what the adversary can do: fills mirror the OS-owned
- * table verbatim, and every table mutation (unmap/overwrite)
- * invalidates the cached page before it takes effect, so a translate
- * always returns exactly what the table would. Negative results
- * (faults) are never cached.
+ * Translation is cached in an IOTLB that is a CPU mem::Tlb of its
+ * own, keyed (pid = domain, enclave = InvalidEnclaveId, vpage =
+ * device page), so its set-associative LRU policy is the one the
+ * TlbReference oracle pins. Caching cannot change what the adversary
+ * can do: fills mirror the OS-owned table verbatim, and every table
+ * mutation (unmap/overwrite) flushes the cached page before it takes
+ * effect, so a translate always returns exactly what the table would.
+ * Negative results (faults) are never cached.
  */
 
 #ifndef HIX_MEM_IOMMU_H_
 #define HIX_MEM_IOMMU_H_
 
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -87,13 +87,13 @@ class Iommu
 
     std::size_t entryCount() const { return table_.size(); }
 
-    std::uint64_t iotlbHits() const { return iotlb_hits_; }
-    std::uint64_t iotlbMisses() const { return iotlb_misses_; }
+    std::uint64_t iotlbHits() const { return iotlb_.hits(); }
+    std::uint64_t iotlbMisses() const { return iotlb_.misses(); }
     /** Live IOTLB entries (for tests). */
-    std::size_t iotlbSize() const { return live_; }
+    std::size_t iotlbSize() const { return iotlb_.size(); }
 
     /** Drop the whole IOTLB (platform reset / tests); O(1). */
-    void flushIotlb();
+    void flushIotlb() { iotlb_.flushAll(); }
 
   private:
     /** Table key: domain in the high bits, page base in the low.
@@ -104,28 +104,11 @@ class Iommu
         return (static_cast<std::uint64_t>(domain) << 48) | dpage;
     }
 
-    struct IoSlot
-    {
-        std::uint64_t key = 0;    // keyFor(domain, dpage)
-        Addr ppage = 0;
-        std::uint64_t epoch = 0;  // 0 = invalid
-        std::uint64_t stamp = 0;  // LRU recency
-    };
-
-    void invalidatePage(IommuDomain domain, Addr dpage);
-
     bool enabled_ = false;
     // (domain, device page) -> phys page
     std::unordered_map<std::uint64_t, Addr> table_;
-
-    // IOTLB state; translate() is const, so the cache is mutable.
-    TlbGeometry geom_;
-    mutable std::vector<IoSlot> slots_;
-    mutable std::uint64_t tick_ = 0;
-    std::uint64_t epoch_ = 1;
-    mutable std::size_t live_ = 0;
-    mutable std::uint64_t iotlb_hits_ = 0;
-    mutable std::uint64_t iotlb_misses_ = 0;
+    // translate() is const, so the cache it fills is mutable.
+    mutable Tlb iotlb_;
 };
 
 }  // namespace hix::mem

@@ -248,71 +248,24 @@ Status
 Mmu::read(const ExecContext &ctx, Addr vaddr, std::uint8_t *data,
           std::size_t len)
 {
-    if (len == 0)
-        return Status::ok();
-    auto first = translate(ctx, vaddr, AccessType::Read);
-    if (!first.isOk())
-        return first.status();
-    Addr run_pa = *first;
-    std::uint64_t run_len =
-        std::min<std::uint64_t>(PageSize - pageOffset(vaddr), len);
-    std::uint64_t covered = run_len;
-    while (covered < len) {
-        auto pa = translate(ctx, vaddr + covered, AccessType::Read);
-        if (!pa.isOk()) {
-            // Flush the pending run before reporting the fault so the
-            // delivered bytes match the per-page reference loop; an
-            // earlier bus error outranks the later translate fault.
-            Status st = bus_->readPages(run_pa, data, run_len);
-            return st.isOk() ? pa.status() : st;
-        }
-        const std::uint64_t take =
-            std::min<std::uint64_t>(PageSize, len - covered);
-        if (*pa == run_pa + run_len) {
-            run_len += take;
-        } else {
-            HIX_RETURN_IF_ERROR(bus_->readPages(run_pa, data, run_len));
-            data += run_len;
-            run_pa = *pa;
-            run_len = take;
-        }
-        covered += take;
-    }
-    return bus_->readPages(run_pa, data, run_len);
+    return movePhysicalRuns(
+        vaddr, len,
+        [&](Addr va) { return translate(ctx, va, AccessType::Read); },
+        [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+            return bus_->readPages(pa, data + done, n);
+        });
 }
 
 Status
 Mmu::write(const ExecContext &ctx, Addr vaddr, const std::uint8_t *data,
            std::size_t len)
 {
-    if (len == 0)
-        return Status::ok();
-    auto first = translate(ctx, vaddr, AccessType::Write);
-    if (!first.isOk())
-        return first.status();
-    Addr run_pa = *first;
-    std::uint64_t run_len =
-        std::min<std::uint64_t>(PageSize - pageOffset(vaddr), len);
-    std::uint64_t covered = run_len;
-    while (covered < len) {
-        auto pa = translate(ctx, vaddr + covered, AccessType::Write);
-        if (!pa.isOk()) {
-            Status st = bus_->writePages(run_pa, data, run_len);
-            return st.isOk() ? pa.status() : st;
-        }
-        const std::uint64_t take =
-            std::min<std::uint64_t>(PageSize, len - covered);
-        if (*pa == run_pa + run_len) {
-            run_len += take;
-        } else {
-            HIX_RETURN_IF_ERROR(bus_->writePages(run_pa, data, run_len));
-            data += run_len;
-            run_pa = *pa;
-            run_len = take;
-        }
-        covered += take;
-    }
-    return bus_->writePages(run_pa, data, run_len);
+    return movePhysicalRuns(
+        vaddr, len,
+        [&](Addr va) { return translate(ctx, va, AccessType::Write); },
+        [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+            return bus_->writePages(pa, data + done, n);
+        });
 }
 
 Status

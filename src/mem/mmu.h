@@ -22,6 +22,9 @@
  *    one set is exactly within-set LRU, so both engines make
  *    bit-identical hit/miss/eviction decisions.
  *
+ * The IOMMU's IOTLB is a Tlb too (iommu.h), so the oracle pins its
+ * policy as well.
+ *
  * Conservative-flush contract: entries are keyed (pid, enclave,
  * vpage), but flushPid/flushPage deliberately ignore the enclave tag
  * and drop every matching (pid[, vpage]) entry regardless of which
@@ -87,7 +90,7 @@ class TlbFillValidator
                                 Addr ppage, std::uint8_t perms) = 0;
 };
 
-/** Which TLB engine an Mmu (or Iommu) uses. */
+/** Which TLB engine an Mmu uses. */
 enum class TlbEngine
 {
     Fast,       ///< Set-associative slot array (production).
@@ -245,14 +248,15 @@ class TlbReference : public TlbBase
  * that route the resulting physical access over the bus.
  *
  * read/write walk once per page, coalesce physically contiguous page
- * runs, and route each run over the bus once (readPages/writePages).
- * readReference/writeReference keep the original translate-then-route
- * per-page loop as the differential oracle. Both deliver identical
- * bytes and Status codes; the only permitted divergence is that when
- * a bulk call fails at the *bus* layer, the fast path may already
- * have translated (and counted) pages beyond the faulting one inside
- * that same call — translate-level faults (no PTE, permissions,
- * validator denial) are counted identically.
+ * runs, and route each run over the bus once (readPages/writePages);
+ * the loop is movePhysicalRuns() (page.h), which the DMA path and the
+ * GPU contexts share. readReference/writeReference keep the original
+ * translate-then-route per-page loop as the differential oracle. Both
+ * deliver identical bytes and Status codes; the only permitted
+ * divergence is that when a bulk call fails at the *bus* layer, the
+ * fast path may already have translated (and counted) pages beyond
+ * the faulting one inside that same call — translate-level faults
+ * (no PTE, permissions, validator denial) are counted identically.
  */
 class Mmu
 {

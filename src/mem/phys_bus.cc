@@ -1,7 +1,6 @@
 #include "mem/phys_bus.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "mem/page.h"
 
@@ -109,11 +108,8 @@ PhysicalBus::readPages(Addr addr, std::uint8_t *data, std::size_t len)
             return errNotFound("physical read from unmapped address");
         if (take > m->range.end() - addr)
             return errInvalidArgument("read straddles bus targets");
-        const std::uint64_t off = m->range.offsetOf(addr);
-        if (const std::uint8_t *span = m->target->readSpan(off, take))
-            std::memcpy(data, span, take);
-        else
-            HIX_RETURN_IF_ERROR(m->target->readAt(off, data, take));
+        HIX_RETURN_IF_ERROR(
+            m->target->readAt(m->range.offsetOf(addr), data, take));
         data += take;
         addr += take;
         len -= take;
@@ -133,11 +129,8 @@ PhysicalBus::writePages(Addr addr, const std::uint8_t *data,
             return errNotFound("physical write to unmapped address");
         if (take > m->range.end() - addr)
             return errInvalidArgument("write straddles bus targets");
-        const std::uint64_t off = m->range.offsetOf(addr);
-        if (std::uint8_t *span = m->target->writeSpan(off, take))
-            std::memcpy(span, data, take);
-        else
-            HIX_RETURN_IF_ERROR(m->target->writeAt(off, data, take));
+        HIX_RETURN_IF_ERROR(
+            m->target->writeAt(m->range.offsetOf(addr), data, take));
         data += take;
         addr += take;
         len -= take;

@@ -7,6 +7,8 @@
  * devices. BusTargets register their ranges with the PhysicalBus,
  * which routes physical reads/writes by address — the hardware role
  * split between the CPU's system agent and the PCIe root complex.
+ * A target is a name plus readAt()/writeAt(); the bus lends no
+ * borrowed views of target storage.
  *
  * Routing is the innermost loop of every modelled memory access, so
  * the bus keeps its mappings sorted by start address and routes with
@@ -45,34 +47,6 @@ class BusTarget
     /** Write @p len bytes at @p offset within the claimed range. */
     virtual Status writeAt(std::uint64_t offset,
                            const std::uint8_t *data, std::size_t len) = 0;
-
-    /**
-     * Borrowed read-only view of [offset, offset + len), or nullptr
-     * when the target cannot lend one (side-effecting MMIO, or the
-     * range crosses an internal storage boundary). The pointer is
-     * valid until the next mutating call on the target. Callers must
-     * fall back to readAt() on nullptr.
-     */
-    virtual const std::uint8_t *
-    readSpan(std::uint64_t offset, std::size_t len)
-    {
-        (void)offset;
-        (void)len;
-        return nullptr;
-    }
-
-    /**
-     * Borrowed writable view of [offset, offset + len), or nullptr
-     * (same contract as readSpan). Callers must fall back to
-     * writeAt() on nullptr.
-     */
-    virtual std::uint8_t *
-    writeSpan(std::uint64_t offset, std::size_t len)
-    {
-        (void)offset;
-        (void)len;
-        return nullptr;
-    }
 };
 
 /**
@@ -106,10 +80,9 @@ class PhysicalBus
     Status write(Addr addr, const std::uint8_t *data, std::size_t len);
 
     /**
-     * Bulk read that re-routes at every page boundary, using borrowed
-     * spans when the target lends them. Byte- and Status-identical to
-     * a per-page read() loop: on a mid-run fault nothing past the
-     * faulting page has been read.
+     * Bulk read that re-routes at every page boundary. Byte- and
+     * Status-identical to a per-page read() loop: on a mid-run fault
+     * nothing past the faulting page has been read.
      */
     Status readPages(Addr addr, std::uint8_t *data, std::size_t len);
 

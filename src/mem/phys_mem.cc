@@ -141,33 +141,6 @@ PhysMem::writeAt(std::uint64_t offset, const std::uint8_t *data,
     return Status::ok();
 }
 
-const std::uint8_t *
-PhysMem::readSpan(std::uint64_t offset, std::size_t len)
-{
-    // Shared zero page lent for reads of absent pages; writes never
-    // see it because writeSpan materialises first.
-    static const std::uint8_t zero_page[PageSize] = {};
-    if (len > size_ || offset > size_ - len)
-        return nullptr;
-    if (len > PageSize - pageOffset(offset))
-        return nullptr;
-    const std::uint8_t *page = peekPage(offset / PageSize);
-    if (!page)
-        return zero_page + pageOffset(offset);
-    return page + pageOffset(offset);
-}
-
-std::uint8_t *
-PhysMem::writeSpan(std::uint64_t offset, std::size_t len)
-{
-    if (len > size_ || offset > size_ - len)
-        return nullptr;
-    if (len > PageSize - pageOffset(offset))
-        return nullptr;
-    return mutPage(offset / PageSize, /*overwrite_all=*/len == PageSize) +
-           pageOffset(offset);
-}
-
 std::uint8_t *
 PhysMem::view(std::uint64_t offset, std::size_t len)
 {

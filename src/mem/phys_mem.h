@@ -10,8 +10,11 @@
  *  - absent: it reads as zero.
  * The invariant that makes recycling safe is that a page which is
  * not private reads as zero whatever bytes the region still holds;
- * readAt(), readSpan() and view() all go through the bitmap, never
- * through raw region bytes of an absent page.
+ * readAt() and view() both go through the bitmap, never through raw
+ * region bytes of an absent page. readAt() of an absent page fills
+ * zeros without materialising it, and writeAt() of a whole page
+ * skips the zero-fill, so the bus's page-chunked copies need no
+ * borrowed spans.
  *
  * Regions are reserved with MAP_NORESERVE, acquired on the first
  * write or view (not at construction) and, on destruction, handed to
@@ -62,23 +65,6 @@ class PhysMem : public BusTarget
                   std::size_t len) override;
     Status writeAt(std::uint64_t offset, const std::uint8_t *data,
                    std::size_t len) override;
-
-    /**
-     * Borrowed span within one page; absent pages lend a shared
-     * all-zero page (no materialisation on reads). Returns nullptr
-     * when the request crosses a page boundary or is out of bounds —
-     * callers fall back to readAt().
-     */
-    const std::uint8_t *readSpan(std::uint64_t offset,
-                                 std::size_t len) override;
-
-    /**
-     * Writable span within one page, for a caller that overwrites
-     * every byte of it: a span covering the whole page is lent
-     * without copying or zero-filling the page first.
-     */
-    std::uint8_t *writeSpan(std::uint64_t offset,
-                            std::size_t len) override;
 
     /**
      * Writable view of [offset, offset + len) as one span of the

@@ -391,12 +391,10 @@ RootComplex::dmaDomainOf(const Bdf &source) const
     return port ? static_cast<mem::IommuDomain>(port->index()) : 0;
 }
 
-// The DMA helpers translate once per device page, coalesce physically
-// contiguous page runs, and route each run over RAM once
-// (readPages/writePages). IOMMU page mappings are page-aligned on
-// both sides, so physical page boundaries coincide with device page
-// boundaries and the per-page fault/partial-copy semantics of the
-// old loop are preserved exactly.
+// IOMMU page mappings are page-aligned on both sides, so the DMA
+// helpers move each physically contiguous run of device pages over
+// RAM once (mem::movePhysicalRuns), with the per-page fault and
+// partial-copy semantics of a page-by-page loop.
 Status
 RootComplex::dmaRead(const Bdf &source, Addr addr, std::uint8_t *data,
                      std::size_t len)
@@ -407,34 +405,11 @@ RootComplex::dmaRead(const Bdf &source, Addr addr, std::uint8_t *data,
     if (mmio_window_.contains(addr))
         return errPermissionDenied(
             "peer-to-peer DMA is not supported by HIX");
-    if (len == 0)
-        return Status::ok();
-    auto first = translateDma(domain, addr);
-    if (!first.isOk())
-        return first.status();
-    Addr run_pa = *first;
-    std::uint64_t run_len = std::min<std::uint64_t>(
-        mem::PageSize - mem::pageOffset(addr), len);
-    std::uint64_t covered = run_len;
-    while (covered < len) {
-        auto pa = translateDma(domain, addr + covered);
-        if (!pa.isOk()) {
-            Status st = ram_->readPages(run_pa, data, run_len);
-            return st.isOk() ? pa.status() : st;
-        }
-        const std::uint64_t take =
-            std::min<std::uint64_t>(mem::PageSize, len - covered);
-        if (*pa == run_pa + run_len) {
-            run_len += take;
-        } else {
-            HIX_RETURN_IF_ERROR(ram_->readPages(run_pa, data, run_len));
-            data += run_len;
-            run_pa = *pa;
-            run_len = take;
-        }
-        covered += take;
-    }
-    return ram_->readPages(run_pa, data, run_len);
+    return mem::movePhysicalRuns(
+        addr, len, [&](Addr a) { return translateDma(domain, a); },
+        [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+            return ram_->readPages(pa, data + done, n);
+        });
 }
 
 Status
@@ -447,34 +422,11 @@ RootComplex::dmaWrite(const Bdf &source, Addr addr,
     if (mmio_window_.contains(addr))
         return errPermissionDenied(
             "peer-to-peer DMA is not supported by HIX");
-    if (len == 0)
-        return Status::ok();
-    auto first = translateDma(domain, addr);
-    if (!first.isOk())
-        return first.status();
-    Addr run_pa = *first;
-    std::uint64_t run_len = std::min<std::uint64_t>(
-        mem::PageSize - mem::pageOffset(addr), len);
-    std::uint64_t covered = run_len;
-    while (covered < len) {
-        auto pa = translateDma(domain, addr + covered);
-        if (!pa.isOk()) {
-            Status st = ram_->writePages(run_pa, data, run_len);
-            return st.isOk() ? pa.status() : st;
-        }
-        const std::uint64_t take =
-            std::min<std::uint64_t>(mem::PageSize, len - covered);
-        if (*pa == run_pa + run_len) {
-            run_len += take;
-        } else {
-            HIX_RETURN_IF_ERROR(ram_->writePages(run_pa, data, run_len));
-            data += run_len;
-            run_pa = *pa;
-            run_len = take;
-        }
-        covered += take;
-    }
-    return ram_->writePages(run_pa, data, run_len);
+    return mem::movePhysicalRuns(
+        addr, len, [&](Addr a) { return translateDma(domain, a); },
+        [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+            return ram_->writePages(pa, data + done, n);
+        });
 }
 
 Status

@@ -1,44 +1,7 @@
 #include "sim/stats.h"
 
-#include <iomanip>
-
 namespace hix::sim
 {
-
-void
-Distribution::add(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    sum_sq_ += v * v;
-    ++count_;
-}
-
-double
-Distribution::stddev() const
-{
-    if (count_ < 2)
-        return 0;
-    const double m = mean();
-    const double var = sum_sq_ / count_ - m * m;
-    return var > 0 ? std::sqrt(var) : 0;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0;
-    sum_sq_ = 0;
-    min_ = 0;
-    max_ = 0;
-}
 
 void
 StatGroup::dump(std::ostream &os) const
@@ -47,11 +10,6 @@ StatGroup::dump(std::ostream &os) const
         os << name_ << '.' << name << ' ' << s.sum() << " (count "
            << s.count() << ")\n";
     }
-    for (const auto &[name, d] : dists_) {
-        os << name_ << '.' << name << " mean " << d.mean() << " min "
-           << d.min() << " max " << d.max() << " stddev " << d.stddev()
-           << " (count " << d.count() << ")\n";
-    }
 }
 
 void
@@ -59,8 +17,6 @@ StatGroup::reset()
 {
     for (auto &[name, s] : scalars_)
         s.reset();
-    for (auto &[name, d] : dists_)
-        d.reset();
 }
 
 }  // namespace hix::sim

@@ -1,15 +1,13 @@
 /**
  * @file
- * Lightweight statistics: named scalars and distributions grouped
- * under a StatGroup, dumpable as aligned text. Modelled after gem5's
- * stats package, reduced to what the HIX evaluation needs.
+ * Lightweight statistics: named scalars grouped under a StatGroup,
+ * dumpable as aligned text. Modelled after gem5's stats package,
+ * reduced to what the HIX evaluation needs.
  */
 
 #ifndef HIX_SIM_STATS_H_
 #define HIX_SIM_STATS_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -58,31 +56,9 @@ class Scalar
     std::uint64_t count_ = 0;
 };
 
-/** A running distribution: min/max/mean/stddev. */
-class Distribution
-{
-  public:
-    void add(double v);
-
-    std::uint64_t count() const { return count_; }
-    double min() const { return count_ ? min_ : 0; }
-    double max() const { return count_ ? max_ : 0; }
-    double mean() const { return count_ ? sum_ / count_ : 0; }
-    double stddev() const;
-
-    void reset();
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
-    double sum_sq_ = 0;
-    double min_ = 0;
-    double max_ = 0;
-};
-
 /**
- * A flat registry of named stats. Components create scalars and
- * distributions by name; dump() prints them sorted.
+ * A flat registry of named stats. Components create scalars by
+ * name; dump() prints them sorted.
  */
 class StatGroup
 {
@@ -91,13 +67,6 @@ class StatGroup
 
     /** Get-or-create a scalar. */
     Scalar &scalar(const std::string &name) { return scalars_[name]; }
-
-    /** Get-or-create a distribution. */
-    Distribution &
-    distribution(const std::string &name)
-    {
-        return dists_[name];
-    }
 
     const std::string &name() const { return name_; }
 
@@ -109,7 +78,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, Scalar> scalars_;
-    std::map<std::string, Distribution> dists_;
 };
 
 }  // namespace hix::sim

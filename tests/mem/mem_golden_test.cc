@@ -14,12 +14,18 @@
  *  - MemGoldenBus: binary-search + MRU-cache routing vs the linear
  *    scan under attach/detach churn.
  *  - MemGoldenIotlb: IOTLB coherence against the OS-owned table
- *    (unmap/overwrite invalidate before taking effect), counters,
- *    and O(1) flush.
+ *    (unmap/overwrite flush the page before taking effect), counters,
+ *    and O(1) flush. The IOTLB is a Tlb, so MemGoldenTlb pins its
+ *    replacement policy.
  *  - MemGoldenPhysMem: PhysMem writes, reads, views, scrubs and
  *    recycled regions against a dense byte-vector oracle.
  *  - MemGoldenRegionPool: threads acquiring and releasing PhysMem
  *    regions through the process-wide free list concurrently.
+ *  - MemGoldenPageWalk: root-complex DMA through the IOMMU and the
+ *    GPU context accessor, whose bulk copies share the MMU's
+ *    translate-and-coalesce loop, against per-page loops — bytes,
+ *    Status codes, the prefix before a mid-run fault and IOTLB
+ *    counters.
  *
  * CI gates on this suite (ctest -R MemGolden); the sanitize and tsan
  * jobs run it under ASan/UBSan and TSan.
@@ -36,10 +42,12 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "gpu/gpu_context.h"
 #include "mem/iommu.h"
 #include "mem/mmu.h"
 #include "mem/phys_bus.h"
 #include "mem/phys_mem.h"
+#include "pcie/root_complex.h"
 
 namespace hix::mem
 {
@@ -703,6 +711,373 @@ TEST(MemGoldenPhysMem, WholePageScrubDropsPagesWithoutDivergence)
         }
     }
     expectMatchesOracle(mem, oracle, "scrub stream");
+}
+
+// ----- MemGoldenPageWalk ------------------------------------------------
+//
+// movePhysicalRuns() is the one translate-and-coalesce loop behind
+// Mmu::read/write (MemGoldenMmu above), RootComplex::dmaRead/dmaWrite
+// and GpuMemAccessor::read/write/zero. These cases drive the last two
+// next to a per-page translate-then-move oracle: same bytes, same
+// Status code, the same prefix before a mid-run fault and, for DMA,
+// the same IOTLB counters.
+
+namespace
+{
+
+constexpr std::uint64_t WalkMemPages = 256;
+constexpr std::uint64_t WalkMemSize = WalkMemPages * PageSize;
+/** Device (or GPU-virtual) pages the streams address, from WalkBase. */
+constexpr std::uint64_t WalkPages = 48;
+constexpr Addr WalkBase = 0x400000;
+constexpr Addr Hole = ~Addr(0);
+
+/**
+ * Physical page for walk page @p i, or Hole: groups of eight pages
+ * alternate between adjacent, reversed and scattered placement, and
+ * about one page in six is left unmapped.
+ */
+Addr
+walkPage(Rng &rng, std::uint64_t i)
+{
+    const std::uint64_t r = rng.next();
+    if (r % 6 == 0)
+        return Hole;
+    switch (i / 8 % 3) {
+      case 0:
+        return (16 + i) * PageSize;
+      case 1:
+        return (200 - i) * PageSize;
+      default:
+        return ((r >> 8) % WalkMemPages) * PageSize;
+    }
+}
+
+/** The oracle: translate a page, move it, go on; the first error
+ * ends the access. */
+template <typename Translate, typename Move>
+Status
+perPageOracle(Addr addr, std::uint64_t len, Translate translate,
+              Move move)
+{
+    for (std::uint64_t done = 0; done < len;) {
+        const Addr a = addr + done;
+        const std::uint64_t take =
+            std::min(PageSize - pageOffset(a), len - done);
+        HIX_ASSIGN_OR_RETURN(const Addr pa, translate(a));
+        HIX_RETURN_IF_ERROR(move(pa, done, take));
+        done += take;
+    }
+    return Status::ok();
+}
+
+/** A random access of at most four pages that starts in the walk
+ * pages or just past them, so some run off the mapped range. */
+void
+randomAccess(std::uint64_t r, Addr &addr, std::uint64_t &len)
+{
+    addr = WalkBase + ((r >> 8) % (WalkPages + 2)) * PageSize +
+           (r >> 16) % PageSize;
+    len = 1 + (r >> 32) % (4 * PageSize);
+}
+
+void
+fillPattern(std::vector<std::uint8_t> &buf, std::uint64_t r,
+            std::uint64_t len)
+{
+    for (std::uint64_t j = 0; j < len; ++j)
+        buf[j] = static_cast<std::uint8_t>((r >> (j % 56)) + j);
+}
+
+void
+expectSameMemory(PhysMem &a, PhysMem &b, const std::string &where)
+{
+    std::vector<std::uint8_t> x(WalkMemSize);
+    std::vector<std::uint8_t> y(WalkMemSize);
+    ASSERT_TRUE(a.readAt(0, x.data(), x.size()).isOk());
+    ASSERT_TRUE(b.readAt(0, y.data(), y.size()).isOk());
+    ASSERT_TRUE(x == y) << "memory images diverged " << where;
+}
+
+/** DRAM behind a bus, an IOMMU with a small IOTLB (so the streams
+ * evict), and a root complex doing DMA through both. */
+struct DmaHalf
+{
+    DmaHalf()
+        : ram("walk_ram", WalkMemSize), iommu(8),
+          rc(AddrRange(0xe0000000, 256 * MiB), &bus, &iommu)
+    {
+        EXPECT_TRUE(bus.attach(AddrRange(0, WalkMemSize), &ram).isOk());
+        iommu.setEnabled(true);
+    }
+
+    PhysicalBus bus;
+    PhysMem ram;
+    Iommu iommu;
+    pcie::RootComplex rc;
+};
+
+/** Per-page DMA through @p h's IOMMU and bus; exactly one of
+ * @p read_to and @p write_from is non-null. */
+Status
+dmaOracle(DmaHalf &h, Addr addr, std::uint8_t *read_to,
+          const std::uint8_t *write_from, std::uint64_t len)
+{
+    return perPageOracle(
+        addr, len, [&](Addr a) { return h.iommu.translate(a); },
+        [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+            return read_to ? h.bus.read(pa, read_to + done, n)
+                           : h.bus.write(pa, write_from + done, n);
+        });
+}
+
+void
+expectSameIotlb(const Iommu &a, const Iommu &b, int op)
+{
+    ASSERT_EQ(a.iotlbHits(), b.iotlbHits()) << "op " << op;
+    ASSERT_EQ(a.iotlbMisses(), b.iotlbMisses()) << "op " << op;
+    ASSERT_EQ(a.iotlbSize(), b.iotlbSize()) << "op " << op;
+}
+
+/** A GPU context over its own VRAM. */
+struct GpuHalf
+{
+    GpuHalf() : vram("walk_vram", WalkMemSize), ctx(7) {}
+
+    PhysMem vram;
+    gpu::GpuContext ctx;
+};
+
+/** Point GPU page @p va at VRAM page @p pa, or unmap it for Hole. */
+Status
+gpuRemap(gpu::GpuContext &ctx, Addr va, Addr pa)
+{
+    if (ctx.translate(va).isOk())
+        HIX_RETURN_IF_ERROR(ctx.unmap(va, PageSize));
+    return pa == Hole ? Status::ok() : ctx.map(va, pa, PageSize);
+}
+
+}  // namespace
+
+TEST(MemGoldenPageWalk, DmaMatchesPerPageOracle)
+{
+    DmaHalf fast;
+    DmaHalf ref;
+    Rng layout{0xD3A};
+    for (std::uint64_t i = 0; i < WalkPages; ++i) {
+        const Addr pa = walkPage(layout, i);
+        if (pa == Hole)
+            continue;
+        ASSERT_TRUE(fast.iommu.map(WalkBase + i * PageSize, pa).isOk());
+        ASSERT_TRUE(ref.iommu.map(WalkBase + i * PageSize, pa).isOk());
+    }
+
+    Rng rng{0xD3A7};
+    std::vector<std::uint8_t> buf_fast(4 * PageSize);
+    std::vector<std::uint8_t> buf_ref(4 * PageSize);
+    int faults = 0;
+    for (int op = 0; op < 4000; ++op) {
+        const std::uint64_t r = rng.next();
+        Addr addr;
+        std::uint64_t len;
+        randomAccess(r, addr, len);
+        Status a;
+        Status b;
+        switch (r % 8) {
+          case 0:
+          case 1:
+          case 2:
+            std::fill(buf_fast.begin(), buf_fast.end(), 0xCC);
+            std::fill(buf_ref.begin(), buf_ref.end(), 0xCC);
+            a = fast.rc.dmaRead(addr, buf_fast.data(), len);
+            b = dmaOracle(ref, addr, buf_ref.data(), nullptr, len);
+            ASSERT_TRUE(buf_fast == buf_ref) << "read bytes op " << op;
+            break;
+          case 3:
+          case 4:
+          case 5:
+            fillPattern(buf_fast, r, len);
+            a = fast.rc.dmaWrite(addr, buf_fast.data(), len);
+            b = dmaOracle(ref, addr, nullptr, buf_fast.data(), len);
+            break;
+          case 6: {  // the OS redirects or drops one device page
+            const Addr dpage =
+                WalkBase + ((r >> 48) % WalkPages) * PageSize;
+            const Addr pa = walkPage(rng, (r >> 48) % WalkPages);
+            if (pa == Hole) {
+                a = fast.iommu.unmap(dpage);
+                b = ref.iommu.unmap(dpage);
+            } else {
+                fast.iommu.overwrite(dpage, pa);
+                ref.iommu.overwrite(dpage, pa);
+            }
+            break;
+          }
+          default:
+            fast.iommu.flushIotlb();
+            ref.iommu.flushIotlb();
+            break;
+        }
+        ASSERT_EQ(a.code(), b.code()) << "op " << op;
+        faults += a.code() == StatusCode::AccessFault;
+        expectSameIotlb(fast.iommu, ref.iommu, op);
+        if (op % 64 == 0)
+            expectSameMemory(fast.ram, ref.ram,
+                             "after op " + std::to_string(op));
+        if (HasFatalFailure())
+            return;
+    }
+    expectSameMemory(fast.ram, ref.ram, "at the end");
+    EXPECT_GT(faults, 100) << "the stream rarely faulted";
+    EXPECT_GT(fast.iommu.iotlbHits(), 0u);
+}
+
+TEST(MemGoldenPageWalk, DmaFaultMovesThePendingRunFirst)
+{
+    // Device pages 0-1 map onto adjacent RAM pages and page 2 is a
+    // hole: a DMA over all three faults on the hole after the
+    // two-page run has moved, as the per-page loop leaves it.
+    DmaHalf fast;
+    DmaHalf ref;
+    for (DmaHalf *h : {&fast, &ref}) {
+        ASSERT_TRUE(h->iommu.map(WalkBase, 40 * PageSize).isOk());
+        ASSERT_TRUE(
+            h->iommu.map(WalkBase + PageSize, 41 * PageSize).isOk());
+    }
+    std::vector<std::uint8_t> data(3 * PageSize);
+    fillPattern(data, 0x5EED, data.size());
+    const Addr start = WalkBase + 100;
+    const std::uint64_t len = 3 * PageSize - 200;
+    EXPECT_EQ(fast.rc.dmaWrite(start, data.data(), len).code(),
+              StatusCode::AccessFault);
+    EXPECT_EQ(dmaOracle(ref, start, nullptr, data.data(), len).code(),
+              StatusCode::AccessFault);
+    expectSameMemory(fast.ram, ref.ram, "after the faulting write");
+
+    std::vector<std::uint8_t> got(3 * PageSize, 0xEE);
+    std::vector<std::uint8_t> want(3 * PageSize, 0xEE);
+    EXPECT_EQ(fast.rc.dmaRead(start, got.data(), len).code(),
+              StatusCode::AccessFault);
+    EXPECT_EQ(dmaOracle(ref, start, want.data(), nullptr, len).code(),
+              StatusCode::AccessFault);
+    EXPECT_EQ(got, want);
+    const std::uint64_t prefix = 2 * PageSize - 100;
+    EXPECT_TRUE(
+        std::equal(data.begin(), data.begin() + prefix, got.begin()));
+    expectSameIotlb(fast.iommu, ref.iommu, 0);
+}
+
+TEST(MemGoldenPageWalk, GpuAccessorMatchesPerPageOracle)
+{
+    GpuHalf fast;
+    GpuHalf ref;
+    Rng layout{0x6E0};
+    for (std::uint64_t i = 0; i < WalkPages; ++i) {
+        const Addr va = WalkBase + i * PageSize;
+        const Addr pa = walkPage(layout, i);
+        ASSERT_TRUE(gpuRemap(fast.ctx, va, pa).isOk());
+        ASSERT_TRUE(gpuRemap(ref.ctx, va, pa).isOk());
+    }
+    const gpu::GpuMemAccessor mem(&fast.ctx, &fast.vram);
+    auto translate = [&](Addr va) { return ref.ctx.translate(va); };
+
+    Rng rng{0x6E07};
+    std::vector<std::uint8_t> buf_fast(4 * PageSize);
+    std::vector<std::uint8_t> buf_ref(4 * PageSize);
+    int faults = 0;
+    for (int op = 0; op < 4000; ++op) {
+        const std::uint64_t r = rng.next();
+        Addr addr;
+        std::uint64_t len;
+        randomAccess(r, addr, len);
+        Status a;
+        Status b;
+        switch (r % 8) {
+          case 0:
+          case 1:
+          case 2:
+            std::fill(buf_fast.begin(), buf_fast.end(), 0xCC);
+            std::fill(buf_ref.begin(), buf_ref.end(), 0xCC);
+            a = mem.read(addr, buf_fast.data(), len);
+            b = perPageOracle(
+                addr, len, translate,
+                [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+                    return ref.vram.readAt(pa, buf_ref.data() + done, n);
+                });
+            ASSERT_TRUE(buf_fast == buf_ref) << "read bytes op " << op;
+            break;
+          case 3:
+          case 4:
+          case 5:
+            fillPattern(buf_fast, r, len);
+            a = mem.write(addr, buf_fast.data(), len);
+            b = perPageOracle(
+                addr, len, translate,
+                [&](Addr pa, std::uint64_t done, std::uint64_t n) {
+                    return ref.vram.writeAt(pa, buf_fast.data() + done,
+                                            n);
+                });
+            break;
+          case 6:
+            a = mem.zero(addr, len);
+            b = perPageOracle(
+                addr, len, translate,
+                [&](Addr pa, std::uint64_t, std::uint64_t n) {
+                    return ref.vram.zeroAt(pa, n);
+                });
+            break;
+          default: {  // remap or unmap one page
+            const std::uint64_t i = (r >> 48) % WalkPages;
+            const Addr pa = walkPage(rng, i);
+            a = gpuRemap(fast.ctx, WalkBase + i * PageSize, pa);
+            b = gpuRemap(ref.ctx, WalkBase + i * PageSize, pa);
+            break;
+          }
+        }
+        ASSERT_EQ(a.code(), b.code()) << "op " << op;
+        faults += a.code() == StatusCode::AccessFault;
+        if (op % 64 == 0)
+            expectSameMemory(fast.vram, ref.vram,
+                             "after op " + std::to_string(op));
+        if (HasFatalFailure())
+            return;
+    }
+    expectSameMemory(fast.vram, ref.vram, "at the end");
+    EXPECT_GT(faults, 100) << "the stream rarely faulted";
+}
+
+TEST(MemGoldenPageWalk, GpuZeroFaultKeepsThePrefixZeroed)
+{
+    // GPU pages 0-1 are adjacent in VRAM, page 2 maps onto the VRAM
+    // page before them and page 3 is a hole: a zero over all four
+    // clears the first three as two runs, then faults.
+    GpuHalf fast;
+    GpuHalf ref;
+    std::vector<std::uint8_t> ones(WalkMemSize, 0xFF);
+    for (GpuHalf *h : {&fast, &ref}) {
+        ASSERT_TRUE(
+            h->ctx.map(WalkBase, 10 * PageSize, 2 * PageSize).isOk());
+        ASSERT_TRUE(
+            h->ctx.map(WalkBase + 2 * PageSize, 9 * PageSize, PageSize)
+                .isOk());
+        ASSERT_TRUE(h->vram.writeAt(0, ones.data(), ones.size()).isOk());
+    }
+    const gpu::GpuMemAccessor mem(&fast.ctx, &fast.vram);
+    EXPECT_EQ(mem.zero(WalkBase + 8, 4 * PageSize).code(),
+              StatusCode::AccessFault);
+    EXPECT_EQ(perPageOracle(
+                  WalkBase + 8, 4 * PageSize,
+                  [&](Addr va) { return ref.ctx.translate(va); },
+                  [&](Addr pa, std::uint64_t, std::uint64_t n) {
+                      return ref.vram.zeroAt(pa, n);
+                  })
+                  .code(),
+              StatusCode::AccessFault);
+    expectSameMemory(fast.vram, ref.vram, "after the faulting zero");
+    std::vector<std::uint8_t> page(PageSize, 0xEE);
+    ASSERT_TRUE(
+        fast.vram.readAt(9 * PageSize, page.data(), PageSize).isOk());
+    EXPECT_EQ(page, std::vector<std::uint8_t>(PageSize, 0));
 }
 
 }  // namespace

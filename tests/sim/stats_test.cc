@@ -27,55 +27,22 @@ TEST(StatsTest, ScalarAccumulates)
     EXPECT_EQ(s.count(), 0u);
 }
 
-TEST(StatsTest, DistributionMoments)
-{
-    Distribution d;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        d.add(v);
-    EXPECT_EQ(d.count(), 8u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    EXPECT_NEAR(d.stddev(), 2.0, 1e-9);
-}
-
-TEST(StatsTest, EmptyDistributionIsZero)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
-TEST(StatsTest, SingleSampleHasZeroStddev)
-{
-    Distribution d;
-    d.add(42.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 42.0);
-    EXPECT_DOUBLE_EQ(d.max(), 42.0);
-}
-
 TEST(StatsTest, GroupDumpContainsNames)
 {
     StatGroup g("gpu");
     g.scalar("kernels") += 3;
-    g.distribution("copy_bytes").add(1024);
     std::ostringstream oss;
     g.dump(oss);
     std::string out = oss.str();
     EXPECT_NE(out.find("gpu.kernels"), std::string::npos);
-    EXPECT_NE(out.find("gpu.copy_bytes"), std::string::npos);
 }
 
 TEST(StatsTest, GroupReset)
 {
     StatGroup g("x");
     g.scalar("a") += 5;
-    g.distribution("b").add(1.0);
     g.reset();
     EXPECT_EQ(g.scalar("a").count(), 0u);
-    EXPECT_EQ(g.distribution("b").count(), 0u);
 }
 
 }  // namespace
