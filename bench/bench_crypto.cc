@@ -10,10 +10,12 @@
  * Before the google-benchmark suite runs, main() does a short
  * single-thread throughput sweep of OCB sealing on each engine
  * (reference scalar, T-table, fast), of opening on the fast engine,
- * and of bare AES-128 (Aes128::encryptBlocks, ECB) on the fast
- * engine, the ceiling OCB's bulk loop runs against, over message
- * sizes 4 KiB .. 1 MiB. It prints a MB/s table and writes the results
- * to BENCH_crypto.json in the working directory for CI trending.
+ * of bare AES-128 (Aes128::encryptBlocks, ECB) on the fast engine,
+ * the ceiling OCB's bulk loop runs against, and of SHA-256 on each
+ * engine (scalar, fast), over message sizes 4 KiB .. 1 MiB; then it
+ * times one X25519 scalar multiplication. It prints a MB/s table plus
+ * the X25519 microseconds per operation, and writes the results to
+ * BENCH_crypto.json in the working directory for CI trending.
  */
 
 #include <benchmark/benchmark.h>
@@ -51,19 +53,21 @@ benchKey()
 struct SweepResult
 {
     std::string path;
-    std::size_t bytes = 0;
+    std::size_t bytes = 0;  //!< 0 for a per-operation row
     double mbPerSec = 0.0;
-    double hostMs = 0.0;  //!< wall clock spent measuring this row
+    double usPerOp = 0.0;   //!< per-operation rows only
+    double hostMs = 0.0;    //!< wall clock spent measuring this row
 };
 
 /**
- * Wall-clock MB/s of fn(): best of three ~50ms windows, so a
- * scheduling hiccup on a shared host degrades one window, not the
- * reported number.
+ * Wall-clock rate of fn() in units per microsecond, where one call
+ * does @p units_per_call units (MB/s when a unit is a byte): best of
+ * three ~50ms windows, so a scheduling hiccup on a shared host
+ * degrades one window, not the reported number.
  */
 template <typename Fn>
 double
-measureMbps(std::size_t bytes_per_call, Fn &&fn)
+measureRate(std::size_t units_per_call, Fn &&fn)
 {
     using Clock = std::chrono::steady_clock;
     // Warm-up (touches caches and the output buffer).
@@ -83,7 +87,7 @@ measureMbps(std::size_t bytes_per_call, Fn &&fn)
             std::chrono::duration<double>(now - start).count();
         best = std::max(
             best,
-            static_cast<double>(calls * bytes_per_call) / (1e6 * secs));
+            static_cast<double>(calls * units_per_call) / (1e6 * secs));
     }
     return best;
 }
@@ -103,7 +107,7 @@ runSweep()
                             auto &&fn) {
         bench::HostTimer timer;
         const double mbps =
-            measureMbps(bytes, std::forward<decltype(fn)>(fn));
+            measureRate(bytes, std::forward<decltype(fn)>(fn));
         results.push_back({path, bytes, mbps, timer.ms()});
     };
     for (std::size_t size : {std::size_t{4} * 1024,
@@ -149,24 +153,52 @@ runSweep()
             fast_aes.encryptBlocks(pt.data(), out.data(),
                                    size / AesBlockSize);
         });
+
+        for (const auto &[path, engine] :
+             {std::pair{"sha256_scalar", Sha256Engine::Scalar},
+              std::pair{"sha256_fast", Sha256Engine::Fast}}) {
+            timed(path, size, [&, engine = engine] {
+                Sha256 h(engine);
+                h.update(pt.data(), size);
+                Sha256Digest digest = h.finalize();
+                benchmark::DoNotOptimize(digest);
+            });
+        }
     }
+
+    // One scalar multiplication per call, each on the previous
+    // output, so no call can be folded away.
+    bench::HostTimer timer;
+    X25519Key scalar;
+    rng.fill(scalar.data(), scalar.size());
+    X25519Key u = x25519BasePoint();
+    const double ops_per_us =
+        measureRate(1, [&] { u = x25519(scalar, u); });
+    results.push_back({"x25519", 0, 0.0, 1.0 / ops_per_us, timer.ms()});
     return results;
 }
 
 bool
 reportSweep(const std::vector<SweepResult> &results)
 {
-    std::printf("\nOCB-AES-128 seal/open throughput (host wall-clock)\n");
-    std::printf("fast engine: %s\n",
-                Aes128::hwSupported() ? "AES-NI" : "T-table");
+    std::printf("\nCrypto throughput (host wall-clock)\n");
+    std::printf("AES fast engine: %s; SHA-256 fast engine: %s\n",
+                Aes128::hwSupported() ? "AES-NI" : "T-table",
+                Sha256::hwSupported() ? "SHA-NI" : "scalar");
     std::printf("%-28s %10s %12s\n", "path", "bytes", "MB/s");
-    for (const auto &r : results)
-        std::printf("%-28s %10zu %12.1f\n", r.path.c_str(), r.bytes,
-                    r.mbPerSec);
+    for (const auto &r : results) {
+        if (r.bytes == 0)
+            std::printf("%-28s %10s %9.1f us/op\n", r.path.c_str(), "-",
+                        r.usPerOp);
+        else
+            std::printf("%-28s %10zu %12.1f\n", r.path.c_str(), r.bytes,
+                        r.mbPerSec);
+    }
 
     // Headline ratios at 64 KiB: the fast engine against the scalar
     // oracle, and OCB sealing against the cipher's own ceiling.
     double ref64 = 0.0, fast64 = 0.0, ecb64 = 0.0;
+    double sha_scalar64 = 0.0, sha_fast64 = 0.0;
     for (const auto &r : results) {
         if (r.bytes != 64 * 1024)
             continue;
@@ -176,20 +208,32 @@ reportSweep(const std::vector<SweepResult> &results)
             fast64 = r.mbPerSec;
         else if (r.path == "aes_ecb_fast")
             ecb64 = r.mbPerSec;
+        else if (r.path == "sha256_scalar")
+            sha_scalar64 = r.mbPerSec;
+        else if (r.path == "sha256_fast")
+            sha_fast64 = r.mbPerSec;
     }
     if (ref64 > 0.0)
         std::printf("fast/reference speedup at 64KiB: %.1fx\n",
                     fast64 / ref64);
     if (ecb64 > 0.0)
         std::printf("fast OCB seal / ECB at 64KiB: %.2f\n", fast64 / ecb64);
+    if (sha_scalar64 > 0.0)
+        std::printf("SHA-256 fast/scalar at 64KiB: %.1fx\n",
+                    sha_fast64 / sha_scalar64);
     std::printf("\n");
 
     bench::BenchJson json("crypto");
-    for (const auto &r : results)
-        json.add("path=" + r.path +
-                     " bytes=" + std::to_string(r.bytes),
-                 0, r.hostMs)
-            .metric("mb_per_sec", r.mbPerSec);
+    for (const auto &r : results) {
+        if (r.bytes == 0)
+            json.add("path=" + r.path, 0, r.hostMs)
+                .metric("us_per_op", r.usPerOp);
+        else
+            json.add("path=" + r.path +
+                         " bytes=" + std::to_string(r.bytes),
+                     0, r.hostMs)
+                .metric("mb_per_sec", r.mbPerSec);
+    }
     const bool wrote = json.write();
     std::printf("\n");
     return wrote;

@@ -137,28 +137,15 @@ feCarry(const Fe &a)
     return r;
 }
 
+using U128 = unsigned __int128;
+
+/**
+ * Carry the five 128-bit column sums of a product into 51-bit limbs,
+ * folding the top carry back in times 19 (2^255 = 19 mod p).
+ */
 Fe
-feMul(const Fe &a, const Fe &b)
+feReduce(U128 t0, U128 t1, U128 t2, U128 t3, U128 t4)
 {
-    using U128 = unsigned __int128;
-    const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2],
-                        a3 = a.v[3], a4 = a.v[4];
-    const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2],
-                        b3 = b.v[3], b4 = b.v[4];
-    const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19,
-                        b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-    U128 t0 = (U128)a0 * b0 + (U128)a1 * b4_19 + (U128)a2 * b3_19 +
-              (U128)a3 * b2_19 + (U128)a4 * b1_19;
-    U128 t1 = (U128)a0 * b1 + (U128)a1 * b0 + (U128)a2 * b4_19 +
-              (U128)a3 * b3_19 + (U128)a4 * b2_19;
-    U128 t2 = (U128)a0 * b2 + (U128)a1 * b1 + (U128)a2 * b0 +
-              (U128)a3 * b4_19 + (U128)a4 * b3_19;
-    U128 t3 = (U128)a0 * b3 + (U128)a1 * b2 + (U128)a2 * b1 +
-              (U128)a3 * b0 + (U128)a4 * b4_19;
-    U128 t4 = (U128)a0 * b4 + (U128)a1 * b3 + (U128)a2 * b2 +
-              (U128)a3 * b1 + (U128)a4 * b0;
-
     Fe r;
     std::uint64_t c;
     r.v[0] = (std::uint64_t)t0 & Mask51;
@@ -182,15 +169,64 @@ feMul(const Fe &a, const Fe &b)
 }
 
 Fe
+feMul(const Fe &a, const Fe &b)
+{
+    const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2],
+                        a3 = a.v[3], a4 = a.v[4];
+    const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2],
+                        b3 = b.v[3], b4 = b.v[4];
+    const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19,
+                        b3_19 = b3 * 19, b4_19 = b4 * 19;
+
+    U128 t0 = (U128)a0 * b0 + (U128)a1 * b4_19 + (U128)a2 * b3_19 +
+              (U128)a3 * b2_19 + (U128)a4 * b1_19;
+    U128 t1 = (U128)a0 * b1 + (U128)a1 * b0 + (U128)a2 * b4_19 +
+              (U128)a3 * b3_19 + (U128)a4 * b2_19;
+    U128 t2 = (U128)a0 * b2 + (U128)a1 * b1 + (U128)a2 * b0 +
+              (U128)a3 * b4_19 + (U128)a4 * b3_19;
+    U128 t3 = (U128)a0 * b3 + (U128)a1 * b2 + (U128)a2 * b1 +
+              (U128)a3 * b0 + (U128)a4 * b4_19;
+    U128 t4 = (U128)a0 * b4 + (U128)a1 * b3 + (U128)a2 * b2 +
+              (U128)a3 * b1 + (U128)a4 * b0;
+
+    return feReduce(t0, t1, t2, t3, t4);
+}
+
+/**
+ * feMul(a, a) with the symmetric products formed once: the same five
+ * exact 128-bit column sums from 15 products instead of 25, through
+ * the same feReduce(), so the limbs are identical.
+ */
+Fe
 feSquare(const Fe &a)
 {
-    return feMul(a, a);
+    const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2],
+                        a3 = a.v[3], a4 = a.v[4];
+    const std::uint64_t d0 = 2 * a0, d1 = 2 * a1, d2 = 2 * a2,
+                        d3 = 2 * a3;
+    const std::uint64_t a3_19 = a3 * 19, a4_19 = a4 * 19;
+
+    U128 t0 = (U128)a0 * a0 + (U128)d1 * a4_19 + (U128)d2 * a3_19;
+    U128 t1 = (U128)d0 * a1 + (U128)d2 * a4_19 + (U128)a3 * a3_19;
+    U128 t2 = (U128)d0 * a2 + (U128)a1 * a1 + (U128)d3 * a4_19;
+    U128 t3 = (U128)d0 * a3 + (U128)d1 * a2 + (U128)a4 * a4_19;
+    U128 t4 = (U128)d0 * a4 + (U128)d1 * a3 + (U128)a2 * a2;
+
+    return feReduce(t0, t1, t2, t3, t4);
+}
+
+/** @p a squared @p n times. */
+Fe
+feSquareTimes(Fe a, int n)
+{
+    for (int i = 0; i < n; ++i)
+        a = feSquare(a);
+    return a;
 }
 
 Fe
 feMul121665(const Fe &a)
 {
-    using U128 = unsigned __int128;
     Fe r;
     U128 t[5];
     for (int i = 0; i < 5; ++i)
@@ -207,27 +243,25 @@ feMul121665(const Fe &a)
     return r;
 }
 
-/** x^(p-2): exponent bits are all ones except bits 2 and 4. */
+/**
+ * x^(p-2) = x^(2^255 - 21) by the standard addition chain: 254
+ * squarings and 11 multiplications. z_a_b names x^(2^a - 2^b).
+ */
 Fe
 feInvert(const Fe &x)
 {
-    Fe z = x;
-    bool started = false;
-    Fe acc{};
-    for (int bit = 254; bit >= 0; --bit) {
-        if (started)
-            acc = feSquare(acc);
-        const bool set = !(bit == 2 || bit == 4);
-        if (set) {
-            if (started)
-                acc = feMul(acc, z);
-            else {
-                acc = z;
-                started = true;
-            }
-        }
-    }
-    return acc;
+    const Fe z2 = feSquare(x);
+    const Fe z9 = feMul(feSquareTimes(z2, 2), x);
+    const Fe z11 = feMul(z9, z2);
+    const Fe z_5_0 = feMul(feSquare(z11), z9);
+    const Fe z_10_0 = feMul(feSquareTimes(z_5_0, 5), z_5_0);
+    const Fe z_20_0 = feMul(feSquareTimes(z_10_0, 10), z_10_0);
+    const Fe z_40_0 = feMul(feSquareTimes(z_20_0, 20), z_20_0);
+    const Fe z_50_0 = feMul(feSquareTimes(z_40_0, 10), z_10_0);
+    const Fe z_100_0 = feMul(feSquareTimes(z_50_0, 50), z_50_0);
+    const Fe z_200_0 = feMul(feSquareTimes(z_100_0, 100), z_100_0);
+    const Fe z_250_0 = feMul(feSquareTimes(z_200_0, 50), z_50_0);
+    return feMul(feSquareTimes(z_250_0, 5), z11);
 }
 
 void

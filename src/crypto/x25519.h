@@ -8,6 +8,14 @@
  * fixing a group; this reproduction uses Curve25519 scalar
  * multiplication, whose outputs compose so the exchange extends to
  * three parties in two rounds (g^a -> g^ab -> g^abc).
+ *
+ * Field elements are five 51-bit limbs with 128-bit products. The
+ * Montgomery ladder squares with a dedicated squaring (15 products
+ * instead of a general multiplication's 25), and the final inversion
+ * runs the standard addition chain for p - 2 (254 squarings, 11
+ * multiplications). Every session pays for several scalar
+ * multiplications at boot and in the handshake, so this is host speed
+ * only: simulated-time costs come from the platform timing model.
  */
 
 #ifndef HIX_CRYPTO_X25519_H_

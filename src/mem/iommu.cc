@@ -11,7 +11,7 @@ Iommu::map(IommuDomain domain, Addr device_addr, Addr phys_addr)
     if (!pageAligned(device_addr) || !pageAligned(phys_addr))
         return errInvalidArgument("IOMMU map: unaligned address");
     auto [it, inserted] =
-        table_.emplace(keyFor(domain, device_addr), phys_addr);
+        table_.emplace(Key{domain, device_addr}, phys_addr);
     if (!inserted)
         return errAlreadyExists("device page already mapped");
     // No IOTLB action needed: misses are never cached, so an absent
@@ -23,7 +23,7 @@ Status
 Iommu::unmap(IommuDomain domain, Addr device_addr)
 {
     const Addr dpage = pageBase(device_addr);
-    if (table_.erase(keyFor(domain, dpage)) == 0)
+    if (table_.erase(Key{domain, dpage}) == 0)
         return errNotFound("device page not mapped");
     iotlb_.flushPage(domain, dpage);
     return Status::ok();
@@ -34,7 +34,7 @@ Iommu::overwrite(IommuDomain domain, Addr device_addr, Addr phys_addr)
 {
     const Addr dpage = pageBase(device_addr);
     iotlb_.flushPage(domain, dpage);
-    table_[keyFor(domain, dpage)] = pageBase(phys_addr);
+    table_[Key{domain, dpage}] = pageBase(phys_addr);
 }
 
 Result<Addr>
@@ -49,7 +49,7 @@ Iommu::translate(IommuDomain domain, Addr device_addr) const
         return hit->ppage + pageOffset(device_addr);
     }
     iotlb_.countMiss();
-    auto it = table_.find(keyFor(domain, dpage));
+    auto it = table_.find(Key{domain, dpage});
     if (it == table_.end())
         return errAccessFault("IOMMU fault: device page not mapped");
     iotlb_.insert(

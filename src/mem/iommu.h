@@ -96,17 +96,28 @@ class Iommu
     void flushIotlb() { iotlb_.flushAll(); }
 
   private:
-    /** Table key: domain in the high bits, page base in the low.
-     * Physical address space tops out far below 2^48, so the tag
-     * never collides with page bits. */
-    static std::uint64_t keyFor(IommuDomain domain, Addr dpage)
+    /** Table key. Device addresses span all 64 bits, as hardware
+     * IOVAs do, so the domain cannot share a word with the page. */
+    struct Key
     {
-        return (static_cast<std::uint64_t>(domain) << 48) | dpage;
-    }
+        IommuDomain domain;
+        Addr dpage;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &k) const
+        {
+            return std::hash<std::uint64_t>{}(
+                k.dpage ^ (k.domain * 0x9E3779B97F4A7C15ull));
+        }
+    };
 
     bool enabled_ = false;
-    // (domain, device page) -> phys page
-    std::unordered_map<std::uint64_t, Addr> table_;
+    std::unordered_map<Key, Addr, KeyHash> table_;
     // translate() is const, so the cache it fills is mutable.
     mutable Tlb iotlb_;
 };

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -955,6 +956,81 @@ runDeviceViews(const std::vector<std::uint64_t> &ops)
     return Status::ok();
 }
 
+// ----- iommu domains ---------------------------------------------------
+
+Status
+runIommuDomains(const std::vector<std::uint64_t> &ops)
+{
+    // A small IOTLB, so fills evict and later translates miss again.
+    mem::Iommu iommu(8);
+    iommu.setEnabled(true);
+    std::map<std::pair<mem::IommuDomain, Addr>, Addr> shadow;
+    // Device pages where a (domain, page) key packed into one word
+    // would collide; the other half of the draws is any page at all.
+    const Addr edges[8] = {0,
+                           mem::PageSize,
+                           (Addr{1} << 48) - mem::PageSize,
+                           Addr{1} << 48,
+                           Addr{1} << 49,
+                           (Addr{1} << 63) - mem::PageSize,
+                           Addr{1} << 63,
+                           ~Addr{0} - mem::PageSize + 1};
+
+    for (std::uint64_t op : ops) {
+        const auto domain = static_cast<mem::IommuDomain>(
+            (op >> 2) & 1 ? 0xffff - (op >> 3) % 2 : (op >> 3) % 3);
+        const std::uint64_t sel = (op >> 5) & 0xf;
+        const Addr dpage =
+            sel < 8 ? edges[sel]
+                    : mem::pageBase(op * 0x9E3779B97F4A7C15ull);
+        const Addr ppage = ((op >> 9) & 0xff) * mem::PageSize;
+        const Addr addr = dpage + (op >> 17) % mem::PageSize;
+        const auto key = std::make_pair(domain, dpage);
+        const auto it = shadow.find(key);
+        auto where = [&] {
+            return " of page " + hexWord(dpage) + " in domain " +
+                   std::to_string(domain);
+        };
+        switch (op % 4) {
+          case 0: {
+            const bool mapped = iommu.map(domain, dpage, ppage).isOk();
+            if (mapped != (it == shadow.end()))
+                return errInternal("map" + where() +
+                                   " disagrees with the shadow");
+            if (mapped)
+                shadow.emplace(key, ppage);
+            break;
+          }
+          case 1: {
+            const bool unmapped = iommu.unmap(domain, addr).isOk();
+            if (unmapped != (it != shadow.end()))
+                return errInternal("unmap" + where() +
+                                   " disagrees with the shadow");
+            if (unmapped)
+                shadow.erase(it);
+            break;
+          }
+          case 2:
+            iommu.overwrite(domain, addr, ppage);
+            shadow[key] = ppage;
+            break;
+          default: {
+            auto r = iommu.translate(domain, addr);
+            const bool agrees =
+                it == shadow.end()
+                    ? !r.isOk()
+                    : r.isOk() && *r == it->second + mem::pageOffset(addr);
+            if (!agrees)
+                return errInternal("translate" + where() +
+                                   " disagrees with the shadow");
+          }
+        }
+    }
+    if (iommu.entryCount() != shadow.size())
+        return errInternal("IOMMU entry count disagrees with the shadow");
+    return Status::ok();
+}
+
 }  // namespace
 
 FuzzTarget
@@ -993,6 +1069,12 @@ deviceViewsFuzzTarget()
     return FuzzTarget{"device_views", 1, 64, runDeviceViews};
 }
 
+FuzzTarget
+iommuDomainsFuzzTarget()
+{
+    return FuzzTarget{"iommu_domains", 1, 64, runIommuDomains};
+}
+
 void
 registerBuiltinFuzzTargets(FuzzRunner &runner)
 {
@@ -1002,6 +1084,7 @@ registerBuiltinFuzzTargets(FuzzRunner &runner)
     runner.add(memorySystemFuzzTarget());
     runner.add(multiGpuRoutingFuzzTarget());
     runner.add(deviceViewsFuzzTarget());
+    runner.add(iommuDomainsFuzzTarget());
 }
 
 }  // namespace hix::harness

@@ -53,6 +53,16 @@ FuzzTarget multiGpuRoutingFuzzTarget();
  */
 FuzzTarget deviceViewsFuzzTarget();
 
+/**
+ * IOMMU protection domains over the whole 64-bit device address
+ * space: map, unmap, overwrite and translate on random (domain,
+ * device page) pairs against a shadow map keyed by the pair. Device
+ * pages come from the edges of 2^48, 2^63 and 2^64 as well as from
+ * anywhere, so a table that let domains alias shows up as a
+ * translate or map the shadow disagrees with.
+ */
+FuzzTarget iommuDomainsFuzzTarget();
+
 }  // namespace hix::harness
 
 #endif  // HIX_TESTING_FUZZ_TARGETS_H_

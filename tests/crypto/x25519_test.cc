@@ -80,6 +80,28 @@ TEST(X25519Test, Rfc7748DiffieHellmanExample)
     EXPECT_EQ(k1, k2);
 }
 
+TEST(X25519Test, Rfc7748IteratedVector)
+{
+    // RFC 7748 Section 5.2: k = u = 9; each iteration sets
+    // k, u = X25519(k, u), k.
+    X25519Key k = x25519BasePoint();
+    X25519Key u = x25519BasePoint();
+    auto iterate = [&k, &u] {
+        const X25519Key next = x25519(k, u);
+        u = k;
+        k = next;
+    };
+    iterate();
+    EXPECT_EQ(
+        keyToHex(k),
+        "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    for (int i = 1; i < 1000; ++i)
+        iterate();
+    EXPECT_EQ(
+        keyToHex(k),
+        "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
 TEST(X25519Test, GeneratedPairsAgree)
 {
     Rng rng(2024);

@@ -97,7 +97,7 @@ TEST(FuzzRunner, FullBudgetPassesOnEveryBuiltinTarget)
     std::cout << "fuzzing with seed 0x" << std::hex << seed
               << std::dec << "\n";
     const auto verdicts = runner.runAll(&std::cout);
-    ASSERT_EQ(verdicts.size(), 6u);
+    ASSERT_EQ(verdicts.size(), 7u);
     for (const FuzzVerdict &v : verdicts) {
         EXPECT_FALSE(v.failed)
             << v.target << " failed at iteration "
