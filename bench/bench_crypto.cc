@@ -9,13 +9,15 @@
  *
  * Before the google-benchmark suite runs, main() does a short
  * single-thread throughput sweep of OCB sealing on each engine
- * (reference scalar, T-table, fast), of opening on the fast engine,
- * of bare AES-128 (Aes128::encryptBlocks, ECB) on the fast engine,
- * the ceiling OCB's bulk loop runs against, and of SHA-256 on each
- * engine (scalar, fast), over message sizes 4 KiB .. 1 MiB; then it
- * times one X25519 scalar multiplication. It prints a MB/s table plus
- * the X25519 microseconds per operation, and writes the results to
- * BENCH_crypto.json in the working directory for CI trending.
+ * (reference scalar, T-table, AES-NI, fast), of opening and of bare
+ * AES-128 (Aes128::encryptBlocks, ECB, the ceiling OCB's bulk loop
+ * runs against) on the AES-NI and fast engines — fast is the best
+ * tier the host has, VAES where the CPU offers it — and of SHA-256
+ * on each engine (scalar, fast), over message sizes 4 KiB .. 1 MiB;
+ * then it times one X25519 scalar multiplication. It prints a MB/s
+ * table plus the X25519 microseconds per operation, and writes the
+ * results to BENCH_crypto.json in the working directory for CI
+ * trending.
  */
 
 #include <benchmark/benchmark.h>
@@ -98,7 +100,9 @@ runSweep()
     const AesKey key = benchKey();
     const Ocb ref(key, AesEngine::Reference);
     const Ocb ttable(key, AesEngine::TTable);
+    const Ocb aesni(key, AesEngine::AesNi);
     const Ocb fast(key, AesEngine::Fast);
+    const Aes128 aesni_aes(key, AesEngine::AesNi);
     const Aes128 fast_aes(key, AesEngine::Fast);
 
     std::vector<SweepResult> results;
@@ -108,7 +112,7 @@ runSweep()
         bench::HostTimer timer;
         const double mbps =
             measureRate(bytes, std::forward<decltype(fn)>(fn));
-        results.push_back({path, bytes, mbps, timer.ms()});
+        results.push_back({path, bytes, mbps, 0.0, timer.ms()});
     };
     for (std::size_t size : {std::size_t{4} * 1024,
                              std::size_t{64} * 1024,
@@ -128,11 +132,15 @@ runSweep()
                                pt.data(), size, out.data(),
                                out.data() + size);
         });
-        timed("ocb_seal_fast", size, [&] {
-            fast.encryptInto(makeNonce(1, ++ctr), nullptr, 0,
-                             pt.data(), size, out.data(),
-                             out.data() + size);
-        });
+        for (const auto &[path, ocb] :
+             {std::pair{"ocb_seal_aesni", &aesni},
+              std::pair{"ocb_seal_fast", &fast}}) {
+            timed(path, size, [&, ocb = ocb] {
+                ocb->encryptInto(makeNonce(1, ++ctr), nullptr, 0,
+                                 pt.data(), size, out.data(),
+                                 out.data() + size);
+            });
+        }
 
         // Open one message sealed under the same nonce, so every call
         // verifies its tag and writes the plaintext back.
@@ -140,19 +148,28 @@ runSweep()
         fast.encryptInto(open_nonce, nullptr, 0, pt.data(), size,
                          out.data(), out.data() + size);
         Bytes opened(size);
-        timed("ocb_open_fast", size, [&] {
-            (void)fast.decryptInto(open_nonce, nullptr, 0, out.data(),
-                                   size, out.data() + size,
-                                   opened.data());
-        });
-        if (opened != pt)
-            std::fprintf(stderr, "ocb_open_fast: %zu-byte open failed\n",
-                         size);
+        for (const auto &[path, ocb] :
+             {std::pair{"ocb_open_aesni", &aesni},
+              std::pair{"ocb_open_fast", &fast}}) {
+            opened.assign(size, 0);
+            timed(path, size, [&, ocb = ocb] {
+                (void)ocb->decryptInto(open_nonce, nullptr, 0, out.data(),
+                                       size, out.data() + size,
+                                       opened.data());
+            });
+            if (opened != pt)
+                std::fprintf(stderr, "%s: %zu-byte open failed\n", path,
+                             size);
+        }
 
-        timed("aes_ecb_fast", size, [&] {
-            fast_aes.encryptBlocks(pt.data(), out.data(),
+        for (const auto &[path, aes] :
+             {std::pair{"aes_ecb_aesni", &aesni_aes},
+              std::pair{"aes_ecb_fast", &fast_aes}}) {
+            timed(path, size, [&, aes = aes] {
+                aes->encryptBlocks(pt.data(), out.data(),
                                    size / AesBlockSize);
-        });
+            });
+        }
 
         for (const auto &[path, engine] :
              {std::pair{"sha256_scalar", Sha256Engine::Scalar},
@@ -183,7 +200,9 @@ reportSweep(const std::vector<SweepResult> &results)
 {
     std::printf("\nCrypto throughput (host wall-clock)\n");
     std::printf("AES fast engine: %s; SHA-256 fast engine: %s\n",
-                Aes128::hwSupported() ? "AES-NI" : "T-table",
+                Aes128::vaesSupported() ? "VAES"
+                : Aes128::hwSupported() ? "AES-NI"
+                                        : "T-table",
                 Sha256::hwSupported() ? "SHA-NI" : "scalar");
     std::printf("%-28s %10s %12s\n", "path", "bytes", "MB/s");
     for (const auto &r : results) {
@@ -263,7 +282,9 @@ engineName(AesEngine engine)
       case AesEngine::TTable:
         return "ttable";
       default:
-        return Aes128::hwSupported() ? "fast(aesni)" : "fast(ttable)";
+        return Aes128::vaesSupported() ? "fast(vaes)"
+               : Aes128::hwSupported() ? "fast(aesni)"
+                                       : "fast(ttable)";
     }
 }
 

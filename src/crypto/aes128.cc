@@ -6,11 +6,13 @@
 #include "common/byte_utils.h"
 #include "common/logging.h"
 
-// AES-NI path: compiled whenever the compiler supports per-function
-// target attributes (GCC/Clang on x86-64); selected at run time via
-// cpuid so the binary still runs on hosts without the extension.
+// AES-NI and VAES paths: compiled whenever the compiler supports
+// per-function target attributes (GCC/Clang on x86-64); selected at
+// run time via cpuid so the binary still runs on hosts without the
+// extensions.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HIX_AES_HW 1
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -380,15 +382,17 @@ ocbBatchSteps(const AesBlock *l, __m128i d[7])
 
 /**
  * OCB's bulk encryption fused with the AES rounds, eight blocks per
- * batch. Round key 0 folds into the pre-whitening (P ^ (Offset ^
- * rk0)) and the post-whitening into the last round
- * (AESENCLAST(s, rk10 ^ Offset)), so a block costs one load, one
- * store and a few XORs beside its ten rounds.
+ * batch; @p first is the index of the first block, ≡ 1 (mod 8).
+ * Round key 0 folds into the pre-whitening (P ^ (Offset ^ rk0)) and
+ * the post-whitening into the last round (AESENCLAST(s, rk10 ^
+ * Offset)), so a block costs one load, one store and a few XORs
+ * beside its ten rounds.
  */
 __attribute__((target("aes,sse2"))) void
 hwOcbEncrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
              const std::uint8_t *in, std::uint8_t *out,
-             std::size_t batches, AesBlock &offset, AesBlock &checksum)
+             std::uint64_t first, std::size_t batches, AesBlock &offset,
+             AesBlock &checksum)
 {
     __m128i rk[11];
     for (int r = 0; r <= 10; ++r)
@@ -398,7 +402,7 @@ hwOcbEncrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
     ocbBatchSteps(l_table, d);
     __m128i base = loadBlock(offset.data());
     __m128i sum = loadBlock(checksum.data());
-    for (std::uint64_t i = 1; batches > 0; --batches, i += 8) {
+    for (std::uint64_t i = first; batches > 0; --batches, i += 8) {
         const __m128i next = _mm_xor_si128(
             _mm_xor_si128(base, d[6]),
             loadBlock(l_table[std::countr_zero(i + 7)].data()));
@@ -435,7 +439,8 @@ hwOcbEncrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
 __attribute__((target("aes,sse2"))) void
 hwOcbDecrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
              const std::uint8_t *in, std::uint8_t *out,
-             std::size_t batches, AesBlock &offset, AesBlock &checksum)
+             std::uint64_t first, std::size_t batches, AesBlock &offset,
+             AesBlock &checksum)
 {
     __m128i rk[11];
     for (int r = 0; r <= 10; ++r)
@@ -445,7 +450,7 @@ hwOcbDecrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
     ocbBatchSteps(l_table, d);
     __m128i base = loadBlock(offset.data());
     __m128i sum = loadBlock(checksum.data());
-    for (std::uint64_t i = 1; batches > 0; --batches, i += 8) {
+    for (std::uint64_t i = first; batches > 0; --batches, i += 8) {
         const __m128i next = _mm_xor_si128(
             _mm_xor_si128(base, d[6]),
             loadBlock(l_table[std::countr_zero(i + 7)].data()));
@@ -474,6 +479,252 @@ hwOcbDecrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
     storeBlock(checksum.data(), sum);
 }
 
+// ----- VAES tier (256-bit registers) -----------------------------------
+//
+// Each VAESENC advances two blocks, one per 128-bit lane, against a
+// round key broadcast to both lanes; eight ymm registers keep sixteen
+// blocks in flight. Every load, store and XOR in these functions is
+// written with intrinsics in the function itself or in an
+// always_inline helper of the same target: a call into the
+// "aes,sse2" helpers above with live ymm upper halves pays an SSE/AVX
+// transition each time, and a pass built on them measured 13x slower
+// than the AES-NI loop.
+
+/** The eleven round keys of @p rk_bytes, each in both lanes. */
+__attribute__((target("vaes,avx2,aes"), always_inline)) inline void
+vaesRoundKeys(const std::uint8_t *rk_bytes, __m256i rk[11])
+{
+    for (int r = 0; r <= 10; ++r)
+        rk[r] = _mm256_broadcastsi128_si256(_mm_load_si128(
+            reinterpret_cast<const __m128i *>(rk_bytes + 16 * r)));
+}
+
+/** Encrypt @p groups runs of sixteen blocks. */
+__attribute__((target("vaes,avx2,aes"))) void
+vaesEncryptBlocks(const std::uint8_t *rk_bytes, const std::uint8_t *in,
+                  std::uint8_t *out, std::size_t groups)
+{
+    __m256i rk[11];
+    vaesRoundKeys(rk_bytes, rk);
+    for (; groups > 0; --groups) {
+        __m256i s[8];
+        for (int b = 0; b < 8; ++b)
+            s[b] = _mm256_xor_si256(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(in + 32 * b)),
+                rk[0]);
+        for (int r = 1; r < 10; ++r)
+            for (int b = 0; b < 8; ++b)
+                s[b] = _mm256_aesenc_epi128(s[b], rk[r]);
+        for (int b = 0; b < 8; ++b)
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 32 * b),
+                                _mm256_aesenclast_epi128(s[b], rk[10]));
+        in += 16 * AesBlockSize;
+        out += 16 * AesBlockSize;
+    }
+}
+
+/** Decrypt @p groups runs of sixteen blocks (equivalent-inverse keys). */
+__attribute__((target("vaes,avx2,aes"))) void
+vaesDecryptBlocks(const std::uint8_t *rk_bytes, const std::uint8_t *in,
+                  std::uint8_t *out, std::size_t groups)
+{
+    __m256i rk[11];
+    vaesRoundKeys(rk_bytes, rk);
+    for (; groups > 0; --groups) {
+        __m256i s[8];
+        for (int b = 0; b < 8; ++b)
+            s[b] = _mm256_xor_si256(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(in + 32 * b)),
+                rk[0]);
+        for (int r = 1; r < 10; ++r)
+            for (int b = 0; b < 8; ++b)
+                s[b] = _mm256_aesdec_epi128(s[b], rk[r]);
+        for (int b = 0; b < 8; ++b)
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 32 * b),
+                                _mm256_aesdeclast_epi128(s[b], rk[10]));
+        in += 16 * AesBlockSize;
+        out += 16 * AesBlockSize;
+    }
+}
+
+/** The pass-invariant offset steps, in lane pairs: (D0, D1), (D2, D3),
+ *  (D4, D5), and L2 in both lanes. */
+struct VaesOffsets
+{
+    __m256i d01, d23, d45, l2;
+};
+
+__attribute__((target("vaes,avx2,aes"), always_inline)) inline VaesOffsets
+vaesOffsetSteps(const AesBlock *l)
+{
+    const __m128i l0 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(l[0].data()));
+    const __m128i l1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(l[1].data()));
+    const __m128i l2 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(l[2].data()));
+    const __m128i l01 = _mm_xor_si128(l0, l1);
+    return {_mm256_set_m128i(l01, l0),
+            _mm256_set_m128i(_mm_xor_si128(l1, l2), l1),
+            _mm256_set_m128i(_mm_xor_si128(l0, l2),
+                             _mm_xor_si128(l01, l2)),
+            _mm256_broadcastsi128_si256(l2)};
+}
+
+/** L[ntz(@p i)] in both lanes. */
+__attribute__((target("vaes,avx2,aes"), always_inline)) inline __m256i
+vaesL(const AesBlock *l_table, std::uint64_t i)
+{
+    return _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+            l_table[std::countr_zero(i)].data())));
+}
+
+/**
+ * The offsets of one VAES pass: blocks i .. i + 15 with i ≡ 1
+ * (mod 8), two batches of ocbBatchSteps(), block 2b in the low lane
+ * and block 2b + 1 in the high lane of register b. With base =
+ * Offset_{i-1} in both lanes, the first batch's registers are
+ * base ^ (D0, D1), base ^ (D2, D3), base ^ (D4, D5) and
+ * (base ^ L2, next1), where next1 = Offset_{i+7} = base ^ L2 ^
+ * L[ntz(i + 7)]; the second batch repeats the pattern from next1 to
+ * next2 = Offset_{i+15} with L[ntz(i + 15)]. @p base leaves as next2.
+ */
+__attribute__((target("vaes,avx2,aes"), always_inline)) inline void
+vaesPassOffsets(const VaesOffsets &d, const AesBlock *l_table,
+                std::uint64_t i, __m256i &base, __m256i off[8])
+{
+    const __m256i next1 =
+        _mm256_xor_si256(_mm256_xor_si256(base, d.l2), vaesL(l_table, i + 7));
+    const __m256i next2 = _mm256_xor_si256(_mm256_xor_si256(next1, d.l2),
+                                           vaesL(l_table, i + 15));
+    off[0] = _mm256_xor_si256(base, d.d01);
+    off[1] = _mm256_xor_si256(base, d.d23);
+    off[2] = _mm256_xor_si256(base, d.d45);
+    off[3] = _mm256_blend_epi32(_mm256_xor_si256(base, d.l2), next1, 0xf0);
+    off[4] = _mm256_xor_si256(next1, d.d01);
+    off[5] = _mm256_xor_si256(next1, d.d23);
+    off[6] = _mm256_xor_si256(next1, d.d45);
+    off[7] = _mm256_blend_epi32(_mm256_xor_si256(next1, d.l2), next2, 0xf0);
+    base = next2;
+}
+
+/**
+ * The offset entering a VAES pass loop, Offset_0 ^ rk0, in both
+ * lanes: the offsets vaesPassOffsets() derives from it then carry
+ * round key 0, so a block's pre-whitening is one XOR.
+ */
+__attribute__((target("vaes,avx2,aes"), always_inline)) inline __m256i
+vaesKeyedBase(const AesBlock &offset, __m256i rk0)
+{
+    return _mm256_xor_si256(
+        _mm256_broadcastsi128_si256(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(offset.data()))),
+        rk0);
+}
+
+/** The entry checksum in the low lane of the accumulator. */
+__attribute__((target("vaes,avx2,aes"), always_inline)) inline __m256i
+vaesChecksum(const AesBlock &checksum)
+{
+    return _mm256_set_m128i(
+        _mm_setzero_si128(),
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(checksum.data())));
+}
+
+/** Strip rk0 from the offset and fold the checksum's lanes. */
+__attribute__((target("vaes,avx2,aes"), always_inline)) inline void
+vaesStoreOcbState(__m256i base, __m256i sum, __m256i rk0,
+                  AesBlock &offset, AesBlock &checksum)
+{
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(offset.data()),
+                     _mm256_castsi256_si128(_mm256_xor_si256(base, rk0)));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(checksum.data()),
+                     _mm_xor_si128(_mm256_castsi256_si128(sum),
+                                   _mm256_extracti128_si256(sum, 1)));
+}
+
+/**
+ * hwOcbEncrypt() on VAES: @p passes passes of sixteen blocks from
+ * block 1. The offsets carry round key 0 (vaesKeyedBase()), so a
+ * block's pre-whitening is P ^ (Offset ^ rk0) and its last round
+ * AESENCLAST(s, (Offset ^ rk0) ^ (rk0 ^ rk10)); the checksum is one
+ * ymm accumulator whose lanes fold together at the end.
+ */
+__attribute__((target("vaes,avx2,aes"))) void
+vaesOcbEncrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
+               const std::uint8_t *in, std::uint8_t *out,
+               std::size_t passes, AesBlock &offset, AesBlock &checksum)
+{
+    __m256i rk[11];
+    vaesRoundKeys(rk_bytes, rk);
+    const __m256i rk0_10 = _mm256_xor_si256(rk[0], rk[10]);
+    const VaesOffsets d = vaesOffsetSteps(l_table);
+    __m256i base = vaesKeyedBase(offset, rk[0]);
+    __m256i sum = vaesChecksum(checksum);
+    for (std::uint64_t i = 1; passes > 0; --passes, i += 16) {
+        __m256i off[8];
+        vaesPassOffsets(d, l_table, i, base, off);
+        __m256i s[8];
+        for (int b = 0; b < 8; ++b) {
+            const __m256i p = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(in + 32 * b));
+            sum = _mm256_xor_si256(sum, p);
+            s[b] = _mm256_xor_si256(p, off[b]);
+        }
+        for (int r = 1; r < 10; ++r)
+            for (int b = 0; b < 8; ++b)
+                s[b] = _mm256_aesenc_epi128(s[b], rk[r]);
+        for (int b = 0; b < 8; ++b)
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(out + 32 * b),
+                _mm256_aesenclast_epi128(s[b],
+                                         _mm256_xor_si256(off[b], rk0_10)));
+        in += 16 * AesBlockSize;
+        out += 16 * AesBlockSize;
+    }
+    vaesStoreOcbState(base, sum, rk[0], offset, checksum);
+}
+
+/** vaesOcbEncrypt()'s mirror on VAESDEC, as hwOcbDecrypt() is. */
+__attribute__((target("vaes,avx2,aes"))) void
+vaesOcbDecrypt(const std::uint8_t *rk_bytes, const AesBlock *l_table,
+               const std::uint8_t *in, std::uint8_t *out,
+               std::size_t passes, AesBlock &offset, AesBlock &checksum)
+{
+    __m256i rk[11];
+    vaesRoundKeys(rk_bytes, rk);
+    const __m256i rk0_10 = _mm256_xor_si256(rk[0], rk[10]);
+    const VaesOffsets d = vaesOffsetSteps(l_table);
+    __m256i base = vaesKeyedBase(offset, rk[0]);
+    __m256i sum = vaesChecksum(checksum);
+    for (std::uint64_t i = 1; passes > 0; --passes, i += 16) {
+        __m256i off[8];
+        vaesPassOffsets(d, l_table, i, base, off);
+        __m256i s[8];
+        for (int b = 0; b < 8; ++b)
+            s[b] = _mm256_xor_si256(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(in + 32 * b)),
+                off[b]);
+        for (int r = 1; r < 10; ++r)
+            for (int b = 0; b < 8; ++b)
+                s[b] = _mm256_aesdec_epi128(s[b], rk[r]);
+        for (int b = 0; b < 8; ++b) {
+            const __m256i p = _mm256_aesdeclast_epi128(
+                s[b], _mm256_xor_si256(off[b], rk0_10));
+            sum = _mm256_xor_si256(sum, p);
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 32 * b),
+                                p);
+        }
+        in += 16 * AesBlockSize;
+        out += 16 * AesBlockSize;
+    }
+    vaesStoreOcbState(base, sum, rk[0], offset, checksum);
+}
+
 #endif  // HIX_AES_HW
 
 }  // namespace
@@ -483,6 +734,32 @@ Aes128::hwSupported()
 {
 #ifdef HIX_AES_HW
     return __builtin_cpu_supports("aes") != 0;
+#else
+    return false;
+#endif
+}
+
+bool
+Aes128::vaesSupported()
+{
+#ifdef HIX_AES_HW
+    // CPUID leaf 7 ECX bit 9 (VAES) and EBX bit 5 (AVX2), and the OS
+    // saving ymm state: leaf 1 ECX OSXSAVE, then XCR0 bits 1-2 (xmm
+    // and ymm) through XGETBV. Read directly, as Sha256::hwSupported()
+    // does, so every compiler the project builds with accepts it.
+    static const bool supported = [] {
+        unsigned a = 0, b = 0, c = 0, d = 0;
+        if (!hwSupported() || !__get_cpuid(1, &a, &b, &c, &d) ||
+            !(c & bit_OSXSAVE))
+            return false;
+        unsigned xcr0 = 0, xcr0_hi = 0;
+        __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+        if ((xcr0 & 0x6) != 0x6)
+            return false;
+        return __get_cpuid_count(7, 0, &a, &b, &c, &d) != 0 &&
+               (b & bit_AVX2) != 0 && (c & bit_VAES) != 0;
+    }();
+    return supported;
 #else
     return false;
 #endif
@@ -525,7 +802,9 @@ Aes128::Aes128(const AesKey &key, AesEngine engine) : engine_(engine)
         storeBE32(enc_rk_bytes_.data() + 4 * i, enc_keys_[i]);
         storeBE32(dec_rk_bytes_.data() + 4 * i, dec_keys_[i]);
     }
-    use_hw_ = engine_ == AesEngine::Fast && hwSupported();
+    use_hw_ = (engine_ == AesEngine::Fast || engine_ == AesEngine::AesNi) &&
+              hwSupported();
+    use_vaes_ = engine_ == AesEngine::Fast && use_hw_ && vaesSupported();
 }
 
 // ----- Fast (T-table) engine -------------------------------------------
@@ -831,6 +1110,12 @@ Aes128::encryptBlocks(const std::uint8_t *in, std::uint8_t *out,
 {
 #ifdef HIX_AES_HW
     if (use_hw_) {
+        if (use_vaes_ && n >= 16) {
+            vaesEncryptBlocks(enc_rk_bytes_.data(), in, out, n / 16);
+            in += n / 16 * 16 * AesBlockSize;
+            out += n / 16 * 16 * AesBlockSize;
+            n %= 16;
+        }
         hwEncryptBlocks(enc_rk_bytes_.data(), in, out, n);
         return;
     }
@@ -856,6 +1141,12 @@ Aes128::decryptBlocks(const std::uint8_t *in, std::uint8_t *out,
 {
 #ifdef HIX_AES_HW
     if (use_hw_) {
+        if (use_vaes_ && n >= 16) {
+            vaesDecryptBlocks(dec_rk_bytes_.data(), in, out, n / 16);
+            in += n / 16 * 16 * AesBlockSize;
+            out += n / 16 * 16 * AesBlockSize;
+            n %= 16;
+        }
         hwDecryptBlocks(dec_rk_bytes_.data(), in, out, n);
         return;
     }
@@ -882,8 +1173,21 @@ Aes128::ocbEncryptBatches(const AesBlock *l_table, const std::uint8_t *in,
 {
 #ifdef HIX_AES_HW
     if (use_hw_) {
-        hwOcbEncrypt(enc_rk_bytes_.data(), l_table, in, out, batches,
-                     offset, checksum);
+        // VAES takes the batches in pairs; an odd last batch starts at
+        // block 16·passes + 1 on the AES-NI loop.
+        std::uint64_t first = 1;
+        if (use_vaes_ && batches >= 2) {
+            const std::size_t passes = batches / 2;
+            vaesOcbEncrypt(enc_rk_bytes_.data(), l_table, in, out, passes,
+                           offset, checksum);
+            in += passes * 16 * AesBlockSize;
+            out += passes * 16 * AesBlockSize;
+            first += passes * 16;
+            batches %= 2;
+        }
+        if (batches > 0)
+            hwOcbEncrypt(enc_rk_bytes_.data(), l_table, in, out, first,
+                         batches, offset, checksum);
         return;
     }
 #endif
@@ -897,8 +1201,21 @@ Aes128::ocbDecryptBatches(const AesBlock *l_table, const std::uint8_t *in,
 {
 #ifdef HIX_AES_HW
     if (use_hw_) {
-        hwOcbDecrypt(dec_rk_bytes_.data(), l_table, in, out, batches,
-                     offset, checksum);
+        // VAES takes the batches in pairs; an odd last batch starts at
+        // block 16·passes + 1 on the AES-NI loop.
+        std::uint64_t first = 1;
+        if (use_vaes_ && batches >= 2) {
+            const std::size_t passes = batches / 2;
+            vaesOcbDecrypt(dec_rk_bytes_.data(), l_table, in, out, passes,
+                           offset, checksum);
+            in += passes * 16 * AesBlockSize;
+            out += passes * 16 * AesBlockSize;
+            first += passes * 16;
+            batches %= 2;
+        }
+        if (batches > 0)
+            hwOcbDecrypt(dec_rk_bytes_.data(), l_table, in, out, first,
+                         batches, offset, checksum);
         return;
     }
 #endif

@@ -12,7 +12,15 @@
  *    path. This is the production host path. On AES-NI it also runs
  *    OCB's bulk loop as one fused pass (ocbEncryptBatches /
  *    ocbDecryptBatches), so OCB's mode work rides in the registers
- *    beside the AES rounds.
+ *    beside the AES rounds. Where the CPU also has VAES with AVX2
+ *    (and the OS saves ymm state), the bulk loops — ECB
+ *    encryptBlocks / decryptBlocks and the fused OCB pass — run
+ *    sixteen blocks at a time on 256-bit registers, two blocks per
+ *    instruction; a tail shorter than that takes the eight-block
+ *    AES-NI loop.
+ *  - AesEngine::AesNi: the eight-block AES-NI loops even where VAES
+ *    exists (the T-table path without AES-NI), so tests can compare
+ *    the two hardware tiers on one host.
  *  - AesEngine::TTable: precomputed 4x256 u32 T-tables for both
  *    directions, built once at static initialization from the
  *    derived S-box, plus a multi-block API that processes four
@@ -22,8 +30,9 @@
  *    (per-byte SubBytes, xtime MixColumns), kept as the correctness
  *    oracle the fast paths are byte-compared against in tests.
  *
- * All three produce identical bytes (AES is deterministic), so the
- * engine choice is invisible to peers and recorded traces.
+ * Every engine and tier produces identical bytes (AES is
+ * deterministic), so the choice is invisible to peers and recorded
+ * traces.
  *
  * Host speed only: simulated-time crypto costs come from the
  * platform timing model, not from host wall-clock.
@@ -56,8 +65,13 @@ using AesKey = std::array<std::uint8_t, AesKeySize>;
 /** Which block-cipher implementation backs an Aes128 instance. */
 enum class AesEngine
 {
-    /** Best available: AES-NI when the CPU has it, else T-tables. */
+    /**
+     * Best available: VAES on 256-bit registers for the bulk loops
+     * when the CPU has it, else AES-NI, else T-tables.
+     */
     Fast,
+    /** AES-NI without the VAES tier, else T-tables. */
+    AesNi,
     /** T-table implementation with the wide-block fast path. */
     TTable,
     /** Byte-wise scalar implementation (correctness oracle). */
@@ -83,6 +97,15 @@ class Aes128
     /** True when this instance actually runs on AES hardware. */
     bool usesHw() const { return use_hw_; }
 
+    /**
+     * True when this host's CPU offers VAES and AVX2 and the OS saves
+     * the ymm registers, on top of AES-NI.
+     */
+    static bool vaesSupported();
+
+    /** True when this instance runs its bulk loops on VAES. */
+    bool usesVaes() const { return use_vaes_; }
+
     /** Encrypt one 16-byte block: @p out may alias @p in. */
     void encryptBlock(const std::uint8_t *in, std::uint8_t *out) const;
 
@@ -91,8 +114,9 @@ class Aes128
 
     /**
      * Encrypt @p n contiguous 16-byte blocks. The fast engines batch
-     * blocks per inner loop (eight with AES-NI, four with T-tables)
-     * so independent blocks pipeline; @p out may alias @p in.
+     * blocks per inner loop (sixteen with VAES, eight with AES-NI,
+     * four with T-tables) so independent blocks pipeline; @p out may
+     * alias @p in.
      */
     void encryptBlocks(const std::uint8_t *in, std::uint8_t *out,
                        std::size_t n) const;
@@ -106,7 +130,8 @@ class Aes128
      * instructions, for Ocb; only when usesHw(). Encrypts blocks
      * 1 .. 8·@p batches of a message in one fused pass: the round
      * keys, offsets and checksum stay in registers, and each block is
-     * loaded once and stored once. @p l_table is L_0, L_1, ...;
+     * loaded once and stored once. With VAES two batches share one
+     * pass on 256-bit registers. @p l_table is L_0, L_1, ...;
      * @p offset enters as Offset_0 and leaves as Offset_{8·batches},
      * and the plaintext is XORed into @p checksum. @p out may alias
      * @p in.
@@ -174,6 +199,7 @@ class Aes128
         dec_rk_bytes_;
     AesEngine engine_;
     bool use_hw_ = false;
+    bool use_vaes_ = false;
 };
 
 }  // namespace hix::crypto

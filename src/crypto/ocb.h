@@ -9,7 +9,8 @@
  * blocks at a time. On AES-NI each batch is one fused pass
  * (Aes128::ocbEncryptBatches / ocbDecryptBatches) with the round
  * keys, offsets and checksum in registers, at close to the cipher's
- * ECB speed. The T-table and reference engines run each batch through
+ * ECB speed; on VAES two batches share a pass on 256-bit registers.
+ * The T-table and reference engines run each batch through
  * one Aes128::encryptBlocks / decryptBlocks call, doing the offset
  * chain, checksum and whitening on native 64-bit words around it.
  * Sealing a message costs |M|/16 + O(1) AES calls and zero heap

@@ -68,10 +68,13 @@ TrustedRuntime::recordUser(Tick duration, sim::OpKind kind,
 }
 
 Result<std::uint8_t *>
-TrustedRuntime::ringSlot(std::uint64_t ring_off, std::uint64_t len)
+TrustedRuntime::ringSlot(std::uint64_t ring_off, std::uint64_t len,
+                         bool overwrite)
 {
     mem::PhysMem &ram = machine_->ram();
-    std::uint8_t *bytes = ram.view(shared_.paddr + ring_off, len);
+    const std::uint64_t paddr = shared_.paddr + ring_off;
+    std::uint8_t *bytes = overwrite ? ram.viewForOverwrite(paddr, len)
+                                    : ram.view(paddr, len);
     if (!bytes)
         return errInvalidArgument("ring slot beyond " + ram.targetName() +
                                   " size");
@@ -267,9 +270,11 @@ TrustedRuntime::memcpyHtoD(Addr dst_gpu_va, const Bytes &data)
         const std::uint64_t ring_off = slot * slot_size_;
         const std::uint64_t ctr = ++ctr_h2d_;
 
-        // Functional: seal this chunk straight into its ring slot.
-        HIX_ASSIGN_OR_RETURN(std::uint8_t *const sealed,
-                             ringSlot(ring_off, len + crypto::OcbTagSize));
+        // Functional: seal this chunk straight into its ring slot. The
+        // seal writes every byte of the slot (ciphertext, then tag).
+        HIX_ASSIGN_OR_RETURN(
+            std::uint8_t *const sealed,
+            ringSlot(ring_off, len + crypto::OcbTagSize, /*overwrite=*/true));
         data_ocb_->encryptInto(crypto::makeNonce(stream, ctr), nullptr, 0,
                                data.data() + off, len, sealed,
                                sealed + len);
@@ -358,8 +363,9 @@ TrustedRuntime::memcpyDtoH(Addr src_gpu_va, std::uint64_t len)
         // untrusted slot is fetched once and the plaintext lands only
         // in `out`. A failed tag ends the transfer; decryptInto has
         // zeroed the chunk it was opening.
-        HIX_ASSIGN_OR_RETURN(std::uint8_t *const sealed,
-                             ringSlot(ring_off, clen + crypto::OcbTagSize));
+        HIX_ASSIGN_OR_RETURN(
+            std::uint8_t *const sealed,
+            ringSlot(ring_off, clen + crypto::OcbTagSize, /*overwrite=*/false));
         HIX_RETURN_IF_ERROR(data_ocb_->decryptInto(
             crypto::makeNonce(stream, ctr), nullptr, 0, sealed, clen,
             sealed + clen, out.data() + off));

@@ -129,9 +129,14 @@ class TrustedRuntime
                                                      deps.size()));
     }
     std::uint64_t functionalChunk() const;
-    /** The ring's bytes [ring_off, ring_off + len), in place in RAM. */
+    /**
+     * The ring's bytes [ring_off, ring_off + len), in place in RAM.
+     * With @p overwrite the caller writes the whole slot before
+     * anything reads it (a seal), so the slot's whole pages skip the
+     * zero-fill (PhysMem::viewForOverwrite).
+     */
     Result<std::uint8_t *> ringSlot(std::uint64_t ring_off,
-                                    std::uint64_t len);
+                                    std::uint64_t len, bool overwrite);
     /** Chunk size for a transfer touching [va, va+len): managed
      * buffers move page-by-page so paging fits any quota. */
     std::uint64_t chunkFor(Addr va, std::uint64_t len) const;

@@ -144,12 +144,26 @@ PhysMem::writeAt(std::uint64_t offset, const std::uint8_t *data,
 std::uint8_t *
 PhysMem::view(std::uint64_t offset, std::size_t len)
 {
+    return lend(offset, len, /*overwrite=*/false);
+}
+
+std::uint8_t *
+PhysMem::viewForOverwrite(std::uint64_t offset, std::size_t len)
+{
+    return lend(offset, len, /*overwrite=*/true);
+}
+
+std::uint8_t *
+PhysMem::lend(std::uint64_t offset, std::size_t len, bool overwrite)
+{
     if (len == 0 || len > size_ || offset > size_ - len)
         return nullptr;
-    const std::uint64_t last = (offset + len - 1) / PageSize;
+    const std::uint64_t end = offset + len;
+    const std::uint64_t last = (end - 1) / PageSize;
     for (std::uint64_t page = offset / PageSize; page <= last; ++page) {
         if (!isPrivate(page))
-            privatize(page, /*overwrite_all=*/false);
+            privatize(page, overwrite && page * PageSize >= offset &&
+                                (page + 1) * PageSize <= end);
     }
     return base_ + offset;
 }

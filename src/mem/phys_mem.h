@@ -24,7 +24,9 @@
  *
  * Views: view() makes a range private and lends it as one span of
  * the region, which is what lets GPU kernels and the in-GPU OCB op
- * work on VRAM in place.
+ * work on VRAM in place. viewForOverwrite() does the same for a
+ * range its caller writes whole (a seal into its ring slot), without
+ * zero-filling the pages the write replaces.
  */
 
 #ifndef HIX_MEM_PHYS_MEM_H_
@@ -77,6 +79,16 @@ class PhysMem : public BusTarget
     std::uint8_t *view(std::uint64_t offset, std::size_t len);
 
     /**
+     * view() of a range the caller overwrites whole before anything
+     * reads it. Absent pages that lie wholly inside the range become
+     * private without the zero-fill, so until the caller's write they
+     * hold whatever a recycled region left there; absent pages the
+     * range only partly covers are zeroed as view() zeroes them, so
+     * the bytes around the range still read as zero.
+     */
+    std::uint8_t *viewForOverwrite(std::uint64_t offset, std::size_t len);
+
+    /**
      * Zero-fill a byte range (used for scrubbing). Whole-page spans
      * drop the page back to absent instead of writing zeros.
      */
@@ -110,6 +122,10 @@ class PhysMem : public BusTarget
      * last owner's bytes.
      */
     std::uint8_t *privatize(std::uint64_t page, bool overwrite_all);
+
+    /** view() and viewForOverwrite(), by @p overwrite. */
+    std::uint8_t *lend(std::uint64_t offset, std::size_t len,
+                       bool overwrite);
 
     /** Write path: the page's region bytes, privatised if absent. */
     std::uint8_t *mutPage(std::uint64_t page, bool overwrite_all)

@@ -208,13 +208,13 @@ class Backprop : public RodiniaApp
 
         // Verify the weight update against a CPU reference (sampled).
         // Written so that a NaN result fails too.
-        auto w1_out = bytesVec<float>(w1_bytes);
+        const ElementsOf<float> w1_out(w1_bytes);
         for (const auto &e : fx.samples) {
             if (!(std::fabs(w1_out[e.index] - e.value) <= 1e-4f))
                 return errInternal("BP weight update mismatch");
         }
         // Verify the forward pass.
-        auto hidden = bytesVec<float>(hidden_bytes);
+        const ElementsOf<float> hidden(hidden_bytes);
         for (std::uint64_t j = 1; j <= Hidden; ++j) {
             if (!(std::fabs(hidden[j] - fx.hidden[j]) <= 1e-3f))
                 return errInternal("BP forward pass mismatch");

@@ -206,7 +206,7 @@ class Bfs : public RodiniaApp
         HIX_ASSIGN_OR_RETURN(Bytes out, api.memcpyDtoH(d_level, n * 4));
         HIX_RETURN_IF_ERROR(padDtoH(api, n * 4));
 
-        auto gpu_level = bytesVec<std::int32_t>(out);
+        const ElementsOf<std::int32_t> gpu_level(out);
         for (std::uint32_t v = 0; v < n; ++v) {
             if (gpu_level[v] != fx.refLevel[v])
                 return errInternal("BFS level mismatch at node " +

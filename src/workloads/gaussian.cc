@@ -170,8 +170,8 @@ class Gaussian : public RodiniaApp
 
         // Back-substitute on the host and compare to the known
         // solution (written so that a NaN result fails too).
-        auto u = bytesVec<float>(a_out);
-        auto y = bytesVec<float>(b_out);
+        const ElementsOf<float> u(a_out);
+        const ElementsOf<float> y(b_out);
         std::vector<double> x(n);
         for (std::int64_t i = n - 1; i >= 0; --i) {
             double sum = y[i];

@@ -144,7 +144,7 @@ class Hotspot : public RodiniaApp
         HIX_RETURN_IF_ERROR(padDtoH(api, n * n * 4));
 
         // Compare with the CPU reference; a NaN cell fails too.
-        auto got = bytesVec<float>(out);
+        const ElementsOf<float> got(out);
         for (std::uint64_t i = 0; i < n * n; ++i) {
             if (!(std::fabs(got[i] - fx.ref[i]) <= 1e-2f))
                 return errInternal("HS grid mismatch");

@@ -116,7 +116,7 @@ class Lud : public RodiniaApp
 
         // Verify (L*U)[i][j] == orig[i][j] on sampled entries; a NaN
         // entry fails too.
-        auto lu = bytesVec<float>(out);
+        const ElementsOf<float> lu(out);
         Rng pick(5);
         for (int s = 0; s < 48; ++s) {
             const std::uint64_t i = pick.nextBelow(n);

@@ -184,7 +184,7 @@ class MatrixWorkload : public Workload
                              api.memcpyDtoH(va_c, elems * 4));
 
         // Verify against a CPU reference (sampled for multiply).
-        auto c = bytesVec<std::uint32_t>(c_bytes);
+        const ElementsOf<std::uint32_t> c(c_bytes);
         if (!multiply_) {
             for (std::size_t i = 0; i < elems; ++i) {
                 if (c[i] != fx.sum[i])

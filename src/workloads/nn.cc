@@ -113,7 +113,7 @@ class NearestNeighbor : public RodiniaApp
         // Top-5 on the host; verify against a CPU reference. NaN
         // sorts last, so the order stays strict weak on any device
         // output, and a NaN distance fails the check.
-        auto dist = bytesVec<float>(out);
+        const ElementsOf<float> dist(out);
         std::vector<std::uint32_t> idx(Records);
         for (std::uint32_t i = 0; i < Records; ++i)
             idx[i] = i;

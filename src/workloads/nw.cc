@@ -169,7 +169,7 @@ class NeedlemanWunsch : public RodiniaApp
                              api.memcpyDtoH(d_score, w * w * 4));
         HIX_RETURN_IF_ERROR(padDtoH(api, w * w * 4));
 
-        auto got = bytesVec<std::int32_t>(out);
+        const ElementsOf<std::int32_t> got(out);
         if (got[fx.finalScore.index] != fx.finalScore.value)
             return errInternal("NW final score mismatch");
         for (const auto &e : fx.samples) {

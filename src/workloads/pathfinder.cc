@@ -154,7 +154,7 @@ class Pathfinder : public RodiniaApp
         }
 
         HIX_ASSIGN_OR_RETURN(Bytes out, api.memcpyDtoH(d_cost, n * 4));
-        auto got = bytesVec<std::int32_t>(out);
+        const ElementsOf<std::int32_t> got(out);
         for (std::uint64_t j = 0; j < n; ++j) {
             if (got[j] != fx.cost[j])
                 return errInternal("PF cost mismatch");

@@ -339,14 +339,30 @@ vecBytes(const std::vector<T> &v)
     return out;
 }
 
+/**
+ * Read-only elements of type T over a device result, in place: a
+ * check reads the few elements it needs without copying the whole
+ * result. Each read is a memcpy of one element, so the bytes need no
+ * alignment for T (GCC compiles it to one load). @p bytes must
+ * outlive the accessor.
+ */
 template <typename T>
-std::vector<T>
-bytesVec(const Bytes &b)
+class ElementsOf
 {
-    std::vector<T> out(b.size() / sizeof(T));
-    std::memcpy(out.data(), b.data(), b.size());
-    return out;
-}
+  public:
+    explicit ElementsOf(const Bytes &bytes) : data_(bytes.data()) {}
+
+    T
+    operator[](std::uint64_t i) const
+    {
+        T v{};
+        std::memcpy(&v, data_ + i * sizeof(T), sizeof(T));
+        return v;
+    }
+
+  private:
+    const std::uint8_t *data_;
+};
 
 /** One expected element of a device result, by index. */
 template <typename T>

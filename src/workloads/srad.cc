@@ -197,7 +197,7 @@ class Srad : public RodiniaApp
         // Sanity-verify: diffusion keeps the rough mean and reduces
         // the speckle variance (a full 16-iteration CPU replay would
         // dominate test time). Written so that a NaN result fails.
-        auto got = bytesVec<float>(out);
+        const ElementsOf<float> got(out);
         double mean_out = 0, var_out = 0;
         for (std::uint64_t i = 0; i < cells; ++i)
             mean_out += got[i];

@@ -1,8 +1,9 @@
 /**
  * @file
  * HMAC-SHA256 against the RFC 4231 test vectors (cases 1-4, 6, 7 —
- * case 5 tests truncated output, which this API does not expose), and
- * the deriveAesKey label separation on top of it.
+ * case 5 tests truncated output, which this API does not expose), the
+ * RFC 2104 rule that an over-long key is hashed first, and the
+ * deriveAesKey label separation on top of it.
  */
 
 #include <string>
@@ -92,6 +93,17 @@ TEST(HmacSha256Test, Rfc4231Case7LargerThanBlockSizeKeyAndData)
                    "HMAC algorithm."),
         "9b09ffa71b942fcb27635fbcd5b0e944"
         "bfdc63644f0713938a7f51535c3a35e2");
+}
+
+TEST(HmacSha256Test, LongKeyIsHashedFirst)
+{
+    // RFC 2104: a key longer than the 64-byte block is replaced by its
+    // SHA-256 digest, so both keys must give the same MAC.
+    const Bytes key(131, 0xaa);
+    const Sha256Digest hashed = Sha256::digest(key);
+    const Bytes data = fromString("some data");
+    EXPECT_EQ(hmacSha256(key, data),
+              hmacSha256(Bytes(hashed.begin(), hashed.end()), data));
 }
 
 TEST(HmacSha256Test, PointerOverloadMatchesByteOverload)

@@ -2,10 +2,13 @@
  * @file
  * OCB-AES-128 tests: RFC 7253 Appendix A known-answer vectors (the
  * sample results and the iterated vector), a block-at-a-time oracle
- * written from RFC 7253 Section 4 that checks the wide loops of all
- * three engines byte for byte (every length through three eight-block
- * batches, misaligned buffers, AD lengths around the block), plus
- * round-trip, tamper-detection, and nonce-sensitivity properties.
+ * written from RFC 7253 Section 4 that checks the wide loops of every
+ * engine byte for byte (every length through three and through five
+ * eight-block batches, misaligned buffers, AD lengths around the
+ * block), plus round-trip, tamper-detection, and nonce-sensitivity
+ * properties. The engines are Fast (VAES where the host has it),
+ * AesNi (the eight-block AES-NI loop), TTable and Reference, so every
+ * tier the host has runs each case.
  */
 
 #include <gtest/gtest.h>
@@ -99,8 +102,8 @@ const RfcVector rfc_vectors[] = {
 TEST(OcbTest, Rfc7253KnownAnswers)
 {
     // Every engine must reproduce the RFC's bytes exactly.
-    for (AesEngine engine : {AesEngine::Fast, AesEngine::TTable,
-                             AesEngine::Reference}) {
+    for (AesEngine engine : {AesEngine::Fast, AesEngine::AesNi,
+                             AesEngine::TTable, AesEngine::Reference}) {
         SCOPED_TRACE(static_cast<int>(engine));
         Ocb ocb(rfcKey(), engine);
         for (const auto &v : rfc_vectors) {
@@ -274,17 +277,17 @@ class OcbOracle
     std::vector<AesBlock> l_;
 };
 
-/** The three engines on one key. */
-std::array<Ocb, 3>
+/** Every engine on one key: each hardware tier, T-tables, reference. */
+std::array<Ocb, 4>
 allEngines(const AesKey &key)
 {
-    return {Ocb(key, AesEngine::Fast), Ocb(key, AesEngine::TTable),
-            Ocb(key, AesEngine::Reference)};
+    return {Ocb(key, AesEngine::Fast), Ocb(key, AesEngine::AesNi),
+            Ocb(key, AesEngine::TTable), Ocb(key, AesEngine::Reference)};
 }
 
 /** Seal with every engine and open the oracle's bytes back. */
 void
-expectEnginesMatchOracle(const std::array<Ocb, 3> &engines,
+expectEnginesMatchOracle(const std::array<Ocb, 4> &engines,
                          OcbOracle &oracle, const OcbNonce &n,
                          const Bytes &ad, const Bytes &pt)
 {
@@ -331,6 +334,25 @@ TEST(OcbTest, EveryLengthThroughThreeBatchesMatchesOracle)
     for (std::size_t len = 0; len <= 3 * 128 + 17; ++len) {
         SCOPED_TRACE(len);
         expectEnginesMatchOracle(engines, oracle, makeNonce(4, len), ad,
+                                 rng.bytes(len));
+    }
+}
+
+TEST(OcbTest, EveryLengthThroughFiveBatchesMatchesOracle)
+{
+    // Every length to five whole batches plus a block and a partial
+    // one. On VAES, four batches are two sixteen-block passes, whose
+    // second batches take L[ntz(i + 15)], and the fifth batch is an
+    // odd one the AES-NI loop finishes from block 33.
+    Rng rng(31);
+    AesKey key;
+    rng.fill(key.data(), key.size());
+    OcbOracle oracle(key);
+    const auto engines = allEngines(key);
+    const Bytes ad = rng.bytes(33);
+    for (std::size_t len = 0; len <= 5 * 128 + 17; ++len) {
+        SCOPED_TRACE(len);
+        expectEnginesMatchOracle(engines, oracle, makeNonce(7, len), ad,
                                  rng.bytes(len));
     }
 }
@@ -407,8 +429,8 @@ TEST(OcbTest, Rfc7253IteratedVector)
     // OCB-ENCRYPT(K, num2str(385,96), C, <empty>).
     AesKey key{};
     key[15] = 0x80;
-    for (AesEngine engine : {AesEngine::Fast, AesEngine::TTable,
-                             AesEngine::Reference}) {
+    for (AesEngine engine : {AesEngine::Fast, AesEngine::AesNi,
+                             AesEngine::TTable, AesEngine::Reference}) {
         SCOPED_TRACE(static_cast<int>(engine));
         Ocb ocb(key, engine);
         Bytes c;

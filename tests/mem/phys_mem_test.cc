@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/units.h"
 #include "mem/phys_bus.h"
 #include "mem/phys_mem.h"
@@ -149,6 +151,44 @@ TEST(PhysMemTest, RecycledRegionReadsZero)
     EXPECT_EQ(ram.residentPages(), 4u);
     // The same region came back (most recently released first).
     EXPECT_EQ(ram.view(0, 1), recycled);
+}
+
+TEST(PhysMemTest, ViewForOverwriteZeroesOnlyPartialEdgePages)
+{
+    // On a recycled region that still holds its last owner's bytes, a
+    // range its caller overwrites whole skips the zero-fill of the
+    // pages inside it but zeroes the two pages it only partly covers,
+    // so once the range is written, the bytes around it read zero.
+    constexpr std::uint64_t Size = 192 * KiB;
+    {
+        PhysMem old("old", Size);
+        Bytes pattern(Size, 0xa7);
+        ASSERT_TRUE(old.writeAt(0, pattern.data(), Size).isOk());
+    }
+    PhysMem ram("ram", Size);
+    // From 100 bytes into page 2 to 50 bytes into page 6.
+    const std::uint64_t offset = 2 * PageSize + 100;
+    const std::size_t len = 4 * PageSize - 50;
+    std::uint8_t *view = ram.viewForOverwrite(offset, len);
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(ram.residentPages(), 5u);
+    EXPECT_EQ(view[0], 0) << "partial first page not zero-filled";
+    EXPECT_EQ(view[len - 1], 0) << "partial last page not zero-filled";
+    EXPECT_EQ(view[3 * PageSize - offset], 0xa7)
+        << "whole page inside the range was zero-filled";
+
+    std::memset(view, 0x5c, len);
+    Bytes around(8 * PageSize, 0xff);
+    ASSERT_TRUE(ram.readAt(PageSize, around.data(), around.size()).isOk());
+    for (std::uint64_t i = 0; i < around.size(); ++i) {
+        const std::uint64_t addr = PageSize + i;
+        const bool inside = addr >= offset && addr < offset + len;
+        ASSERT_EQ(around[i], inside ? 0x5c : 0) << "at byte " << addr;
+    }
+    EXPECT_EQ(ram.residentPages(), 5u);
+
+    EXPECT_EQ(ram.viewForOverwrite(Size - 4, 8), nullptr);
+    EXPECT_EQ(ram.viewForOverwrite(0, 0), nullptr);
 }
 
 TEST(PhysMemTest, ViewIsOneSpanOverPrivatePages)
