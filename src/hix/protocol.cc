@@ -8,20 +8,23 @@ namespace hix::core
 namespace
 {
 
+// Grown by resize(), which reallocates like insert() (GCC 12 flags the
+// insert of a small array into an empty vector with a false
+// -Wstringop-overflow).
 void
 appendU32(Bytes &out, std::uint32_t v)
 {
-    std::uint8_t b[4];
-    storeLE32(b, v);
-    out.insert(out.end(), b, b + 4);
+    const std::size_t at = out.size();
+    out.resize(at + 4);
+    storeLE32(out.data() + at, v);
 }
 
 void
 appendU64(Bytes &out, std::uint64_t v)
 {
-    std::uint8_t b[8];
-    storeLE64(b, v);
-    out.insert(out.end(), b, b + 8);
+    const std::size_t at = out.size();
+    out.resize(at + 8);
+    storeLE64(out.data() + at, v);
 }
 
 }  // namespace

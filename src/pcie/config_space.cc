@@ -115,7 +115,7 @@ ConfigSpace::expansionRomEnabled() const
 Result<std::uint32_t>
 ConfigSpace::read32(std::uint16_t reg) const
 {
-    if (reg % 4 != 0 || reg + 4 > bytes_.size())
+    if (reg % 4 != 0 || std::size_t(reg) + 4 > bytes_.size())
         return errInvalidArgument("bad config register offset");
 
     // BAR sizing probe: after an all-ones write, the BAR reads back
@@ -140,7 +140,7 @@ ConfigSpace::read32(std::uint16_t reg) const
 Status
 ConfigSpace::write32(std::uint16_t reg, std::uint32_t value)
 {
-    if (reg % 4 != 0 || reg + 4 > bytes_.size())
+    if (reg % 4 != 0 || std::size_t(reg) + 4 > bytes_.size())
         return errInvalidArgument("bad config register offset");
 
     if (reg >= cfg::Bar0 && reg < cfg::Bar0 + 4 * NumBars) {
@@ -238,7 +238,7 @@ bool
 ConfigSpace::isHarmlessRoutingWrite(std::uint16_t reg,
                                     std::uint32_t value) const
 {
-    if (reg % 4 != 0 || reg + 4 > bytes_.size())
+    if (reg % 4 != 0 || std::size_t(reg) + 4 > bytes_.size())
         return false;
     if (value == 0xffffffffu)
         return true;  // sizing probe: readback state only

@@ -1,5 +1,7 @@
 #include "sgx/quote.h"
 
+#include <algorithm>
+
 #include "common/byte_utils.h"
 #include "common/units.h"
 #include "crypto/hmac.h"
@@ -10,16 +12,15 @@ namespace hix::sgx
 namespace
 {
 
+/** The signed bytes: source id (LE64) || mrenclave || report data. */
 Bytes
 quoteBody(const Quote &quote)
 {
-    Bytes body;
-    std::uint8_t id_bytes[8];
-    storeLE64(id_bytes, quote.source);
-    body.insert(body.end(), id_bytes, id_bytes + 8);
-    body.insert(body.end(), quote.mrenclave.begin(),
-                quote.mrenclave.end());
-    body.insert(body.end(), quote.data.begin(), quote.data.end());
+    Bytes body(8 + quote.mrenclave.size() + quote.data.size());
+    storeLE64(body.data(), quote.source);
+    auto *out = std::copy(quote.mrenclave.begin(), quote.mrenclave.end(),
+                          body.data() + 8);
+    std::copy(quote.data.begin(), quote.data.end(), out);
     return body;
 }
 

@@ -121,15 +121,6 @@ struct PlatformConfig
     // ----- HIX data path ------------------------------------------------
     /** Chunk size for the pipelined encrypt/transfer data path. */
     std::uint64_t pipelineChunkBytes = 4 * MiB;
-    /** Overlap encryption of chunk n+1 with transfer of chunk n. */
-    bool pipelineEnabled = true;
-    /**
-     * Use the single-copy path (Section 4.4.2): GPU DMAs ciphertext
-     * straight out of inter-enclave shared memory and decrypts
-     * in-GPU. When false, the naive double-copy path is modelled
-     * (GPU enclave decrypts, re-encrypts, copies again).
-     */
-    bool singleCopy = true;
 
     /** Defaults tuned for the paper's platform. */
     static const PlatformConfig &paper();

@@ -103,9 +103,6 @@ class Bfs : public RodiniaApp
                 // args: {row_start, edges, level, n, edge_count,
                 //        cur_level, nominal_nodes, total_levels}
                 const std::uint64_t n = args[3];
-                const std::int32_t cur =
-                    static_cast<std::int32_t>(args[5]);
-                const std::int32_t next = wrappingAdd(cur, 1);
                 HIX_ASSIGN_OR_RETURN(const std::uint64_t row_count,
                                      checkedSize({n}, 1));
                 return DeviceArrays(mem,
@@ -115,22 +112,29 @@ class Bfs : public RodiniaApp
                     .run([&](std::span<const std::int32_t> rows,
                              std::span<const std::int32_t> edges,
                              std::span<std::int32_t> level) -> Status {
+                        // The scalars the loops read are locals, not
+                        // captures: a level or frontier store may alias
+                        // a captured one, and GCC then reloads it in
+                        // the loop.
+                        const std::uint64_t nodes = level.size();
+                        const auto cur = static_cast<std::int32_t>(args[5]);
+                        const std::int32_t next = wrappingAdd(cur, 1);
                         // The nodes at `cur` when the launch starts, in
                         // order, compacted without a branch.
                         auto frontier =
                             std::make_unique_for_overwrite<std::uint64_t[]>(
-                                n);
+                                nodes);
                         std::uint64_t size = 0;
-                        for (std::uint64_t v = 0; v < n; ++v) {
+                        for (std::uint64_t v = 0; v < nodes; ++v) {
                             frontier[size] = v;
                             size += level[v] == cur;
                         }
                         // The graph is VRAM data: a node's edge range
                         // and each target are checked before they are
-                        // followed. A target in [0, n) is below `limit`
-                        // as uint32.
+                        // followed. A target in [0, nodes) is below
+                        // `limit` as uint32.
                         const auto limit = static_cast<std::uint32_t>(
-                            std::min<std::uint64_t>(n, 1ull << 31));
+                            std::min<std::uint64_t>(nodes, 1ull << 31));
                         for (std::uint64_t f = 0; f < size; ++f) {
                             const std::uint64_t v = frontier[f];
                             // A node set here gets `next`, never `cur`:
@@ -155,8 +159,14 @@ class Bfs : public RodiniaApp
                                         "bfs_level: edge " +
                                         std::to_string(e) +
                                         " leaves the level array");
+                                // A mask select, not `l < 0 ? next :
+                                // l`, which GCC 12 compiles to a
+                                // branch around the store: whether a
+                                // target is unvisited depends on the
+                                // data.
                                 std::int32_t &l = level[to];
-                                l = l < 0 ? next : l;
+                                const std::int32_t neg = l >> 31;
+                                l = (next & neg) | (l & ~neg);
                             }
                         }
                         return Status::ok();

@@ -19,6 +19,21 @@ constexpr std::uint32_t BlockSteps = 16;
 constexpr std::uint64_t FuncN = NominalN / 8;
 constexpr double KernelNs = 20.0e6;
 
+/**
+ * Elimination step @p k on row @p ai of an @p n-wide matrix, one pass:
+ * the multiplier ai[k] /= ak[k], then ai[j] -= ai[k] * ak[j] for j > k.
+ * Rows i != k never overlap; the vectorizer streams the pass behind a
+ * run-time alias check.
+ */
+void
+eliminate(float *ai, const float *ak, std::uint64_t k, std::uint64_t n)
+{
+    ai[k] /= ak[k];
+    const float lik = ai[k];
+    for (std::uint64_t j = k + 1; j < n; ++j)
+        ai[j] -= lik * ak[j];
+}
+
 /** The matrix to factor, as uploaded and as the check reads it. */
 struct Fixture
 {
@@ -64,20 +79,63 @@ class Lud : public RodiniaApp
                                      checkedSize({n, n}));
                 return DeviceArrays(mem, arrayInOut<float>(args[0], cells))
                     .run([&](std::span<float> a) {
-                        // Steps k >= n - 1 update nothing. The row
-                        // update reads row k and writes row i through
-                        // plain pointers, which the vectorizer streams;
-                        // rows i != k never overlap.
+                        // Steps k >= n - 1 update nothing.
+                        float *const m = a.data();
                         const std::uint64_t k_end = std::min(args[3], n);
-                        for (std::uint64_t k = args[2]; k < k_end; ++k) {
-                            const float *ak = a.data() + k * n;
+                        std::uint64_t k = args[2];
+                        // Four steps per pass over each row i >= k + 4.
+                        // Rows go in ascending order, so pivot rows
+                        // k..k+3 are final before a later row reads
+                        // them, and every element gets the same
+                        // subtracts on the same operands in the same
+                        // step order as one pass per step.
+                        for (; k < k_end && k_end - k >= 4; k += 4) {
+                            const float *p0 = m + k * n, *p1 = p0 + n,
+                                        *p2 = p1 + n, *p3 = p2 + n;
                             for (std::uint64_t i = k + 1; i < n; ++i) {
-                                float *ai = a.data() + i * n;
-                                ai[k] /= ak[k];
-                                const float lik = ai[k];
-                                for (std::uint64_t j = k + 1; j < n; ++j)
-                                    ai[j] -= lik * ak[j];
+                                float *ai = m + i * n;
+                                if (i < k + 4) {
+                                    // A row inside the block takes
+                                    // only the steps above it.
+                                    for (std::uint64_t s = k; s < i; ++s)
+                                        eliminate(ai, m + s * n, s, n);
+                                    continue;
+                                }
+                                // The block's four multipliers, each
+                                // after the steps before it, in
+                                // registers: as a loop, the triangle
+                                // was vectorized behind alias checks
+                                // for at most three elements.
+                                float l0 = ai[k], l1 = ai[k + 1],
+                                      l2 = ai[k + 2], l3 = ai[k + 3];
+                                l0 /= p0[k];
+                                l1 -= l0 * p0[k + 1];
+                                l2 -= l0 * p0[k + 2];
+                                l3 -= l0 * p0[k + 3];
+                                l1 /= p1[k + 1];
+                                l2 -= l1 * p1[k + 2];
+                                l3 -= l1 * p1[k + 3];
+                                l2 /= p2[k + 2];
+                                l3 -= l2 * p2[k + 3];
+                                l3 /= p3[k + 3];
+                                ai[k] = l0;
+                                ai[k + 1] = l1;
+                                ai[k + 2] = l2;
+                                ai[k + 3] = l3;
+                                for (std::uint64_t j = k + 4; j < n; ++j) {
+                                    float x = ai[j];
+                                    x -= l0 * p0[j];
+                                    x -= l1 * p1[j];
+                                    x -= l2 * p2[j];
+                                    x -= l3 * p3[j];
+                                    ai[j] = x;
+                                }
                             }
+                        }
+                        // A last block of fewer than four steps.
+                        for (; k < k_end; ++k) {
+                            for (std::uint64_t i = k + 1; i < n; ++i)
+                                eliminate(m + i * n, m + k * n, k, n);
                         }
                     });
             },

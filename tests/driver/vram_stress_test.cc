@@ -66,8 +66,9 @@ TEST_P(VramStressTest, RandomAllocFreeKeepsInvariants)
             ASSERT_GE(*block, 16 * MiB);
             ASSERT_LE(*block + rounded, 16 * MiB + 64 * MiB);
             auto next = live.lower_bound(*block);
-            if (next != live.end())
+            if (next != live.end()) {
                 ASSERT_LE(*block + rounded, next->first);
+            }
             if (next != live.begin()) {
                 auto prev = std::prev(next);
                 ASSERT_LE(prev->first + prev->second, *block);

@@ -79,9 +79,10 @@ TEST(PolicyPropertyTest, LeastLoadedNeverPicksAStrictlyHeavierDevice)
                 };
                 for (int d = 0; d < devices; ++d) {
                     EXPECT_LE(backlog(s.device), backlog(d));
-                    if (d < s.device)
+                    if (d < s.device) {
                         EXPECT_LT(backlog(s.device), backlog(d))
                             << "tie must go to the lower index";
+                    }
                 }
                 const Tick start =
                     std::max(s.admit, freeAt[s.device]);

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <set>
 #include <string>
@@ -670,6 +671,16 @@ floatsWithSlack(Rng &rng, std::size_t n, float lo, float hi)
     return vecBytes(randomFloats(rng, n + 16, lo, hi));
 }
 
+/** A diagonally dominant n x n matrix with 16 spare floats after it. */
+Bytes
+ludMatrix(Rng &rng, std::uint64_t n)
+{
+    auto a = randomFloats(rng, n * n + 16, -0.5f, 0.5f);
+    for (std::uint64_t i = 0; i < n; ++i)
+        a[i * n + i] = float(n);
+    return vecBytes(a);
+}
+
 /**
  * Cases for the reference comparison beyond kernelCases(): the
  * end-to-end benchmark's per-launch shapes and edge shapes. Inputs
@@ -779,12 +790,68 @@ referenceCases()
                                 std::uint64_t>>{
              {1, 0, 1}, {2, 0, 1}, {2, 0, 2}, {8, 7, 8}, {8, 9, 12},
              {8, 0, 13}}) {
-        auto a = randomFloats(rng, n * n + 16, -0.5f, 0.5f);
-        for (std::uint64_t i = 0; i < n; ++i)
-            a[i * n + i] = float(n);
-        cases.push_back({"LUD", "lud_block", {vecBytes(a)}, 0, 0,
+        cases.push_back({"LUD", "lud_block", {ludMatrix(rng, n)}, 0, 0,
                          [n, k0, k1](const std::vector<Addr> &va) {
                              return Launches{{va[0], n, k0, k1, 2048}};
+                         }});
+    }
+    // BFS at cur = INT32_MAX: `next` wraps to INT32_MIN, so the select
+    // stores a negative level into every unvisited target.
+    {
+        const std::uint32_t n = 1009;
+        constexpr std::int32_t Top = std::numeric_limits<std::int32_t>::max();
+        std::vector<std::int32_t> rows(n + 1);
+        for (std::uint32_t v = 0; v <= n; ++v)
+            rows[v] = static_cast<std::int32_t>(3 * v);
+        std::vector<std::int32_t> level(n);
+        for (auto &l : level)
+            l = rng.nextBelow(2) == 0 ? Top : -1;
+        cases.push_back({"BFS", "bfs_level",
+                         {vecBytes(rows), vecBytes(randomInts(rng, 3 * n, n)),
+                          vecBytes(level)},
+                         0, 2, [](const std::vector<Addr> &va) {
+                             return Launches{{va[0], va[1], va[2], n, 3 * n,
+                                              std::uint64_t(Top), 1000000,
+                                              2}};
+                         }});
+    }
+    // LUD in k-ranges of 1, 2, 3, 5, 6 and 17 steps, which the body
+    // walks in blocks of four plus a shorter last block: from k = 0 to
+    // the end of a 61 x 61 matrix, and one range from k = 23 of a
+    // fresh one.
+    for (const std::uint64_t steps : {1, 2, 3, 5, 6, 17}) {
+        const std::uint64_t n = 61;
+        cases.push_back({"LUD", "lud_block", {ludMatrix(rng, n)}, 0, 0,
+                         [=](const std::vector<Addr> &va) {
+                             Launches out;
+                             for (std::uint64_t k = 0; k < n - 1; k += steps)
+                                 out.push_back({va[0], n, k,
+                                                std::min(k + steps, n - 1),
+                                                2048});
+                             return out;
+                         }});
+        cases.push_back({"LUD", "lud_block", {ludMatrix(rng, n)}, 0, 0,
+                         [=](const std::vector<Addr> &va) {
+                             return Launches{{va[0], n, 23, 23 + steps, 2048}};
+                         }});
+    }
+    // LUD at sizes around the block of four, and at 255 and 257 in the
+    // end-to-end 16 launches. Every launch's first block holds rows
+    // i < k + 4.
+    for (const std::uint64_t n : {3, 4, 5, 9, 255, 257}) {
+        cases.push_back({"LUD", "lud_block", {ludMatrix(rng, n)}, 0, 0,
+                         [=](const std::vector<Addr> &va) {
+                             if (n < 16)
+                                 return Launches{{va[0], n, 0, n, 2048},
+                                                 {va[0], n, 1, n - 1, 2048}};
+                             const std::uint64_t step = n / 16;
+                             Launches out;
+                             for (std::uint64_t s = 0; s < 16; ++s)
+                                 out.push_back(
+                                     {va[0], n, s * step,
+                                      s + 1 == 16 ? n - 1 : (s + 1) * step,
+                                      2048});
+                             return out;
                          }});
     }
     return cases;

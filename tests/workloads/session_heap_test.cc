@@ -45,7 +45,8 @@ namespace
 constexpr int Users = 8;
 constexpr long MaxFaultsPerSession = 64;
 
-long
+// Unused in sanitizer builds, which skip the guard.
+[[maybe_unused]] long
 threadMinorFaults()
 {
     rusage usage{};
