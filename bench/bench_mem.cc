@@ -1,20 +1,20 @@
 /**
  * @file
- * Memory-system fast-path microbench: the substrate cost every
- * modelled access pays. Three sweeps, each fast engine vs its linear
- * reference oracle:
+ * Memory-system microbench: the substrate cost every modelled access
+ * pays, on the production engines (mem::Mmu and its Tlb). Three
+ * sweeps:
  *
  *  - translate throughput on a hot page set while the TLB carries
  *    multi-tenant residue (other processes' entries), the state a
  *    busy modelled machine actually runs in;
  *  - bulk virtual-address copy MB/s over working sets from 64 KiB to
- *    8 MiB (single walk per page run + borrowed spans vs the
- *    per-page translate-and-route loop);
- *  - flush-storm cost: repeated fill + flushAll cycles (epoch bump
- *    vs list teardown).
+ *    8 MiB (one walk per page, one bus call per physical run);
+ *  - flush-storm cost: repeated fill + flushAll cycles (an O(1)
+ *    epoch bump).
  *
- * Writes BENCH_mem.json. Acceptance (tracked in CI perf-smoke): hot
- * translate >= 10x and bulk copy >= 3x vs reference on 64 KiB+.
+ * Writes BENCH_mem.json. The rows keep the "engine=fast" suffix of
+ * the days when each sweep also timed the linear oracles, which are
+ * test-only code now (tests/oracles/).
  */
 
 #include <cstdio>
@@ -39,11 +39,11 @@ bench::BenchJson json("mem");
 constexpr std::uint64_t RamSize = 32 * MiB;
 constexpr Addr VaBase = 0x10000000;
 
-/** Bus + RAM + per-pid page tables + one MMU of the given engine. */
+/** Bus + RAM + per-pid page tables + one MMU. */
 struct System
 {
-    System(TlbEngine engine, std::size_t tlb_capacity)
-        : ram("bench_ram", RamSize), mmu(&bus, tlb_capacity, engine)
+    explicit System(std::size_t tlb_capacity)
+        : ram("bench_ram", RamSize), mmu(&bus, tlb_capacity)
     {
         if (!bus.attach(AddrRange(0, RamSize), &ram).isOk())
             std::abort();
@@ -57,21 +57,15 @@ struct System
     std::unordered_map<ProcessId, PageTable> tables;
 };
 
-const char *
-engineName(TlbEngine engine)
-{
-    return engine == TlbEngine::Fast ? "fast" : "reference";
-}
-
 /**
  * Hot-set translate throughput with multi-tenant TLB residue:
  * 30 other processes keep 240 of the 256 entries occupied, the hot
  * process loops over 8 pages. Returns translates per microsecond.
  */
 double
-translateThroughput(TlbEngine engine)
+translateThroughput()
 {
-    System sys(engine, 256);
+    System sys(256);
     constexpr int ResiduePids = 30;
     constexpr int ResiduePages = 8;
     constexpr int HotPages = 8;
@@ -111,13 +105,10 @@ translateThroughput(TlbEngine engine)
         }
     const double host_ms = timer.ms();
     if (sys.mmu.tlbMisses() != misses_before)
-        std::printf("  warning: hot loop missed (%s)\n",
-                    engineName(engine));
+        std::printf("  warning: hot loop missed\n");
     const double total = double(Iterations) * HotPages;
     const double per_us = total / (host_ms * 1000.0);
-    json.add(std::string("translate hot=8 residue=240 engine=") +
-                 engineName(engine),
-             0, host_ms)
+    json.add("translate hot=8 residue=240 engine=fast", 0, host_ms)
         .metric("translates_per_us", per_us)
         .metric("tlb_hits", double(sys.mmu.tlbHits()))
         .metric("tlb_misses", double(sys.mmu.tlbMisses()))
@@ -126,21 +117,19 @@ translateThroughput(TlbEngine engine)
 }
 
 /**
- * Bulk copy MB/s over @p bytes; fast bulk path vs reference loop.
- * Runs with the same multi-tenant TLB residue as the translate sweep:
- * on an idle TLB both paths are memcpy-bound, which is not the state
- * a busy modelled machine copies in.
+ * Bulk copy MB/s over @p bytes. Runs with the same multi-tenant TLB
+ * residue as the translate sweep: on an idle TLB the copy is
+ * memcpy-bound, which is not the state a busy modelled machine
+ * copies in.
  */
 double
-bulkCopy(TlbEngine engine, std::uint64_t bytes)
+bulkCopy(std::uint64_t bytes)
 {
     // Machine-default TLB capacity. Small working sets run in the
-    // residue-bound regime (reference pays a long list scan per
-    // translate), 1 MiB+ working sets in the thrash regime (capacity
-    // misses every page); in between the reference degrades gradually
-    // and the gap narrows to ~3x.
+    // residue-bound regime, 1 MiB+ working sets in the thrash regime
+    // (capacity misses every page).
     constexpr std::size_t Capacity = 256;
-    System sys(engine, Capacity);
+    System sys(Capacity);
     // As much residue as fits beside the hot set: over-filling would
     // just evict it after the first rep and measure an idle TLB.
     constexpr int ResiduePages = 8;
@@ -175,16 +164,8 @@ bulkCopy(TlbEngine engine, std::uint64_t bytes)
         static_cast<int>(std::max<std::uint64_t>(4, 32 * MiB / bytes));
     bench::HostTimer timer;
     for (int r = 0; r < reps; ++r) {
-        Status wr =
-            engine == TlbEngine::Fast
-                ? sys.mmu.write(ctx, VaBase, buf.data(), bytes)
-                : sys.mmu.writeReference(ctx, VaBase, buf.data(),
-                                         bytes);
-        Status rd =
-            engine == TlbEngine::Fast
-                ? sys.mmu.read(ctx, VaBase, buf.data(), bytes)
-                : sys.mmu.readReference(ctx, VaBase, buf.data(),
-                                        bytes);
+        Status wr = sys.mmu.write(ctx, VaBase, buf.data(), bytes);
+        Status rd = sys.mmu.read(ctx, VaBase, buf.data(), bytes);
         if (!wr.isOk() || !rd.isOk())
             std::abort();
     }
@@ -193,7 +174,7 @@ bulkCopy(TlbEngine engine, std::uint64_t bytes)
         double(bytes) * 2 * reps / double(1 << 20);  // W + R
     const double mbps = mb / (host_ms / 1000.0);
     json.add("bulk_copy kib=" + std::to_string(bytes / KiB) +
-                 " tlb=256 engine=" + engineName(engine),
+                 " tlb=256 engine=fast",
              0, host_ms)
         .metric("mb_per_s", mbps)
         .metric("tlb_hits", double(sys.mmu.tlbHits()))
@@ -203,9 +184,9 @@ bulkCopy(TlbEngine engine, std::uint64_t bytes)
 
 /** Cost of fill-then-flushAll cycles, in cycles per millisecond. */
 double
-flushStorm(TlbEngine engine)
+flushStorm()
 {
-    System sys(engine, 256);
+    System sys(256);
     constexpr int FillPages = 64;
     for (int i = 0; i < FillPages; ++i)
         (void)sys.tables[1].map(VaBase + Addr(i) * PageSize,
@@ -221,9 +202,7 @@ flushStorm(TlbEngine engine)
     }
     const double host_ms = timer.ms();
     const double cycles_per_ms = Cycles / host_ms;
-    json.add(std::string("flush_storm fill=64 engine=") +
-                 engineName(engine),
-             0, host_ms)
+    json.add("flush_storm fill=64 engine=fast", 0, host_ms)
         .metric("cycles_per_ms", cycles_per_ms)
         .metric("tlb_misses", double(sys.mmu.tlbMisses()));
     return cycles_per_ms;
@@ -234,43 +213,18 @@ flushStorm(TlbEngine engine)
 int
 main()
 {
-    std::printf("Memory-system fast path vs linear reference oracle\n\n");
+    std::printf("Memory-system fast path\n\n");
 
-    const double t_fast = translateThroughput(TlbEngine::Fast);
-    const double t_ref = translateThroughput(TlbEngine::Reference);
-    std::printf("hot translate (240-entry residue): "
-                "%8.1f/us fast | %8.1f/us reference | %5.1fx\n",
-                t_fast, t_ref, t_fast / t_ref);
-    json.add("translate hot=8 residue=240 speedup", 0, 0.0)
-        .metric("speedup", t_fast / t_ref);
+    std::printf("hot translate (240-entry residue): %8.1f/us\n",
+                translateThroughput());
 
-    std::printf("\n%-12s | %12s | %12s | %7s\n", "working set",
-                "fast MB/s", "ref MB/s", "speedup");
-    double min_bulk_speedup = 1e9;
-    for (std::uint64_t bytes : {64 * KiB, 1 * MiB, 2 * MiB, 8 * MiB}) {
-        const double fast = bulkCopy(TlbEngine::Fast, bytes);
-        const double ref = bulkCopy(TlbEngine::Reference, bytes);
-        std::printf("%9llu KiB | %12.0f | %12.0f | %6.1fx\n",
-                    static_cast<unsigned long long>(bytes / KiB), fast,
-                    ref, fast / ref);
-        json.add("bulk_copy kib=" + std::to_string(bytes / KiB) +
-                     " speedup",
-                 0, 0.0)
-            .metric("speedup", fast / ref);
-        if (fast / ref < min_bulk_speedup)
-            min_bulk_speedup = fast / ref;
-    }
+    std::printf("\n%-12s | %12s\n", "working set", "MB/s");
+    for (std::uint64_t bytes : {64 * KiB, 1 * MiB, 2 * MiB, 8 * MiB})
+        std::printf("%9llu KiB | %12.0f\n",
+                    static_cast<unsigned long long>(bytes / KiB),
+                    bulkCopy(bytes));
 
-    const double f_fast = flushStorm(TlbEngine::Fast);
-    const double f_ref = flushStorm(TlbEngine::Reference);
-    std::printf("\nflush storm (fill 64 + flushAll): "
-                "%8.1f/ms fast | %8.1f/ms reference | %5.1fx\n",
-                f_fast, f_ref, f_fast / f_ref);
-    json.add("flush_storm fill=64 speedup", 0, 0.0)
-        .metric("speedup", f_fast / f_ref);
-
-    std::printf("\nAcceptance: hot translate %.1fx (target >= 10x), "
-                "min bulk speedup %.1fx (target >= 3x)\n",
-                t_fast / t_ref, min_bulk_speedup);
+    std::printf("\nflush storm (fill 64 + flushAll): %8.1f/ms\n",
+                flushStorm());
     return json.write() ? 0 : 1;
 }

@@ -1,28 +1,9 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace hix
 {
-
-namespace
-{
-std::atomic<LogLevel> global_level{LogLevel::Warn};
-}  // namespace
-
-LogLevel
-logLevel()
-{
-    return global_level.load(std::memory_order_relaxed);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    global_level.store(level, std::memory_order_relaxed);
-}
-
 namespace detail
 {
 
@@ -38,29 +19,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::exit(1);
-}
-
-void
-logImpl(LogLevel level, const std::string &msg)
-{
-    if (level > logLevel())
-        return;
-    const char *tag = "";
-    switch (level) {
-      case LogLevel::Warn:
-        tag = "warn";
-        break;
-      case LogLevel::Inform:
-        tag = "info";
-        break;
-      case LogLevel::Debug:
-        tag = "debug";
-        break;
-      default:
-        tag = "log";
-        break;
-    }
-    std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
 }
 
 }  // namespace detail

@@ -1,8 +1,8 @@
 /**
  * @file
- * Logging and fatal-error helpers, in the spirit of gem5's
- * base/logging.hh: panic() for internal model bugs, fatal() for user
- * configuration errors, warn()/inform() for status messages.
+ * Fatal-error helpers, in the spirit of gem5's base/logging.hh:
+ * panic() for internal model bugs, fatal() for user configuration
+ * errors.
  */
 
 #ifndef HIX_COMMON_LOGGING_H_
@@ -16,21 +16,6 @@
 namespace hix
 {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel
-{
-    Quiet = 0,
-    Warn = 1,
-    Inform = 2,
-    Debug = 3,
-};
-
-/** Process-global log verbosity; defaults to Warn. */
-LogLevel logLevel();
-
-/** Set the process-global log verbosity. */
-void setLogLevel(LogLevel level);
-
 namespace detail
 {
 
@@ -38,7 +23,6 @@ namespace detail
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void logImpl(LogLevel level, const std::string &msg);
 
 /** Build a message from stream-style arguments. */
 template <typename... Args>
@@ -61,21 +45,6 @@ format(Args &&...args)
 #define hix_fatal(...) \
     ::hix::detail::fatalImpl(__FILE__, __LINE__, \
                              ::hix::detail::format(__VA_ARGS__))
-
-/** Warn about suspicious but survivable conditions. */
-#define hix_warn(...) \
-    ::hix::detail::logImpl(::hix::LogLevel::Warn, \
-                           ::hix::detail::format(__VA_ARGS__))
-
-/** Informational status message. */
-#define hix_inform(...) \
-    ::hix::detail::logImpl(::hix::LogLevel::Inform, \
-                           ::hix::detail::format(__VA_ARGS__))
-
-/** High-volume debug message. */
-#define hix_debug(...) \
-    ::hix::detail::logImpl(::hix::LogLevel::Debug, \
-                           ::hix::detail::format(__VA_ARGS__))
 
 }  // namespace hix
 

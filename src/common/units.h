@@ -51,13 +51,6 @@ ticksToMs(Tick t)
     return static_cast<double>(t) / static_cast<double>(MS);
 }
 
-/** Convert ticks to fractional seconds (for reports). */
-constexpr double
-ticksToSec(Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(SEC);
-}
-
 }  // namespace hix
 
 #endif  // HIX_COMMON_UNITS_H_

@@ -139,13 +139,12 @@ class GdevDriver
     gpu::GpuDevice *device() { return device_; }
 
     /**
-     * Switch the timing actor attributed for subsequent calls. The
-     * GPU enclave uses one logical worker (actor) per session so
-     * concurrent users' requests do not falsely serialize in the
-     * trace; the CPU *resource* stays shared, which is where the
-     * real contention lives.
+     * The timing actor attributed to calls. The GPU enclave uses one
+     * logical worker (actor) per session so concurrent users'
+     * requests do not falsely serialize in the trace; the CPU
+     * *resource* stays shared, which is where the real contention
+     * lives.
      */
-    void setActor(std::uint32_t actor) { config_.actor = actor; }
     std::uint32_t actor() const { return config_.actor; }
 
     /**

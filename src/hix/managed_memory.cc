@@ -92,7 +92,6 @@ ManagedBuffer::evictLru()
     HIX_RETURN_IF_ERROR(driver_->vram()->free(page.vramPa));
     page.resident = false;
     page.materialized = true;
-    ++evictions_;
     return Status::ok();
 }
 
@@ -150,7 +149,6 @@ ManagedBuffer::pageIn(std::size_t index)
 
     page.resident = true;
     lru_.push_back(index);
-    ++page_ins_;
     return Status::ok();
 }
 

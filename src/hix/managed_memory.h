@@ -86,8 +86,6 @@ class ManagedBuffer
     Status prefetchAll();
 
     std::uint32_t residentPages() const;
-    std::uint64_t pageInCount() const { return page_ins_; }
-    std::uint64_t evictionCount() const { return evictions_; }
 
     /** Release all residency and swap state (session teardown). */
     Status teardown();
@@ -116,8 +114,6 @@ class ManagedBuffer
     /** LRU order of resident pages; front = least recent. */
     std::list<std::size_t> lru_;
     std::uint64_t next_counter_ = 1;
-    std::uint64_t page_ins_ = 0;
-    std::uint64_t evictions_ = 0;
     bool torn_down_ = false;
 };
 

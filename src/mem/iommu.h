@@ -17,10 +17,11 @@
  * Translation is cached in an IOTLB that is a CPU mem::Tlb of its
  * own, keyed (pid = domain, enclave = InvalidEnclaveId, vpage =
  * device page), so its set-associative LRU policy is the one the
- * TlbReference oracle pins. Caching cannot change what the adversary
- * can do: fills mirror the OS-owned table verbatim, and every table
- * mutation (unmap/overwrite) flushes the cached page before it takes
- * effect, so a translate always returns exactly what the table would.
+ * MemGoldenTlb tests pin against a linear-list oracle. Caching cannot
+ * change what the adversary can do: fills mirror the OS-owned table
+ * verbatim, and every table mutation (unmap/overwrite) flushes the
+ * cached page before it takes effect, so a translate always returns
+ * exactly what the table would.
  * Negative results (faults) are never cached.
  */
 

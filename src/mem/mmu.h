@@ -11,19 +11,13 @@
  * corrupt its page tables freely but can never make the hardware
  * honour a forged mapping.
  *
- * Two TLB engines implement one replacement policy (set-associative,
- * LRU within a set):
- *
- *  - Tlb: open-addressed slot array — O(ways) lookup/insert, O(1)
- *    epoch-based flushAll. The production engine.
- *  - TlbReference: the original linear std::list, kept as the golden
- *    oracle (same pattern as the scalar crypto engine and
- *    scheduleReference). Its global-recency list order restricted to
- *    one set is exactly within-set LRU, so both engines make
- *    bit-identical hit/miss/eviction decisions.
- *
- * The IOMMU's IOTLB is a Tlb too (iommu.h), so the oracle pins its
- * policy as well.
+ * The TLB is set-associative with LRU within a set (Tlb): an
+ * open-addressed slot array with O(ways) lookup and insert and an
+ * O(1) epoch-based flushAll. The Mmu holds it by value, so a probe
+ * is a direct call. The IOMMU's IOTLB is a Tlb too (iommu.h). The
+ * oracles that pin its policy and the bulk copies, a linear-list TLB
+ * and an MMU that copies page by page, are test-only code
+ * (tests/oracles/).
  *
  * Conservative-flush contract: entries are keyed (pid, enclave,
  * vpage), but flushPid/flushPage deliberately ignore the enclave tag
@@ -40,8 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -90,15 +82,8 @@ class TlbFillValidator
                                 Addr ppage, std::uint8_t perms) = 0;
 };
 
-/** Which TLB engine an Mmu uses. */
-enum class TlbEngine
-{
-    Fast,       ///< Set-associative slot array (production).
-    Reference,  ///< Linear list golden oracle.
-};
-
 /**
- * Set/way shape shared by both engines. The set index hashes
+ * Set/way shape of a TLB. The set index hashes
  * (pid, vpage) only — never the enclave tag — so flushPage(pid,
  * vpage), which ignores the enclave, needs to probe exactly one set.
  */
@@ -132,34 +117,38 @@ struct TlbGeometry
 };
 
 /**
- * Common TLB interface plus the hit/miss counters, which live here so
- * both engines count identically.
+ * The TLB: an open-addressed set-associative slot array. A slot is
+ * valid iff its epoch matches the TLB's current epoch, which makes
+ * flushAll an O(1) epoch bump. LRU within a set uses a global touch
+ * tick stamped on every hit and insert. The hit/miss counters are
+ * the owner's to bump (countHit/countMiss), so a lookup that only
+ * peeks does not count.
  */
-class TlbBase
+class Tlb
 {
   public:
-    explicit TlbBase(TlbGeometry geom) : geom_(geom) {}
-    virtual ~TlbBase() = default;
+    explicit Tlb(std::size_t capacity,
+                 std::size_t ways_hint = TlbGeometry::DefaultWays);
 
     /**
      * Find an entry for (pid, enclave, vpage). A hit refreshes the
      * entry's LRU recency; the returned pointer is valid until the
      * next mutating call.
      */
-    virtual const TlbEntry *lookup(ProcessId pid, EnclaveId enclave,
-                                   Addr vpage) const = 0;
+    const TlbEntry *lookup(ProcessId pid, EnclaveId enclave,
+                           Addr vpage) const;
 
     /** Insert an entry, evicting within-set LRU when the set is full. */
-    virtual void insert(const TlbEntry &entry) = 0;
+    void insert(const TlbEntry &entry);
 
-    virtual void flushAll() = 0;
+    void flushAll();
     /** Drop every entry of @p pid (enclave tag ignored — see above). */
-    virtual void flushPid(ProcessId pid) = 0;
+    void flushPid(ProcessId pid);
     /** Drop every (pid, vpage) entry (enclave tag ignored). */
-    virtual void flushPage(ProcessId pid, Addr vpage) = 0;
+    void flushPage(ProcessId pid, Addr vpage);
 
     /** Live (valid) entry count. */
-    virtual std::size_t size() const = 0;
+    std::size_t size() const { return live_; }
 
     const TlbGeometry &geometry() const { return geom_; }
     std::size_t capacity() const { return geom_.slotCount(); }
@@ -167,35 +156,9 @@ class TlbBase
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Count a hit/miss (called by the MMU). */
+    /** Count a hit/miss (called by the MMU and the IOMMU). */
     void countHit() const { ++hits_; }
     void countMiss() const { ++misses_; }
-
-  protected:
-    TlbGeometry geom_;
-    mutable std::uint64_t hits_ = 0;
-    mutable std::uint64_t misses_ = 0;
-};
-
-/**
- * Production TLB: open-addressed set-associative slot array. A slot
- * is valid iff its epoch matches the TLB's current epoch, which makes
- * flushAll an O(1) epoch bump. LRU within a set uses a global touch
- * tick stamped on every hit and insert.
- */
-class Tlb : public TlbBase
-{
-  public:
-    explicit Tlb(std::size_t capacity,
-                 std::size_t ways_hint = TlbGeometry::DefaultWays);
-
-    const TlbEntry *lookup(ProcessId pid, EnclaveId enclave,
-                           Addr vpage) const override;
-    void insert(const TlbEntry &entry) override;
-    void flushAll() override;
-    void flushPid(ProcessId pid) override;
-    void flushPage(ProcessId pid, Addr vpage) override;
-    std::size_t size() const override { return live_; }
 
     /** Current flush epoch (for tests). */
     std::uint64_t epoch() const { return epoch_; }
@@ -208,37 +171,14 @@ class Tlb : public TlbBase
         std::uint64_t stamp = 0;  // LRU recency
     };
 
+    TlbGeometry geom_;
     // lookup() is logically const but refreshes LRU recency.
     mutable std::vector<Slot> slots_;
     mutable std::uint64_t tick_ = 0;
     std::uint64_t epoch_ = 1;
     std::size_t live_ = 0;
-};
-
-/**
- * Golden-oracle TLB: linear list in global touch-recency order (back
- * = most recent). Restricted to one set, that order is within-set
- * recency, so evicting the front-most entry of a full set picks the
- * same victim as the fast engine's min-stamp slot.
- */
-class TlbReference : public TlbBase
-{
-  public:
-    explicit TlbReference(
-        std::size_t capacity,
-        std::size_t ways_hint = TlbGeometry::DefaultWays);
-
-    const TlbEntry *lookup(ProcessId pid, EnclaveId enclave,
-                           Addr vpage) const override;
-    void insert(const TlbEntry &entry) override;
-    void flushAll() override;
-    void flushPid(ProcessId pid) override;
-    void flushPage(ProcessId pid, Addr vpage) override;
-    std::size_t size() const override { return entries_.size(); }
-
-  private:
-    // lookup() splices a hit to the back (recency refresh).
-    mutable std::list<TlbEntry> entries_;
+    mutable std::uint64_t hits_ = 0;
+    mutable std::uint64_t misses_ = 0;
 };
 
 /**
@@ -250,9 +190,9 @@ class TlbReference : public TlbBase
  * read/write walk once per page, coalesce physically contiguous page
  * runs, and route each run over the bus once (readPages/writePages);
  * the loop is movePhysicalRuns() (page.h), which the DMA path and the
- * GPU contexts share. readReference/writeReference keep the original
- * translate-then-route per-page loop as the differential oracle. Both
- * deliver identical bytes and Status codes; the only permitted
+ * GPU contexts share. The test-only ReferenceMmu copies page by
+ * page, translate then route. Both deliver identical bytes and
+ * Status codes; the only permitted
  * divergence is that when a bulk call fails at the *bus* layer, the
  * fast path may already have translated (and counted) pages beyond
  * the faulting one inside that same call — translate-level faults
@@ -265,7 +205,6 @@ class Mmu
     using PageTableProvider = std::function<PageTable *(ProcessId)>;
 
     Mmu(PhysicalBus *bus, std::size_t tlb_capacity = 64,
-        TlbEngine engine = TlbEngine::Fast,
         std::size_t tlb_ways = TlbGeometry::DefaultWays);
 
     void setPageTableProvider(PageTableProvider provider);
@@ -288,33 +227,25 @@ class Mmu
     Status write(const ExecContext &ctx, Addr vaddr,
                  const std::uint8_t *data, std::size_t len);
 
-    /** Original per-page read loop — the differential oracle. */
-    Status readReference(const ExecContext &ctx, Addr vaddr,
-                         std::uint8_t *data, std::size_t len);
-
-    /** Original per-page write loop — the differential oracle. */
-    Status writeReference(const ExecContext &ctx, Addr vaddr,
-                          const std::uint8_t *data, std::size_t len);
-
     /** TLB shootdown helpers (see the conservative-flush contract). */
-    void flushTlbAll() { tlb_->flushAll(); }
-    void flushTlbPid(ProcessId pid) { tlb_->flushPid(pid); }
+    void flushTlbAll() { tlb_.flushAll(); }
+    void flushTlbPid(ProcessId pid) { tlb_.flushPid(pid); }
     void flushTlbPage(ProcessId pid, Addr vpage)
     {
-        tlb_->flushPage(pid, vpage);
+        tlb_.flushPage(pid, vpage);
     }
 
-    std::uint64_t tlbHits() const { return tlb_->hits(); }
-    std::uint64_t tlbMisses() const { return tlb_->misses(); }
+    std::uint64_t tlbHits() const { return tlb_.hits(); }
+    std::uint64_t tlbMisses() const { return tlb_.misses(); }
 
-    TlbBase &tlb() { return *tlb_; }
-    const TlbBase &tlb() const { return *tlb_; }
+    Tlb &tlb() { return tlb_; }
+    const Tlb &tlb() const { return tlb_; }
 
     PhysicalBus *bus() { return bus_; }
 
   private:
     PhysicalBus *bus_;
-    std::unique_ptr<TlbBase> tlb_;
+    Tlb tlb_;
     PageTableProvider provider_;
     std::vector<TlbFillValidator *> validators_;
 };

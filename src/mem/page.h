@@ -57,6 +57,10 @@ pageAligned(Addr a)
  * run) were translated. Translations must be page-aligned on both
  * sides, so physical page boundaries fall where the access's page
  * boundaries do.
+ *
+ * An access whose last byte lies past 2^64 - 1 is InvalidArgument
+ * before anything is translated; one that ends exactly at 2^64 is
+ * legal.
  */
 template <typename Translate, typename Move>
 Status
@@ -65,6 +69,8 @@ movePhysicalRuns(Addr addr, std::uint64_t len, Translate &&translate,
 {
     if (len == 0)
         return Status::ok();
+    if (len - 1 > ~addr)
+        return errInvalidArgument("access wraps past 2^64");
     Result<Addr> first = translate(addr);
     if (!first.isOk())
         return first.status();

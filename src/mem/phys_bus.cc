@@ -64,15 +64,6 @@ PhysicalBus::route(Addr addr) const
     return &*it;
 }
 
-const PhysicalBus::Mapping *
-PhysicalBus::routeReference(Addr addr) const
-{
-    for (const Mapping &m : mappings_)
-        if (m.range.contains(addr))
-            return &m;
-    return nullptr;
-}
-
 Status
 PhysicalBus::read(Addr addr, std::uint8_t *data, std::size_t len)
 {

@@ -13,8 +13,8 @@
  * Routing is the innermost loop of every modelled memory access, so
  * the bus keeps its mappings sorted by start address and routes with
  * a binary search plus a one-entry most-recently-used cache. The
- * original linear scan survives as routeReference(), the golden
- * oracle the differential tests compare against.
+ * differential tests check it against a linear scan over the ranges
+ * they attached themselves (tests/oracles/).
  */
 
 #ifndef HIX_MEM_PHYS_BUS_H_
@@ -96,9 +96,6 @@ class PhysicalBus
      * invalidated by attach/detach.
      */
     const Mapping *route(Addr addr) const;
-
-    /** Linear-scan golden oracle for route(). */
-    const Mapping *routeReference(Addr addr) const;
 
     /** The target claiming @p addr, or nullptr. */
     BusTarget *targetAt(Addr addr) const;

@@ -58,7 +58,6 @@ class ConfigSpace
     ConfigSpace(HeaderType type, std::uint16_t vendor_id,
                 std::uint16_t device_id, std::uint32_t class_code);
 
-    HeaderType headerType() const { return type_; }
     std::uint16_t vendorId() const;
     std::uint16_t deviceId() const;
 

@@ -379,9 +379,15 @@ RootComplex::measurePath(const Bdf &bdf) const
 Result<Addr>
 RootComplex::translateDma(mem::IommuDomain domain, Addr addr) const
 {
-    if (!iommu_)
-        return addr;
-    return iommu_->translate(domain, addr);
+    Result<Addr> pa = iommu_ ? iommu_->translate(domain, addr)
+                             : Result<Addr>(addr);
+    // HIX assumes a multi-GPU system without peer-to-peer DMA (§7):
+    // a page that lands in the MMIO window, on any device's BAR, is
+    // refused wherever the access started.
+    if (pa.isOk() && mmio_window_.contains(*pa))
+        return errPermissionDenied(
+            "peer-to-peer DMA is not supported by HIX");
+    return pa;
 }
 
 mem::IommuDomain
@@ -402,9 +408,6 @@ RootComplex::dmaRead(const Bdf &source, Addr addr, std::uint8_t *data,
     const mem::IommuDomain domain = dmaDomainOf(source);
     if (!ram_)
         return errUnavailable("no DMA path configured");
-    if (mmio_window_.contains(addr))
-        return errPermissionDenied(
-            "peer-to-peer DMA is not supported by HIX");
     return mem::movePhysicalRuns(
         addr, len, [&](Addr a) { return translateDma(domain, a); },
         [&](Addr pa, std::uint64_t done, std::uint64_t n) {
@@ -419,9 +422,6 @@ RootComplex::dmaWrite(const Bdf &source, Addr addr,
     const mem::IommuDomain domain = dmaDomainOf(source);
     if (!ram_)
         return errUnavailable("no DMA path configured");
-    if (mmio_window_.contains(addr))
-        return errPermissionDenied(
-            "peer-to-peer DMA is not supported by HIX");
     return mem::movePhysicalRuns(
         addr, len, [&](Addr a) { return translateDma(domain, a); },
         [&](Addr pa, std::uint64_t done, std::uint64_t n) {

@@ -134,7 +134,6 @@ class RootComplex : public mem::BusTarget
     {
         sizing_exception_ = enabled;
     }
-    bool sizingProbeException() const { return sizing_exception_; }
 
     /**
      * Measurement of all routing-relevant config registers on the
@@ -163,7 +162,9 @@ class RootComplex : public mem::BusTarget
      * (domain = root-port index), so a device can only resolve
      * through its own domain's table. The identity-less overloads
      * keep the legacy single-device behavior: they run in domain 0,
-     * which is the lone GPU's domain on a one-GPU machine.
+     * which is the lone GPU's domain on a one-GPU machine. HIX has
+     * no peer-to-peer DMA: a page that translates into the MMIO
+     * window is PermissionDenied, after the pages before it moved.
      */
     Status dmaRead(const Bdf &source, Addr addr, std::uint8_t *data,
                    std::size_t len);
@@ -211,7 +212,8 @@ class RootComplex : public mem::BusTarget
      */
     Status routeMemRaw(Addr addr, std::uint8_t *read_data,
                        const std::uint8_t *write_data, std::size_t len);
-    /** IOMMU translation of one DMA page (identity without IOMMU). */
+    /** IOMMU translation of one DMA page (identity without IOMMU);
+     * PermissionDenied when the page lands in the MMIO window. */
     Result<Addr> translateDma(mem::IommuDomain domain, Addr addr) const;
 
     AddrRange mmio_window_;

@@ -124,7 +124,6 @@ class SgxUnit : public mem::TlbFillValidator
 
     /** The HIX instruction extension bolted onto this unit. */
     void setHixExtension(HixExtension *ext) { hix_ext_ = ext; }
-    HixExtension *hixExtension() { return hix_ext_; }
 
     /**
      * Platform cold reset: clears every enclave, all EPC state, and

@@ -591,6 +591,42 @@ TEST(GpuContextTest, MapWrappingPastTopOfVaIsRejected)
     EXPECT_EQ(ctx.pageCount(), 1u);
 }
 
+TEST(GpuContextTest, AccessWrappingPastTopOfVaFails)
+{
+    // With VA 0 mapped, a two-page access at the top page used to
+    // translate VA 0 for its second page and move it there.
+    const Addr top_page = ~Addr(0) - (mem::PageSize - 1);
+    mem::PhysMem vram("vram", 1 * MiB);
+    GpuContext ctx(1);
+    ASSERT_TRUE(ctx.map(0, 0x1000, mem::PageSize).isOk());
+    ASSERT_TRUE(ctx.map(top_page, 0x2000, mem::PageSize).isOk());
+    const GpuMemAccessor mem(&ctx, &vram);
+    const Bytes ones(mem::PageSize, 0xff);
+    ASSERT_TRUE(vram.writeAt(0x1000, ones.data(), ones.size()).isOk());
+
+    Bytes data(2 * mem::PageSize, 0x5a);
+    EXPECT_EQ(mem.write(top_page, data.data(), data.size()).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(mem.zero(top_page, data.size()).code(),
+              StatusCode::InvalidArgument);
+    Bytes got(2 * mem::PageSize, 0xee);
+    EXPECT_EQ(mem.read(top_page, got.data(), got.size()).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(got, Bytes(got.size(), 0xee)) << "the read moved bytes";
+    Bytes page(mem::PageSize);
+    ASSERT_TRUE(vram.readAt(0x1000, page.data(), page.size()).isOk());
+    EXPECT_EQ(page, ones) << "VA 0's page was written";
+    ASSERT_TRUE(vram.readAt(0x2000, page.data(), page.size()).isOk());
+    EXPECT_EQ(page, Bytes(mem::PageSize, 0)) << "the top page was written";
+
+    // An access that ends exactly at 2^64 is legal.
+    EXPECT_TRUE(mem.write(top_page, data.data(), mem::PageSize).isOk());
+    EXPECT_TRUE(mem.write(~Addr(0), data.data(), 1).isOk());
+    EXPECT_TRUE(mem.read(top_page, got.data(), mem::PageSize).isOk());
+    EXPECT_EQ(Bytes(got.begin(), got.begin() + mem::PageSize),
+              Bytes(mem::PageSize, 0x5a));
+}
+
 TEST_F(GpuDeviceTest, CryptoWithoutKeyFails)
 {
     submit(GpuOp::CtxCreate, 1, {});

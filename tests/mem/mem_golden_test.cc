@@ -1,18 +1,18 @@
 /**
  * @file
  * Golden-equivalence wall for the memory-system fast path. Each suite
- * drives the production engine and its linear reference oracle with
- * one deterministic op stream and requires bit-identical observable
- * behaviour:
+ * drives the production engine and its linear reference oracle
+ * (tests/oracles/mem_oracles.h) with one deterministic op stream and
+ * requires bit-identical observable behaviour:
  *
  *  - MemGoldenTlb: the set-associative Tlb vs the TlbReference list,
  *    at several geometries (including fully-associative and 1x1).
- *  - MemGoldenMmu: mirrored bus+RAM+page-table machines, bulk
- *    coalesced read/write vs the per-page reference loop — bytes,
+ *  - MemGoldenMmu: mirrored bus+RAM+page-table machines, Mmu's bulk
+ *    coalesced read/write vs ReferenceMmu's per-page loop — bytes,
  *    Status codes, and hit/miss counters, including mid-span
  *    translate faults.
- *  - MemGoldenBus: binary-search + MRU-cache routing vs the linear
- *    scan under attach/detach churn.
+ *  - MemGoldenBus: binary-search + MRU-cache routing vs a linear
+ *    scan of the attached ranges under attach/detach churn.
  *  - MemGoldenIotlb: IOTLB coherence against the OS-owned table
  *    (unmap/overwrite flush the page before taking effect), counters,
  *    and O(1) flush. The IOTLB is a Tlb, so MemGoldenTlb pins its
@@ -47,6 +47,7 @@
 #include "mem/mmu.h"
 #include "mem/phys_bus.h"
 #include "mem/phys_mem.h"
+#include "oracles/mem_oracles.h"
 #include "pcie/root_complex.h"
 
 namespace hix::mem
@@ -72,7 +73,7 @@ struct Rng
 // ----- MemGoldenTlb ----------------------------------------------------
 
 void
-driveTlbPair(TlbBase &fast, TlbBase &ref, std::uint64_t seed,
+driveTlbPair(Tlb &fast, TlbReference &ref, std::uint64_t seed,
              int iterations)
 {
     Rng rng{seed};
@@ -167,11 +168,12 @@ TEST(MemGoldenTlb, EpochFlushIsObservationallyComplete)
 
 constexpr std::uint64_t GoldenRamSize = 1 * MiB;
 
-/** One mirrored half: bus + RAM + per-pid page tables + MMU. */
+/** One mirrored half: bus + RAM + per-pid page tables + an Mmu or a
+ *  ReferenceMmu. */
+template <typename MmuT>
 struct Half
 {
-    explicit Half(TlbEngine engine)
-        : ram("golden_ram", GoldenRamSize), mmu(&bus, 16, engine)
+    Half() : ram("golden_ram", GoldenRamSize), mmu(&bus, 16)
     {
         EXPECT_TRUE(
             bus.attach(AddrRange(0, GoldenRamSize), &ram).isOk());
@@ -181,16 +183,13 @@ struct Half
 
     PhysicalBus bus;
     PhysMem ram;
-    Mmu mmu;
+    MmuT mmu;
     std::unordered_map<ProcessId, PageTable> tables;
 };
 
 class MemGoldenMmu : public ::testing::Test
 {
   protected:
-    MemGoldenMmu() : fast_(TlbEngine::Fast), ref_(TlbEngine::Reference)
-    {}
-
     void
     mapBoth(ProcessId pid, Addr va, Addr pa, std::uint8_t perms)
     {
@@ -207,8 +206,8 @@ class MemGoldenMmu : public ::testing::Test
             << where;
     }
 
-    Half fast_;
-    Half ref_;
+    Half<Mmu> fast_;
+    Half<ReferenceMmu> ref_;
 };
 
 TEST_F(MemGoldenMmu, RandomizedBulkOpsMatchReferenceExactly)
@@ -247,8 +246,7 @@ TEST_F(MemGoldenMmu, RandomizedBulkOpsMatchReferenceExactly)
             std::fill(buf_fast.begin(), buf_fast.end(), 0xCC);
             std::fill(buf_ref.begin(), buf_ref.end(), 0xCC);
             Status a = fast_.mmu.read(ctx, addr, buf_fast.data(), len);
-            Status b =
-                ref_.mmu.readReference(ctx, addr, buf_ref.data(), len);
+            Status b = ref_.mmu.read(ctx, addr, buf_ref.data(), len);
             ASSERT_EQ(a.code(), b.code()) << "read op " << op;
             ASSERT_EQ(buf_fast, buf_ref) << "read bytes op " << op;
         } else {
@@ -256,8 +254,8 @@ TEST_F(MemGoldenMmu, RandomizedBulkOpsMatchReferenceExactly)
                 buf_fast[j] =
                     static_cast<std::uint8_t>(r >> (j % 56));
             Status a = fast_.mmu.write(ctx, addr, buf_fast.data(), len);
-            Status b = ref_.mmu.writeReference(ctx, addr,
-                                               buf_fast.data(), len);
+            Status b =
+                ref_.mmu.write(ctx, addr, buf_fast.data(), len);
             ASSERT_EQ(a.code(), b.code()) << "write op " << op;
         }
         if (op % 97 == 0) {
@@ -290,17 +288,15 @@ TEST_F(MemGoldenMmu, MidSpanFaultDeliversIdenticalPrefix)
         seed[i] = static_cast<std::uint8_t>(i * 31 + 7);
     ASSERT_TRUE(
         fast_.mmu.write(ctx, 0x400000, seed.data(), seed.size()).isOk());
-    ASSERT_TRUE(ref_.mmu
-                    .writeReference(ctx, 0x400000, seed.data(),
-                                    seed.size())
-                    .isOk());
+    ASSERT_TRUE(
+        ref_.mmu.write(ctx, 0x400000, seed.data(), seed.size()).isOk());
 
     std::vector<std::uint8_t> got_fast(3 * PageSize, 0xEE);
     std::vector<std::uint8_t> got_ref(3 * PageSize, 0xEE);
     Status a =
         fast_.mmu.read(ctx, 0x400000, got_fast.data(), got_fast.size());
-    Status b = ref_.mmu.readReference(ctx, 0x400000, got_ref.data(),
-                                      got_ref.size());
+    Status b =
+        ref_.mmu.read(ctx, 0x400000, got_ref.data(), got_ref.size());
     EXPECT_EQ(a.code(), StatusCode::NotFound);
     EXPECT_EQ(a.code(), b.code());
     EXPECT_EQ(got_fast, got_ref);
@@ -333,8 +329,8 @@ TEST_F(MemGoldenMmu, ValidatorDenialCountsIdentically)
     std::vector<std::uint8_t> buf_ref(2 * PageSize, 0x5A);
     Status a =
         fast_.mmu.read(ctx, 0x400000, buf_fast.data(), buf_fast.size());
-    Status b = ref_.mmu.readReference(ctx, 0x400000, buf_ref.data(),
-                                      buf_ref.size());
+    Status b =
+        ref_.mmu.read(ctx, 0x400000, buf_ref.data(), buf_ref.size());
     EXPECT_EQ(a.code(), StatusCode::AccessFault);
     EXPECT_EQ(a.code(), b.code());
     EXPECT_EQ(buf_fast, buf_ref);
@@ -349,12 +345,12 @@ TEST(MemGoldenBus, RoutingMatchesReferenceUnderChurn)
 {
     PhysicalBus bus;
     std::vector<std::unique_ptr<PhysMem>> mems;
-    std::vector<AddrRange> attached;
+    std::vector<PhysicalBus::Mapping> attached;
     Rng rng{0xB05};
 
     auto check = [&](Addr addr) {
         const auto *fast = bus.route(addr);
-        const auto *ref = bus.routeReference(addr);
+        const auto *ref = linearRoute(attached, addr);
         ASSERT_EQ(fast == nullptr, ref == nullptr)
             << "presence at " << addr;
         if (fast) {
@@ -371,15 +367,15 @@ TEST(MemGoldenBus, RoutingMatchesReferenceUnderChurn)
             const std::uint64_t size = (1 + (r >> 24) % 4) * PageSize;
             auto mem = std::make_unique<PhysMem>("island", size);
             if (bus.attach(AddrRange(base, size), mem.get()).isOk()) {
+                attached.push_back({AddrRange(base, size), mem.get()});
                 mems.push_back(std::move(mem));
-                attached.push_back(AddrRange(base, size));
             }
             break;
           }
           case 1: {  // detach one island
             if (!attached.empty()) {
                 const std::size_t idx = (r >> 8) % attached.size();
-                ASSERT_TRUE(bus.detach(attached[idx]).isOk());
+                ASSERT_TRUE(bus.detach(attached[idx].range).isOk());
                 attached.erase(attached.begin() + idx);
             }
             break;
@@ -388,7 +384,7 @@ TEST(MemGoldenBus, RoutingMatchesReferenceUnderChurn)
             check((r >> 8) % (600 * PageSize));
             if (!attached.empty()) {
                 const AddrRange &range =
-                    attached[(r >> 16) % attached.size()];
+                    attached[(r >> 16) % attached.size()].range;
                 check(range.start());
                 check(range.end() - 1);
                 check(range.end());
@@ -754,12 +750,14 @@ walkPage(Rng &rng, std::uint64_t i)
 }
 
 /** The oracle: translate a page, move it, go on; the first error
- * ends the access. */
+ * ends the access. An access past 2^64 - 1 moves nothing. */
 template <typename Translate, typename Move>
 Status
 perPageOracle(Addr addr, std::uint64_t len, Translate translate,
               Move move)
 {
+    if (len > 0 && len - 1 > ~addr)
+        return errInvalidArgument("access wraps past 2^64");
     for (std::uint64_t done = 0; done < len;) {
         const Addr a = addr + done;
         const std::uint64_t take =

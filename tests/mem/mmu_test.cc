@@ -11,6 +11,7 @@
 #include "mem/iommu.h"
 #include "mem/mmu.h"
 #include "mem/phys_mem.h"
+#include "oracles/mem_oracles.h"
 
 namespace hix::mem
 {
@@ -31,6 +32,27 @@ class MmuTest : public ::testing::Test
     }
 
     PageTable &table(ProcessId pid) { return tables_[pid]; }
+
+    /**
+     * Run @p check on an Mmu and on the ReferenceMmu oracle, both
+     * with @p capacity entries in @p ways ways over this fixture's
+     * page tables: the engines share one replacement policy.
+     */
+    template <typename Check>
+    void
+    onBothEngines(std::size_t capacity, std::size_t ways, Check check)
+    {
+        auto provider = [this](ProcessId pid) -> PageTable * {
+            auto it = tables_.find(pid);
+            return it == tables_.end() ? nullptr : &it->second;
+        };
+        Mmu mmu(&bus_, capacity, ways);
+        mmu.setPageTableProvider(provider);
+        check(mmu);
+        ReferenceMmu ref(&bus_, capacity, ways);
+        ref.setPageTableProvider(provider);
+        check(ref);
+    }
 
     PhysicalBus bus_;
     PhysMem ram_;
@@ -203,12 +225,7 @@ TEST_F(MmuTest, TlbEvictsLeastRecentlyUsedWhenFull)
                              0x10000 + i * PageSize, PermRead)
                         .isOk());
     }
-    for (TlbEngine engine : {TlbEngine::Fast, TlbEngine::Reference}) {
-        Mmu mmu(&bus_, 8, engine, /*tlb_ways=*/8);
-        mmu.setPageTableProvider([this](ProcessId pid) -> PageTable * {
-            auto it = tables_.find(pid);
-            return it == tables_.end() ? nullptr : &it->second;
-        });
+    onBothEngines(8, /*ways=*/8, [](auto &mmu) {
         ExecContext ctx{1, InvalidEnclaveId};
         for (int i = 0; i < 8; ++i) {
             ASSERT_TRUE(mmu.translate(ctx, 0x400000 + i * PageSize,
@@ -232,7 +249,7 @@ TEST_F(MmuTest, TlbEvictsLeastRecentlyUsedWhenFull)
         ASSERT_TRUE(
             mmu.translate(ctx, 0x401000, AccessType::Read).isOk());
         EXPECT_EQ(mmu.tlbMisses(), 10u) << "page 1 was not the victim";
-    }
+    });
 }
 
 TEST_F(MmuTest, FlushPageIgnoresEnclaveTag)
@@ -240,12 +257,7 @@ TEST_F(MmuTest, FlushPageIgnoresEnclaveTag)
     // Conservative-flush contract: one (pid, vpage) cached under three
     // different enclave tags; flushTlbPage drops all three.
     ASSERT_TRUE(table(1).map(0x400000, 0x10000, PermRead).isOk());
-    for (TlbEngine engine : {TlbEngine::Fast, TlbEngine::Reference}) {
-        Mmu mmu(&bus_, 8, engine);
-        mmu.setPageTableProvider([this](ProcessId pid) -> PageTable * {
-            auto it = tables_.find(pid);
-            return it == tables_.end() ? nullptr : &it->second;
-        });
+    onBothEngines(8, TlbGeometry::DefaultWays, [](auto &mmu) {
         for (EnclaveId e : {InvalidEnclaveId, EnclaveId(55),
                             EnclaveId(77)}) {
             ASSERT_TRUE(mmu.translate({1, e}, 0x400000,
@@ -255,7 +267,7 @@ TEST_F(MmuTest, FlushPageIgnoresEnclaveTag)
         EXPECT_EQ(mmu.tlb().size(), 3u);
         mmu.flushTlbPage(1, 0x400000);
         EXPECT_EQ(mmu.tlb().size(), 0u);
-    }
+    });
 }
 
 TEST_F(MmuTest, FlushPidDropsAllEnclaveEntriesOfThatPid)
@@ -265,12 +277,7 @@ TEST_F(MmuTest, FlushPidDropsAllEnclaveEntriesOfThatPid)
     ASSERT_TRUE(table(1).map(0x400000, 0x10000, PermRead).isOk());
     ASSERT_TRUE(table(1).map(0x401000, 0x11000, PermRead).isOk());
     ASSERT_TRUE(table(2).map(0x400000, 0x20000, PermRead).isOk());
-    for (TlbEngine engine : {TlbEngine::Fast, TlbEngine::Reference}) {
-        Mmu mmu(&bus_, 8, engine);
-        mmu.setPageTableProvider([this](ProcessId pid) -> PageTable * {
-            auto it = tables_.find(pid);
-            return it == tables_.end() ? nullptr : &it->second;
-        });
+    onBothEngines(8, TlbGeometry::DefaultWays, [](auto &mmu) {
         ASSERT_TRUE(mmu.translate({1, InvalidEnclaveId}, 0x400000,
                                   AccessType::Read)
                         .isOk());
@@ -287,7 +294,7 @@ TEST_F(MmuTest, FlushPidDropsAllEnclaveEntriesOfThatPid)
                                   AccessType::Read)
                         .isOk());
         EXPECT_EQ(mmu.tlbHits(), 1u);
-    }
+    });
 }
 
 TEST_F(MmuTest, CapacityOneTlbDegeneratesGracefully)
@@ -295,12 +302,7 @@ TEST_F(MmuTest, CapacityOneTlbDegeneratesGracefully)
     // 1 set x 1 way: every distinct key evicts the previous one.
     ASSERT_TRUE(table(1).map(0x400000, 0x10000, PermRead).isOk());
     ASSERT_TRUE(table(1).map(0x401000, 0x11000, PermRead).isOk());
-    for (TlbEngine engine : {TlbEngine::Fast, TlbEngine::Reference}) {
-        Mmu mmu(&bus_, 1, engine);
-        mmu.setPageTableProvider([this](ProcessId pid) -> PageTable * {
-            auto it = tables_.find(pid);
-            return it == tables_.end() ? nullptr : &it->second;
-        });
+    onBothEngines(1, TlbGeometry::DefaultWays, [](auto &mmu) {
         ExecContext ctx{1, InvalidEnclaveId};
         ASSERT_TRUE(
             mmu.translate(ctx, 0x400000, AccessType::Read).isOk());
@@ -314,7 +316,45 @@ TEST_F(MmuTest, CapacityOneTlbDegeneratesGracefully)
             mmu.translate(ctx, 0x400000, AccessType::Read).isOk());
         EXPECT_EQ(mmu.tlbMisses(), 3u);
         EXPECT_EQ(mmu.tlb().size(), 1u);
-    }
+    });
+}
+
+TEST_F(MmuTest, AccessWrappingPast2To64Fails)
+{
+    // VA 0 and the top page both map: an 8 KiB access at the top
+    // page used to translate VA 0 for its second page. The oracle
+    // keeps the same rule.
+    const Addr top_page = ~Addr(0) - (PageSize - 1);
+    ASSERT_TRUE(table(1).map(0, 0x10000, PermRead | PermWrite).isOk());
+    ASSERT_TRUE(
+        table(1).map(top_page, 0x20000, PermRead | PermWrite).isOk());
+    onBothEngines(8, TlbGeometry::DefaultWays, [this,
+                                                top_page](auto &mmu) {
+        ASSERT_TRUE(ram_.zeroAt(0, 1 * MiB).isOk());
+        ExecContext ctx{1, InvalidEnclaveId};
+        Bytes data(2 * PageSize, 0x5a);
+        EXPECT_EQ(
+            mmu.write(ctx, top_page, data.data(), data.size()).code(),
+            StatusCode::InvalidArgument);
+        Bytes back(2 * PageSize, 0xee);
+        EXPECT_EQ(
+            mmu.read(ctx, top_page, back.data(), back.size()).code(),
+            StatusCode::InvalidArgument);
+        EXPECT_EQ(back, Bytes(back.size(), 0xee))
+            << "the read moved bytes";
+        EXPECT_EQ(mmu.tlbMisses(), 0u) << "a wrapping access translated";
+        for (Addr pa : {Addr(0x10000), Addr(0x20000)}) {
+            Bytes page(PageSize, 0xee);
+            ASSERT_TRUE(ram_.readAt(pa, page.data(), page.size()).isOk());
+            EXPECT_EQ(page, Bytes(PageSize, 0)) << "RAM at " << pa;
+        }
+
+        // An access that ends exactly at 2^64 is legal.
+        EXPECT_TRUE(
+            mmu.write(ctx, top_page, data.data(), PageSize).isOk());
+        EXPECT_TRUE(mmu.read(ctx, ~Addr(0), back.data(), 1).isOk());
+        EXPECT_EQ(back[0], 0x5a);
+    });
 }
 
 TEST(IommuTest, BypassWhenDisabled)

@@ -3,12 +3,14 @@
  * Multi-GPU routing regressions on the full machine: with N GPUs on
  * the PCIe fabric, TLPs and DMA for device k touch only device k's
  * BAR windows, VRAM, and IOMMU protection domain. Cross-device DMA
- * faults cleanly instead of resolving through a sibling's mappings.
+ * faults cleanly instead of resolving through a sibling's mappings,
+ * and no DMA reaches a device's BAR (no peer-to-peer).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "os/machine.h"
 
@@ -137,6 +139,85 @@ TEST(MultiGpuRoutingTest, CrossDeviceDmaFaultsCleanly)
                     .isOk());
     ASSERT_TRUE(machine.ram().readAt(0x40000, &ram_byte, 1).isOk());
     EXPECT_EQ(ram_byte, 0x11);
+}
+
+TEST(MultiGpuRoutingTest, PeerToPeerDmaIsRefusedOnTheTranslatedPage)
+{
+    // HIX assumes no peer-to-peer DMA (§7). The check holds on every
+    // translated page, not on the address a DMA starts at.
+    const Bytes marker(mem::PageSize, 0xc5);
+    const Bytes junk(2 * mem::PageSize, 0x3c);
+    {
+        // IOMMU on: the OS maps device 1's page 0x1000 onto device
+        // 0's BAR1.
+        os::Machine machine(pool(2, true));
+        RootComplex &rc = machine.rootComplex();
+        const Bdf gpu1 = machine.gpuAt(1).bdf();
+        auto bars = rc.deviceBarRanges(machine.gpuAt(0).bdf());
+        ASSERT_TRUE(bars.isOk());
+        const Addr bar1 = (*bars)[1].start();
+        ASSERT_TRUE(rc.routeTlp(Tlp::memWrite(bar1, marker)).isOk());
+        ASSERT_TRUE(machine.iommu().map(1, 0x1000, bar1).isOk());
+
+        Bytes got(mem::PageSize, 0);
+        EXPECT_EQ(rc.dmaRead(gpu1, 0x1000, got.data(), got.size()).code(),
+                  StatusCode::PermissionDenied);
+        EXPECT_EQ(got, Bytes(mem::PageSize, 0))
+            << "device 1 read device 0's VRAM";
+        EXPECT_EQ(
+            rc.dmaWrite(gpu1, 0x1000, junk.data(), mem::PageSize).code(),
+            StatusCode::PermissionDenied);
+        Bytes vram(mem::PageSize);
+        ASSERT_TRUE(
+            machine.gpuAt(0).debugReadVram(0, vram.data(), vram.size())
+                .isOk());
+        EXPECT_EQ(vram, marker) << "device 1 wrote device 0's VRAM";
+
+        // A device address that only equals a window address is an
+        // ordinary DMA when it maps to DRAM, and an IOMMU fault when
+        // it is unmapped.
+        const Addr window = rc.mmioWindow().start();
+        ASSERT_TRUE(machine.iommu().map(1, window, 0x40000).isOk());
+        EXPECT_TRUE(rc.dmaWrite(gpu1, window, junk.data(), 8).isOk());
+        EXPECT_EQ(
+            rc.dmaWrite(gpu1, window + mem::PageSize, junk.data(), 8)
+                .code(),
+            StatusCode::AccessFault);
+    }
+    for (int gpus : {2, 4}) {
+        // IOMMU off: DRAM ends where the window starts, at device 0's
+        // BAR1, so a DMA from the last DRAM page runs into it.
+        SCOPED_TRACE(std::to_string(gpus) + " GPUs");
+        os::Machine machine(pool(gpus, false));
+        RootComplex &rc = machine.rootComplex();
+        const Addr window = rc.mmioWindow().start();
+        ASSERT_EQ(machine.config().ramSize, window);
+        auto bars = rc.deviceBarRanges(machine.gpuAt(0).bdf());
+        ASSERT_TRUE(bars.isOk());
+        ASSERT_EQ((*bars)[1].start(), window);
+        ASSERT_TRUE(rc.routeTlp(Tlp::memWrite(window, marker)).isOk());
+
+        const Addr start = window - mem::PageSize;
+        Bytes got(2 * mem::PageSize, 0xee);
+        EXPECT_EQ(rc.dmaRead(start, got.data(), got.size()).code(),
+                  StatusCode::PermissionDenied);
+        EXPECT_EQ(Bytes(got.begin() + mem::PageSize, got.end()),
+                  Bytes(mem::PageSize, 0xee))
+            << "the DMA read device 0's BAR1";
+        EXPECT_EQ(rc.dmaWrite(start, junk.data(), junk.size()).code(),
+                  StatusCode::PermissionDenied);
+        Bytes vram(mem::PageSize);
+        ASSERT_TRUE(
+            machine.gpuAt(0).debugReadVram(0, vram.data(), vram.size())
+                .isOk());
+        EXPECT_EQ(vram, marker) << "the DMA wrote device 0's VRAM";
+        // The DRAM page before the window moved, as a page-by-page
+        // DMA leaves it.
+        Bytes last(mem::PageSize);
+        ASSERT_TRUE(
+            machine.ram().readAt(start, last.data(), last.size()).isOk());
+        EXPECT_EQ(last, Bytes(mem::PageSize, 0x3c));
+    }
 }
 
 TEST(MultiGpuRoutingTest, UnknownRequesterFallsBackToDomainZero)

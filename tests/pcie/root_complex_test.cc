@@ -264,6 +264,34 @@ TEST_F(RootComplexTest, PeerToPeerDmaRejected)
               StatusCode::PermissionDenied);
 }
 
+TEST_F(RootComplexTest, DmaWrappingPast2To64Fails)
+{
+    // Device pages 0 and 2^64 - 4096 both map: a two-page DMA at the
+    // top page used to move its second page through device page 0.
+    const Addr top_page = ~Addr(0) - (mem::PageSize - 1);
+    iommu_.setEnabled(true);
+    ASSERT_TRUE(iommu_.map(0, 0x10000).isOk());
+    ASSERT_TRUE(iommu_.map(top_page, 0x20000).isOk());
+
+    Bytes data(2 * mem::PageSize, 0x5a);
+    EXPECT_EQ(rc_.dmaWrite(top_page, data.data(), data.size()).code(),
+              StatusCode::InvalidArgument);
+    Bytes back(2 * mem::PageSize, 0xee);
+    EXPECT_EQ(rc_.dmaRead(top_page, back.data(), back.size()).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(back, Bytes(back.size(), 0xee)) << "the read moved bytes";
+    for (Addr pa : {Addr(0x10000), Addr(0x20000)}) {
+        Bytes page(mem::PageSize, 0xee);
+        ASSERT_TRUE(ram_.readAt(pa, page.data(), page.size()).isOk());
+        EXPECT_EQ(page, Bytes(mem::PageSize, 0)) << "RAM at " << pa;
+    }
+
+    // A DMA that ends exactly at 2^64 is legal.
+    EXPECT_TRUE(rc_.dmaWrite(top_page, data.data(), mem::PageSize).isOk());
+    EXPECT_TRUE(rc_.dmaRead(~Addr(0), back.data(), 1).isOk());
+    EXPECT_EQ(back[0], 0x5a);
+}
+
 TEST_F(RootComplexTest, DuplicatePortRejected)
 {
     ScratchDevice other;

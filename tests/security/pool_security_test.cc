@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "mem/phys_mem.h"
 #include "testing/scenario.h"
 
@@ -39,6 +42,24 @@ Bytes
 needleOf(const VictimScenario &s)
 {
     return Bytes(s.secret().begin(), s.secret().begin() + 64);
+}
+
+/** Where @p needle starts in pool device @p device's VRAM, scanning
+ *  its first ScanBytes (a test oracle, not an attacker ability). */
+std::optional<Addr>
+vramOffsetOf(VictimScenario &s, const Bytes &needle, int device)
+{
+    Bytes region(ScanBytes);
+    if (!s.machine()
+             .gpuAt(device)
+             .debugReadVram(0, region.data(), region.size())
+             .isOk())
+        return std::nullopt;
+    auto it = std::search(region.begin(), region.end(), needle.begin(),
+                          needle.end());
+    if (it == region.end())
+        return std::nullopt;
+    return static_cast<Addr>(it - region.begin());
 }
 
 // The dram-snoop wall is device-independent DRAM, but the victim's
@@ -168,6 +189,57 @@ TEST(PoolSecurityTest, DmaRedirectInASiblingDomainIsANoOp)
     ASSERT_TRUE(diverted.isOk());
     EXPECT_EQ(*diverted, Bytes(s.chunkBytes(), 0x00))
         << "victim bytes were DMA-ed through a sibling's domain";
+}
+
+// HIX has no peer-to-peer DMA (§7). Mid-kernel, the OS maps device
+// 0's DMA pages onto device 1's BAR1, right over the victim's
+// plaintext, and has device 0 read and then overwrite them. Both DMAs
+// are refused: no victim byte comes back, and its VRAM and its result
+// are untouched.
+TEST(PoolSecurityTest, SiblingDmaCannotReachTheVictimsBar1)
+{
+    VictimScenario s(poolVictim(RuntimeKind::Hix, 2, 1, true));
+    ASSERT_TRUE(s.setup().isOk());
+    ASSERT_TRUE(s.upload().isOk());
+
+    constexpr Addr SiblingIova = 0x7000000;
+    const std::uint64_t len = s.secret().size() + mem::PageSize;
+    bool fired = false;
+    Status read_st;
+    Status write_st;
+    Bytes stolen(len, 0);
+    Bytes before(len);
+    Bytes after(len);
+    s.onOp("submit", 1, [&] {
+        fired = true;
+        const auto offset = vramOffsetOf(s, needleOf(s), 1);
+        ASSERT_TRUE(offset.has_value()) << "no plaintext in device 1";
+        const Addr first = mem::pageBase(*offset);
+        for (std::uint64_t p = 0; p < len; p += mem::PageSize)
+            ASSERT_TRUE(s.machine()
+                            .iommu()
+                            .map(0, SiblingIova + p,
+                                 s.bar1Base(1) + first + p)
+                            .isOk());
+        pcie::RootComplex &rc = s.machine().rootComplex();
+        const pcie::Bdf sibling = s.machine().gpuAt(0).bdf();
+        gpu::GpuDevice &victim = s.machine().gpuAt(1);
+        ASSERT_TRUE(victim.debugReadVram(first, before.data(), len).isOk());
+        read_st = rc.dmaRead(sibling, SiblingIova, stolen.data(), len);
+        const Bytes junk(len, 0x3c);
+        write_st = rc.dmaWrite(sibling, SiblingIova, junk.data(), len);
+        ASSERT_TRUE(victim.debugReadVram(first, after.data(), len).isOk());
+    });
+    ASSERT_TRUE(s.launchKernel().isOk());
+    ASSERT_TRUE(fired) << "mid-kernel hook never fired";
+
+    EXPECT_EQ(read_st.code(), StatusCode::PermissionDenied);
+    EXPECT_EQ(write_st.code(), StatusCode::PermissionDenied);
+    EXPECT_EQ(stolen, Bytes(len, 0)) << "sibling DMA read victim VRAM";
+    EXPECT_EQ(after, before) << "sibling DMA wrote victim VRAM";
+    auto back = s.download();
+    ASSERT_TRUE(back.isOk());
+    EXPECT_EQ(*back, s.secret());
 }
 
 // The in-GPU MAC wall holds per-device: redirecting the victim's

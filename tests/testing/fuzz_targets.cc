@@ -20,6 +20,7 @@
 #include "mem/page_table.h"
 #include "mem/phys_bus.h"
 #include "mem/phys_mem.h"
+#include "oracles/mem_oracles.h"
 #include "pcie/root_complex.h"
 #include "workloads/rodinia_util.h"
 
@@ -365,19 +366,23 @@ runMappingState(const std::vector<std::uint64_t> &ops)
 // ----- memory-system differential --------------------------------------
 
 /**
- * One half of the mirrored pair. Physical layout: RAM at [0, 1MiB)
- * plus two page-aligned islands, so bulk runs can cross target
- * boundaries at page edges without ever straddling one mid-page
- * (bus-level faults would let the fast path legally run ahead on
- * translate counting; translate-level faults are the interesting
- * differential surface and stay exactly comparable).
+ * One half of the mirrored pair, over an mem::Mmu or the
+ * mem::ReferenceMmu oracle. Physical layout: RAM at [0, 1MiB) plus a
+ * page-aligned island, so bulk runs can cross target boundaries at
+ * page edges without ever straddling one mid-page (bus-level faults
+ * would let the fast path legally run ahead on translate counting;
+ * translate-level faults are the interesting differential surface
+ * and stay exactly comparable).
  */
+constexpr Addr HiBase = 4 * 1024 * 1024;
+
+template <typename MmuT>
 struct MemSystem
 {
-    explicit MemSystem(mem::TlbEngine engine)
+    MemSystem()
         : ram("diff_ram", FuzzRamSize),
           hi("diff_hi", 16 * mem::PageSize),
-          mmu(&bus, 16, engine)
+          mmu(&bus, 16)
     {
         (void)bus.attach(AddrRange(0, FuzzRamSize), &ram);
         (void)bus.attach(AddrRange(HiBase, 16 * mem::PageSize), &hi);
@@ -386,12 +391,18 @@ struct MemSystem
         });
     }
 
-    static constexpr Addr HiBase = 4 * 1024 * 1024;
+    /** The ranges this half attached, for the linear route. */
+    std::vector<mem::PhysicalBus::Mapping>
+    attached()
+    {
+        return {{AddrRange(0, FuzzRamSize), &ram},
+                {AddrRange(HiBase, 16 * mem::PageSize), &hi}};
+    }
 
     mem::PhysicalBus bus;
     mem::PhysMem ram;
     mem::PhysMem hi;
-    mem::Mmu mmu;
+    MmuT mmu;
     std::unordered_map<ProcessId, mem::PageTable> tables;
 };
 
@@ -417,9 +428,12 @@ class DenyPpageValidator : public mem::TlbFillValidator
 Status
 runMemorySystem(const std::vector<std::uint64_t> &ops)
 {
-    MemSystem fast(mem::TlbEngine::Fast);
-    MemSystem ref(mem::TlbEngine::Reference);
-    const Addr denied_ppage = 7 * mem::PageSize;
+    MemSystem<mem::Mmu> fast;
+    MemSystem<mem::ReferenceMmu> ref;
+    const std::vector<mem::PhysicalBus::Mapping> attached = fast.attached();
+    // A RAM page pickPa() draws: RAM page 7 is never one, since every
+    // selector that would give it picks the hi island.
+    const Addr denied_ppage = 6 * mem::PageSize;
     DenyPpageValidator deny_fast(denied_ppage);
     DenyPpageValidator deny_ref(denied_ppage);
     fast.mmu.addValidator(&deny_fast);
@@ -444,7 +458,7 @@ runMemorySystem(const std::vector<std::uint64_t> &ops)
     auto pickPa = [](std::uint64_t op, unsigned shift) -> Addr {
         const std::uint64_t sel = (op >> shift) & 0xff;
         if ((sel & 0x7) == 0x7)
-            return MemSystem::HiBase + (sel % 16) * mem::PageSize;
+            return HiBase + (sel % 16) * mem::PageSize;
         return (sel % 200) * mem::PageSize;
     };
 
@@ -510,8 +524,7 @@ runMemorySystem(const std::vector<std::uint64_t> &ops)
             std::fill(buf_fast.begin(), buf_fast.end(), 0xAA);
             std::fill(buf_ref.begin(), buf_ref.end(), 0xAA);
             Status a = fast.mmu.read(ctx, addr, buf_fast.data(), len);
-            Status b =
-                ref.mmu.readReference(ctx, addr, buf_ref.data(), len);
+            Status b = ref.mmu.read(ctx, addr, buf_ref.data(), len);
             if (a.code() != b.code())
                 return errInternal("bulk read code divergence at " +
                                    hexWord(addr));
@@ -528,8 +541,7 @@ runMemorySystem(const std::vector<std::uint64_t> &ops)
             for (std::size_t j = 0; j < len; ++j)
                 buf_fast[j] = static_cast<std::uint8_t>(op >> (j % 56));
             Status a = fast.mmu.write(ctx, addr, buf_fast.data(), len);
-            Status b =
-                ref.mmu.writeReference(ctx, addr, buf_fast.data(), len);
+            Status b = ref.mmu.write(ctx, addr, buf_fast.data(), len);
             if (a.code() != b.code())
                 return errInternal("bulk write code divergence at " +
                                    hexWord(addr));
@@ -557,7 +569,7 @@ runMemorySystem(const std::vector<std::uint64_t> &ops)
           case 7: {  // bus routing differential, holes included
             const Addr addr = (op >> 8) % (8 * 1024 * 1024);
             const auto *a = fast.bus.route(addr);
-            const auto *b = fast.bus.routeReference(addr);
+            const auto *b = mem::linearRoute(attached, addr);
             if ((a == nullptr) != (b == nullptr))
                 return errInternal("bus route presence divergence at " +
                                    hexWord(addr));
@@ -577,8 +589,8 @@ runMemorySystem(const std::vector<std::uint64_t> &ops)
             const Addr addr = 0x400000 + Addr(page) * mem::PageSize;
             Status a = fast.mmu.read(ctx, addr, buf_fast.data(),
                                      mem::PageSize);
-            Status b = ref.mmu.readReference(ctx, addr, buf_ref.data(),
-                                             mem::PageSize);
+            Status b =
+                ref.mmu.read(ctx, addr, buf_ref.data(), mem::PageSize);
             if (a.code() != b.code())
                 return errInternal("final sweep code divergence at " +
                                    hexWord(addr));
@@ -597,14 +609,16 @@ runMemorySystem(const std::vector<std::uint64_t> &ops)
 
 /**
  * A 2-4 GPU PCIe fabric driven against a per-device ownership shadow
- * model: the OS maps each device's DMA pages only into that device's
- * own RAM partition, then the stream interleaves IOMMU map/unmap,
- * DMA reads/writes issued under each device's requester identity,
- * BAR1 VRAM pokes, and raw translate probes. Properties: map/unmap/
- * translate/DMA fault verdicts match the shadow table exactly
- * (per-domain isolation — device k never resolves through device j's
- * mappings), BAR apertures never overlap, a BAR1 write lands in its
- * device's VRAM and no other's, and at the end RAM equals the shadow
+ * model: the OS maps each device's DMA pages into that device's own
+ * RAM partition, now and then onto a page of some device's BAR1, then
+ * the stream interleaves IOMMU map/unmap, DMA reads/writes issued
+ * under each device's requester identity, BAR1 VRAM pokes, and raw
+ * translate probes. Properties: map/unmap/translate/DMA fault
+ * verdicts match the shadow table exactly (per-domain isolation —
+ * device k never resolves through device j's mappings), a DMA onto a
+ * BAR page is PermissionDenied and moves nothing (no peer-to-peer),
+ * BAR apertures never overlap, a BAR1 write lands in its device's
+ * VRAM and no other's, and at the end RAM equals the shadow
  * byte-for-byte (no DMA ever strayed outside its owner's pages).
  */
 Status
@@ -668,24 +682,44 @@ runMultiGpuRouting(const std::vector<std::uint64_t> &ops)
     std::vector<std::unordered_map<Addr, Addr>> shadow_map(devices);
     std::vector<std::unordered_map<std::uint64_t, std::uint8_t>>
         shadow_vram(devices);
+    const std::uint64_t bar1_pages = geom.bar1Size / mem::PageSize;
+
+    // Device d's VRAM at [off, off + len) holds what the shadow says
+    // (len <= 8).
+    auto vramAsShadow = [&](int d, std::uint64_t off, std::size_t len) {
+        std::uint8_t got[8];
+        if (!gpus[d]->debugReadVram(off, got, len).isOk())
+            return false;
+        for (std::size_t b = 0; b < len; ++b) {
+            const auto sv = shadow_vram[d].find(off + b);
+            if (got[b] != (sv == shadow_vram[d].end() ? 0 : sv->second))
+                return false;
+        }
+        return true;
+    };
 
     while (i < ops.size()) {
         const std::uint64_t op = next();
         const int k = static_cast<int>((op >> 8) % devices);
         const Addr dpage = ((op >> 16) % DevPages) * mem::PageSize;
         switch (op % 6) {
-          case 0: {  // OS maps a domain-k page into k's RAM partition
+          case 0: {  // OS maps a domain-k page into k's RAM partition,
+                     // or onto a BAR1 page of any device
             const std::uint64_t own =
                 ((op >> 24) % (RamPages / devices)) * devices + k;
+            const Addr target =
+                (op >> 44) % 8 == 0
+                    ? bar1[(op >> 48) % devices] +
+                          ((op >> 24) % bar1_pages) * mem::PageSize
+                    : own * mem::PageSize;
             const bool present = shadow_map[k].count(dpage) != 0;
-            const Status st =
-                iommu.map(static_cast<mem::IommuDomain>(k), dpage,
-                          own * mem::PageSize);
+            const Status st = iommu.map(
+                static_cast<mem::IommuDomain>(k), dpage, target);
             if (st.isOk() == present)
                 return errInternal("map verdict diverged at " +
                                    hexWord(dpage));
             if (!present)
-                shadow_map[k][dpage] = own * mem::PageSize;
+                shadow_map[k][dpage] = target;
             break;
           }
           case 1: {
@@ -704,6 +738,32 @@ runMultiGpuRouting(const std::vector<std::uint64_t> &ops)
             const std::size_t len = 1 + (op >> 56) % 8;
             const auto it = shadow_map[k].find(dpage);
             const bool mapped = it != shadow_map[k].end();
+            if (mapped && it->second >= RamSize) {
+                // Peer-to-peer onto a BAR1 page: refused, and no byte
+                // moves either way.
+                int owner = 0;
+                while (!bars[owner][1].contains(it->second))
+                    ++owner;
+                const std::uint64_t voff = it->second - bar1[owner] + off;
+                std::uint8_t buf[8];
+                std::memset(buf, 0xc3, sizeof(buf));
+                const Status st =
+                    op % 6 == 2 ? rc.dmaWrite(gpus[k]->bdf(), dpage + off,
+                                              buf, len)
+                                : rc.dmaRead(gpus[k]->bdf(), dpage + off,
+                                             buf, len);
+                if (st.code() != StatusCode::PermissionDenied)
+                    return errInternal("DMA onto a BAR page not refused "
+                                       "at " +
+                                       hexWord(dpage + off));
+                if (std::count(buf, buf + sizeof(buf), 0xc3) != 8)
+                    return errInternal("refused DMA read moved bytes");
+                for (int d = 0; d < devices; ++d)
+                    if (!vramAsShadow(d, voff, len))
+                        return errInternal(
+                            "refused DMA changed a device's VRAM");
+                break;
+            }
             std::uint8_t buf[8] = {};
             if (op % 6 == 2) {
                 for (std::size_t b = 0; b < len; ++b)
@@ -746,21 +806,12 @@ runMultiGpuRouting(const std::vector<std::uint64_t> &ops)
             for (std::size_t b = 0; b < len; ++b)
                 shadow_vram[k][off + b] = data[b];
             // The write must be visible on device k and only there.
-            for (int d = 0; d < devices; ++d) {
-                std::uint8_t got[8];
-                if (!gpus[d]->debugReadVram(off, got, len).isOk())
-                    return errInternal("VRAM peek failed");
-                for (std::size_t b = 0; b < len; ++b) {
-                    const auto sv = shadow_vram[d].find(off + b);
-                    const std::uint8_t want =
-                        sv == shadow_vram[d].end() ? 0 : sv->second;
-                    if (got[b] != want)
-                        return errInternal(
-                            d == k ? "BAR1 write lost on its device"
-                                   : "BAR1 write leaked into another "
-                                     "device's VRAM");
-                }
-            }
+            for (int d = 0; d < devices; ++d)
+                if (!vramAsShadow(d, off, len))
+                    return errInternal(d == k
+                                           ? "BAR1 write lost on its device"
+                                           : "BAR1 write leaked into "
+                                             "another device's VRAM");
             break;
           }
           case 5: {  // raw translate probe

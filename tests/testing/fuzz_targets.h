@@ -25,11 +25,12 @@ FuzzTarget mappingStateFuzzTarget();
 /**
  * Memory-system fast-path differential: two mirrored machines (bus +
  * RAM + page tables + validating MMU) driven by one op stream, one
- * with the set-associative TLB and coalesced bulk copies, the other
- * with the linear TlbReference and the per-page reference loop.
- * Bytes, Status codes, translations, TLB sizes, and hit/miss
- * counters must stay identical; bus routing is additionally checked
- * against routeReference().
+ * an Mmu with the set-associative TLB and coalesced bulk copies, the
+ * other the ReferenceMmu oracle with the linear TlbReference and the
+ * per-page loop (tests/oracles/mem_oracles.h). Bytes, Status codes,
+ * translations, TLB sizes, and hit/miss counters must stay
+ * identical; bus routing is additionally checked against a linear
+ * scan of the attached ranges.
  */
 FuzzTarget memorySystemFuzzTarget();
 
